@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import OMEGA, ONE, ZERO, Ordinal, add, compare, left_subtract, multiply, omega_power
+from .core import (
+    OMEGA, ONE, ZERO, Ordinal, _coerce, add, compare, left_subtract, multiply, omega_power,
+)
 from .errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
 __all__ = [
@@ -41,15 +43,25 @@ __all__ = [
 
 
 class DigitMap:
-    """A finite-support function from exponents (ordinals) to digits >= 1."""
+    """A finite-support function from exponents (ordinals) to digits >= 1.
+
+    Integer exponents are coerced to ordinals; exponents of any other type
+    and digits that are not naturals are rejected, so every map reads back
+    as a valid Cantor normal form.
+    """
 
     __slots__ = ("_digits",)
 
     def __init__(self, digits: Optional[dict] = None):
         cleaned = {}
         for exp, digit in (digits or {}).items():
+            exp = _coerce(exp)
+            if exp is NotImplemented or not isinstance(digit, int):
+                raise BoundViolation("bad term component types")
             if digit < 0:
                 raise BoundViolation("digits must be naturals")
+            if exp in cleaned:
+                raise BoundViolation(f"exponent {exp} is given twice")
             if digit:
                 cleaned[exp] = digit
         self._digits = cleaned
@@ -95,7 +107,8 @@ def to_digits(x: Ordinal) -> DigitMap:
 
 
 def from_digits(d: DigitMap) -> Ordinal:
-    return Ordinal.from_terms(d.items_desc())
+    # distinct ordinal exponents, sorted descending, digits >= 1: valid CNF
+    return Ordinal._raw(tuple(d.items_desc()))
 
 
 def digitmap_rightlex_cmp(a: DigitMap, b: DigitMap) -> int:
@@ -210,12 +223,8 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
     _require_infinite(alpha)
     if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
         raise BoundViolation("pair components must lie below alpha")
-    u, v = _embed(alpha, x), _embed(alpha, y)
-    digits = {}
-    for e in set(dict(u.terms)) | set(dict(v.terms)):
-        du = dict(u.terms).get(e, 0)
-        dv = dict(v.terms).get(e, 0)
-        digits[e] = cantor_pair(du, dv)
+    u, v = dict(_embed(alpha, x).terms), dict(_embed(alpha, y).terms)
+    digits = {e: cantor_pair(u.get(e, 0), v.get(e, 0)) for e in u.keys() | v.keys()}
     return from_digits(DigitMap(digits))
 
 

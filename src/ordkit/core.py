@@ -354,13 +354,39 @@ class _Lexer:
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos]), start
+        return _nat_int(self.text[start:self.pos]), start
 
     def expect(self, ch: str):
         self._skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
+
+
+# Python's int <-> str conversion refuses more digits than
+# sys.get_int_max_str_digits(); finite-set codes can have such coefficients,
+# and decimal converts them without the limit.  decimal is imported only
+# when needed: loading it costs every process about 0.4 MB.
+
+
+def _nat_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        if not text.isascii():
+            raise
+        import decimal
+
+        return int(decimal.Decimal(text))
+
+
+def _nat_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(n))
 
 
 # AST nodes: ('nat', k, pos), ('var', pos), ('w',), ('term', exp_ast|None,
@@ -492,7 +518,7 @@ def _atom_str(e: Ordinal) -> str:
     if e == OMEGA:
         return "w"
     if e.is_nat():
-        return str(e.nat_value())
+        return _nat_str(e.nat_value())
     return f"({fmt(e)})"
 
 
@@ -503,13 +529,13 @@ def fmt(x: Ordinal) -> str:
     parts = []
     for e, c in x._terms:
         if e.is_zero():
-            parts.append(str(c))
+            parts.append(_nat_str(c))
             continue
         if e == ONE:
             body = "w"
         else:
             body = f"w^{_atom_str(e)}"
         if c > 1:
-            body += f"*{c}"
+            body += "*" + _nat_str(c)
         parts.append(body)
     return " + ".join(parts)

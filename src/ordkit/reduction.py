@@ -898,7 +898,10 @@ def refute_powerset(
     family onto the table indices, the carrier's pairing enumeration
     collapses it to a single listing M -> P(M), and the diagonal of that
     listing is returned together with re-checkable distinguishers against
-    every table entry and every listed set below the check bound.
+    every table entry and every listed set below the check bound.  A listed
+    set phi(n, y) is separated at the first sample point where the diagonal
+    differs from it, or failing that at its own code point, the element
+    that collapses to (n, y).
     """
     points = carrier.sample_elements(sample_size)
     size = len(table)
@@ -944,6 +947,13 @@ def refute_powerset(
     def listing(x) -> QueryableSet:
         return table[collapse(x)]
 
+    def code_point(n: int, y):
+        """The element that collapses to (n, y): there the listing is
+        the table entry induced by phi(n, y)."""
+        return carrier.element_at(
+            pair_encode(theta, Ordinal(n), carrier.global_position(y))
+        )
+
     missed = cantor_diagonal(listing, carrier)
 
     distinguishers = []
@@ -957,8 +967,7 @@ def refute_powerset(
                 continue
             y = points[q_idx]
             if induced(n, y) == i:
-                code = pair_encode(theta, Ordinal(n), carrier.global_position(y))
-                found = carrier.element_at(code)
+                found = code_point(n, y)
                 break
         if found is None:
             found = _distinct_point(missed, table[i], points)
@@ -972,6 +981,8 @@ def refute_powerset(
             continue
         listed = phi(n, points[q_idx])
         w = _distinct_point(missed, listed, points)
+        if w is None:
+            w = _distinct_point(missed, listed, [code_point(n, points[q_idx])])
         if w is None:
             raise WitnessNotFound(
                 f"cannot separate the diagonal from phi({n}, sample {q_idx})"
@@ -1117,17 +1128,20 @@ def refute_infinite_powerset(
             raise CertificateError("infinite certificate construction failed")
         seen.add(x)
 
+    # padding-lane elements of the diagonal's indices beyond the table, and
+    # the search points for listed sets: built once, read in this order
+    lane = [
+        g_witness(pair_encode(OMEGA, Ordinal(probe + size), ZERO))
+        for probe in range(sample_size)
+    ]
+    search_points = list(points)
+    for probe in range(sample_size):
+        search_points.append(g_witness(Ordinal(probe)))
+        search_points.append(lane[probe])
+
     distinguishers = []
     for i in range(size):
-        w = None
-        for probe in range(sample_size):
-            zeta = Ordinal(probe + size)
-            candidate = g_witness(pair_encode(OMEGA, zeta, ZERO))
-            if missed.contains(candidate) != table[i].contains(candidate):
-                w = candidate
-                break
-        if w is None:
-            w = _distinct_point(missed, table[i], points)
+        w = _distinct_point(missed, table[i], lane + points)
         if w is None:
             raise WitnessNotFound(f"cannot separate the missed set from table entry {i}")
         distinguishers.append(
@@ -1140,12 +1154,6 @@ def refute_infinite_powerset(
         listed = phi(n, points[q_idx])
         if listed.certificate is not None and listed.certificate[0] == "finite":
             raise CertificateError("listed sets must be infinite")
-        search_points = list(points)
-        for probe in range(sample_size):
-            search_points.append(g_witness(Ordinal(probe)))
-            search_points.append(
-                g_witness(pair_encode(OMEGA, Ordinal(probe + size), ZERO))
-            )
         w = _distinct_point(missed, listed, search_points)
         if w is None:
             raise WitnessNotFound(

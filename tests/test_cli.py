@@ -53,6 +53,13 @@ class TestCodingCommands:
         status, up = run("cnfbij", "--alpha", "w", "--dir", "up", down.strip())
         assert (status, up) == (0, "w^3 + w\n")
 
+    def test_fincode_past_the_int_str_limit(self):
+        from test_coding import INT_STR_LIMIT_ALPHA, INT_STR_LIMIT_SET
+
+        status, out = run("fincode", "--alpha", INT_STR_LIMIT_ALPHA, ",".join(INT_STR_LIMIT_SET))
+        assert status == 0
+        assert len(out) > 4300
+
     def test_domain_error_status(self):
         status, out = run("pair", "--alpha", "5", "1", "1")
         assert status == 1
@@ -137,6 +144,24 @@ class TestEngineCommands:
             lines = out.splitlines()
             assert lines[0].startswith(f"mode={mode}")
             assert "recheck=ok" in lines[1]
+
+    @pytest.mark.parametrize("check", ["20", "100"])
+    def test_refute_pset_row0_maps_blocks_apart(self, check):
+        # no sample point separates the diagonal from some listed sets here;
+        # their own code points do
+        status, out = run(
+            "refute",
+            "--instance",
+            str(INSTANCES / "refute_split_row0.txt"),
+            "--mode",
+            "pset",
+            "--check",
+            check,
+        )
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[0] == "mode=pset table=2"
+        assert lines[1] == f"distinguishers={int(check) + 2} recheck=ok"
 
     def test_decode_wo(self, tmp_path):
         path = tmp_path / "rel.txt"

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ import hypothesis.strategies as st
 
 from ordkit.coding import (
     DigitMap,
+    _embed,
     MapSpec,
     OmegaPowerBijection,
     QueryableOrdinalSet,
@@ -23,7 +25,18 @@ from ordkit.coding import (
     pset_to_infpset,
     to_digits,
 )
-from ordkit.core import OMEGA, ONE, ZERO, Ordinal, compare, omega_power, parse
+from ordkit.core import (
+    OMEGA,
+    ONE,
+    ZERO,
+    Ordinal,
+    add,
+    compare,
+    fmt,
+    multiply,
+    omega_power,
+    parse,
+)
 from ordkit.errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
 from strategies import nested_ordinals
@@ -31,6 +44,15 @@ from strategies import nested_ordinals
 
 def o(text):
     return parse(text)
+
+
+# twelve members whose finite-set code has a coefficient of over 6,000 digits
+INT_STR_LIMIT_ALPHA = "w^w*2 + w^3"
+INT_STR_LIMIT_SET = (
+    "w^w*2+w^2*10+2", "w^w*2+w^2", "w^w*2+w*15+5", "w^w*2+w+5", "w^w*2",
+    "w^w+w^16*9+w^12*12", "w^w+w^12+6", "w^w+17", "w^w+9", "w^17*20+w^12*10",
+    "w^14*10+w^13*7+w*8", "w^10*20+w^6*18",
+)
 
 
 class TestDigits:
@@ -43,6 +65,24 @@ class TestDigits:
 
     def test_from_digits(self):
         assert from_digits(DigitMap({OMEGA: 1})) == o("w^w")
+
+    def test_int_exponents_are_coerced(self):
+        d = DigitMap({1: 2, 0: 5, 3: 0})
+        assert d == DigitMap({ONE: 2, ZERO: 5})
+        assert d.digit(ONE) == 2 and len(d) == 2
+        assert from_digits(d) == o("w*2+5")
+
+    @pytest.mark.parametrize(
+        "digits",
+        [{ONE: -1}, {1: -3}, {ONE: 1.5}, {ONE: "2"}, {ONE: None}, {"w": 1}, {1.0: 1}],
+    )
+    def test_bad_digits_and_exponents_rejected(self, digits):
+        with pytest.raises(BoundViolation):
+            DigitMap(digits)
+
+    def test_exponent_given_twice_rejected(self):
+        with pytest.raises(BoundViolation):
+            DigitMap({1: 2, Ordinal(1): 3})
 
     @given(nested_ordinals())
     def test_roundtrip(self, x):
@@ -113,6 +153,56 @@ class TestPairEncode:
         assert pair_decode(o("w^2"), o("w^2")) is None
 
 
+def _validating_from_digits(d):
+    """from_digits as it was: rebuild the ordinal through full CNF validation."""
+    return Ordinal.from_terms(d.items_desc())
+
+
+def _quadratic_pair_encode(alpha, x, y):
+    """pair_encode as it was: both term dicts rebuilt for every exponent."""
+    if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
+        raise BoundViolation("pair components must lie below alpha")
+    u, v = _embed(alpha, x), _embed(alpha, y)
+    digits = {}
+    for e in set(dict(u.terms)) | set(dict(v.terms)):
+        du = dict(u.terms).get(e, 0)
+        dv = dict(v.terms).get(e, 0)
+        digits[e] = cantor_pair(du, dv)
+    return _validating_from_digits(DigitMap(digits))
+
+
+class TestCodecReference:
+    """The linear pair_encode and the trusting from_digits against the old
+    quadratic, validating versions."""
+
+    @given(nested_ordinals())
+    def test_from_digits(self, x):
+        d = to_digits(x)
+        assert from_digits(d).terms == _validating_from_digits(d).terms
+
+    @given(
+        nested_ordinals(),
+        nested_ordinals(),
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    def test_pair_encode(self, x, y, qx, qy, power_of_omega):
+        top = x if compare(x, y) >= 0 else y
+        mu = add(top.degree, ONE) if top else ONE
+        if power_of_omega:
+            alpha = omega_power(mu)  # w^mu: no embedding
+        else:
+            # w^mu*3 + 1 is no power of omega; the w^mu digit goes through
+            # the embedding's Cantor-paired constant slot
+            alpha = add(multiply(omega_power(mu), Ordinal(3)), ONE)
+            x = add(multiply(omega_power(mu), Ordinal(qx)), x)
+            y = add(multiply(omega_power(mu), Ordinal(qy)), y)
+        z = pair_encode(alpha, x, y)
+        assert z.terms == _quadratic_pair_encode(alpha, x, y).terms
+        assert pair_decode(alpha, z) == (x, y)
+
+
 def _sample_below(alpha, rng, count):
     """Deterministic spread of ordinals below alpha."""
     out = [ZERO]
@@ -177,6 +267,16 @@ class TestFinEncode:
     def test_duplicates_rejected(self):
         with pytest.raises(BoundViolation):
             fin_encode(OMEGA, [ONE, ONE])
+
+    def test_codes_past_the_int_str_limit(self):
+        alpha = o(INT_STR_LIMIT_ALPHA)
+        members = sorted((o(t) for t in INT_STR_LIMIT_SET), reverse=True)
+        code = fin_encode(alpha, members)
+        text = fmt(code)
+        # a coefficient longer than Python's default int <-> str digit limit
+        assert max(len(run) for run in re.findall(r"[0-9]+", text)) > 4300
+        assert parse(text) == code
+        assert fin_decode(alpha, parse(text)) == members
 
     def test_decode_junk(self):
         # arity header of 0 members is not a valid nonzero code

@@ -86,6 +86,14 @@ class TestFormat:
     def test_roundtrip(self, x):
         assert parse(fmt(x)) == x
 
+    def test_coefficients_past_the_int_str_limit(self):
+        # more digits than Python's int <-> str conversion allows by default
+        big = 7**20000
+        x = Ordinal.from_terms([(Ordinal(big), big), (ONE, big), (ZERO, big)])
+        text = fmt(x)
+        assert text.startswith("w^") and len(text) > 4 * 16_000
+        assert parse(text) == x
+
 
 class TestCompare:
     def test_equal(self):
