@@ -22,7 +22,7 @@ from .core import (
     parse_template,
     power_nat,
 )
-from .intervals import OrdinalSet, combine, indecomposable_split, order_type
+from .intervals import OrdinalSet, indecomposable_split
 
 __all__ = [
     "Ordinal",
@@ -40,7 +40,5 @@ __all__ = [
     "left_subtract",
     "classify",
     "OrdinalSet",
-    "combine",
-    "order_type",
     "indecomposable_split",
 ]

@@ -10,7 +10,8 @@ image, preimage, restriction and difference, with computable order types.
 
 :class:`SurjectionFamily` presents a surjection f: omega x M -> alpha by
 rows (finitely many explicit rows plus an optional parametric tail), and
-:class:`QueryableSet` is a membership-oracle subset of a carrier.
+:class:`QueryableSet` is a membership-oracle subset of a carrier (or of
+the ordinals below some alpha).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     BoundViolation,
     CertificateError,
     CoverageBroken,
+    FileInputError,
     OutOfRangeError,
     ParseError,
     RowUndefined,
@@ -38,7 +40,6 @@ __all__ = [
     "QueryableSet",
     "image_of",
     "preimage_of",
-    "family_row_image",
     "parse_instance",
 ]
 
@@ -155,7 +156,9 @@ class Piece:
     ``dom`` is the position set the piece covers (None means the whole
     block).  A monotone piece maps the initial segment of its domain
     isomorphically onto ``target`` and positions beyond the target's
-    order type to 0; a constant piece maps everything to ``value``.
+    order type to 0; a constant piece maps everything to ``value``.  In a
+    :class:`CarrierMap` the values are positions in the destination block
+    ``target_label``.
     """
 
     label: str
@@ -163,11 +166,32 @@ class Piece:
     target: Optional[OrdinalSet] = None
     value: Optional[Ordinal] = None
     dom: Optional[OrdinalSet] = None
+    target_label: Optional[str] = None
 
     def domain_in(self, carrier: Carrier) -> OrdinalSet:
         if self.dom is None:
             return carrier.block_positions(self.label)
         return self.dom
+
+
+def _evaluate(pieces: tuple, carrier: Carrier, element) -> Optional[tuple]:
+    """``(piece, value)`` for the first piece covering ``element``; None if
+    no piece covers it."""
+    carrier.check_element(element)
+    label, pos = element
+    for piece in pieces:
+        if piece.label != label:
+            continue
+        dom = piece.domain_in(carrier)
+        if not dom.contains(pos):
+            continue
+        if piece.kind == "constant":
+            return piece, piece.value
+        r = dom.locate(pos)
+        if compare(r, piece.target.order_type()) < 0:
+            return piece, piece.target.enumerate(r)
+        return piece, ZERO
+    return None
 
 
 class BlockwiseMap:
@@ -177,21 +201,8 @@ class BlockwiseMap:
         self.pieces = tuple(pieces)
 
     def evaluate(self, carrier: Carrier, element) -> Optional[Ordinal]:
-        carrier.check_element(element)
-        label, pos = element
-        for piece in self.pieces:
-            if piece.label != label:
-                continue
-            dom = piece.domain_in(carrier)
-            if not dom.contains(pos):
-                continue
-            if piece.kind == "constant":
-                return piece.value
-            r = dom.locate(pos)
-            if compare(r, piece.target.order_type()) < 0:
-                return piece.target.enumerate(r)
-            return ZERO
-        return None
+        hit = _evaluate(self.pieces, carrier, element)
+        return None if hit is None else hit[1]
 
     def __call__(self, carrier: Carrier, element) -> Ordinal:
         value = self.evaluate(carrier, element)
@@ -261,25 +272,9 @@ def preimage_of(map_: BlockwiseMap, carrier: Carrier, target_set: OrdinalSet) ->
 # -- carrier-to-carrier maps --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CarrierPiece:
-    """A piece of a map between carriers: source block to target block."""
-
-    label: str
-    target_label: str
-    kind: str  # 'monotone' | 'constant'
-    target: Optional[OrdinalSet] = None  # positions in the target block
-    value: Optional[Ordinal] = None  # constant target position
-    dom: Optional[OrdinalSet] = None
-
-    def domain_in(self, carrier: Carrier) -> OrdinalSet:
-        if self.dom is None:
-            return carrier.block_positions(self.label)
-        return self.dom
-
-
 class CarrierMap:
-    """A block-wise map N -> M between carriers."""
+    """A block-wise map N -> M between carriers, by pieces that name their
+    destination block in ``target_label``."""
 
     def __init__(self, source: Carrier, dest: Carrier, pieces: Iterable):
         self.source = source
@@ -287,21 +282,11 @@ class CarrierMap:
         self.pieces = tuple(pieces)
 
     def evaluate(self, element):
-        self.source.check_element(element)
-        label, pos = element
-        for piece in self.pieces:
-            if piece.label != label:
-                continue
-            dom = piece.domain_in(self.source)
-            if not dom.contains(pos):
-                continue
-            if piece.kind == "constant":
-                return (piece.target_label, piece.value)
-            r = dom.locate(pos)
-            if compare(r, piece.target.order_type()) < 0:
-                return (piece.target_label, piece.target.enumerate(r))
-            return (piece.target_label, ZERO)
-        raise OutOfRangeError(f"map undefined at {element!r}")
+        hit = _evaluate(self.pieces, self.source, element)
+        if hit is None:
+            raise OutOfRangeError(f"map undefined at {element!r}")
+        piece, value = hit
+        return (piece.target_label, value)
 
     def fiber(self, element) -> list:
         """All source elements mapping to ``element``; requires finiteness."""
@@ -346,9 +331,10 @@ class CarrierMap:
 
 @dataclass
 class QueryableSet:
-    """A subset of a carrier given by a membership test.
+    """A subset of a domain (a carrier, or the ordinals below some alpha)
+    given by a membership test.
 
-    ``certificate`` is optional: ``('finite', tuple_of_elements)`` for an
+    ``certificate`` is optional: ``('finite', tuple_of_members)`` for an
     exactly listed set, or ``('infinite', enumerator)`` with an injective
     enumerator from naturals to members.
     """
@@ -359,24 +345,27 @@ class QueryableSet:
     def contains(self, element) -> bool:
         return bool(self.membership(element))
 
-    def validate_certificate(self, carrier: Carrier, samples: int = 16):
+    def validate_certificate(self, in_domain: Callable, probes: Iterable = (), samples: int = 16):
+        """Spot-check the certificate, if any: a finite one must list only
+        members and miss none of ``probes``; the first ``samples`` points of
+        an infinite one must be distinct members inside ``in_domain``."""
         if self.certificate is None:
             return
         kind, payload = self.certificate
         if kind == "finite":
             for x in payload:
                 if not self.contains(x):
-                    raise CertificateError(f"listed member {x!r} fails membership")
+                    raise CertificateError(f"listed member {x} fails the membership test")
             listed = set(payload)
-            for x in carrier.sample_elements(samples):
+            for x in probes:
                 if x not in listed and self.contains(x):
-                    raise CertificateError(f"unlisted member {x!r} under a finite certificate")
+                    raise CertificateError(f"unlisted member {x} found for a finite certificate")
         elif kind == "infinite":
             seen = set()
             for k in range(samples):
                 x = payload(k)
-                if not carrier.is_element(x) or not self.contains(x):
-                    raise CertificateError(f"enumerated point {x!r} is not a member")
+                if not in_domain(x) or not self.contains(x):
+                    raise CertificateError(f"enumerated point {x} is not a member")
                 if x in seen:
                     raise CertificateError("enumerator repeated a point")
                 seen.add(x)
@@ -459,11 +448,6 @@ class SurjectionFamily:
             )
 
 
-def family_row_image(fam: SurjectionFamily, n: int) -> OrdinalSet:
-    """Image of row ``n`` over the full carrier."""
-    return fam.row_image(n)
-
-
 # -- instance files --------------------------------------------------------------
 
 
@@ -496,6 +480,14 @@ def _parse_row(text: str, template: bool):
     if template:
         return lambda n, pieces=pieces: BlockwiseMap(p(n) for p in pieces)
     return BlockwiseMap(pieces)
+
+
+def _nat(text: str, context: str) -> int:
+    text = text.strip()
+    # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"expected a natural number in {context!r}")
+    return int(text)
 
 
 def parse_instance(text: str) -> SurjectionFamily:
@@ -536,10 +528,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         elif key == "alpha":
             alpha = parse(value.strip())
         elif key.startswith("row"):
-            index_text = key[len("row"):].strip()
-            if not index_text.isdigit():
-                raise ParseError(f"bad row index in {key!r}")
-            rows[int(index_text)] = _parse_row(value, template=False)
+            rows[_nat(key[len("row"):], key)] = _parse_row(value, template=False)
         elif key == "tail":
             spec, tsep, row_text = value.partition(":")
             if not tsep:
@@ -547,7 +536,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             spec = spec.replace(" ", "")
             if not spec.startswith("n>="):
                 raise ParseError(f"tail condition must be 'n >= N': {spec!r}")
-            start = int(spec[len("n>="):])
+            start = _nat(spec[len("n>="):], spec)
             tail = (start, _parse_row(row_text, template=True))
         else:
             raise ParseError(f"unknown instance key {key!r}")
@@ -574,6 +563,15 @@ def parse_instance(text: str) -> SurjectionFamily:
     return fam
 
 
+def read_ascii_file(path) -> str:
+    """The text of an input file; a file that cannot be opened or is not
+    ASCII raises :class:`FileInputError`."""
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as error:
+        raise FileInputError(f"cannot read {path}: {error}") from None
+
+
 def load_instance(path) -> SurjectionFamily:
-    with open(path, "r", encoding="ascii") as handle:
-        return parse_instance(handle.read())
+    return parse_instance(read_ascii_file(path))

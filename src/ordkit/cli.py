@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .carriers import QueryableSet, load_instance, preimage_of
-from .coding import fin_encode, omega_power_bijection, pair_decode, pair_encode
+from .carriers import QueryableSet, load_instance, preimage_of, read_ascii_file
+from .coding import OmegaPowerBijection, fin_encode, pair_decode, pair_encode
 from .core import Ordinal, ZERO, compare, fmt, parse
-from .errors import CertificateError, ToolkitError
+from .errors import CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
 from .oracle import exhaustive_check
 from .reduction import (
@@ -163,8 +163,9 @@ def _run(args) -> int:
         out.write(fmt(fin_encode(alpha, elements)) + "\n")
     elif args.command == "cnfbij":
         alpha = parse(args.alpha)
-        value = omega_power_bijection(alpha, args.direction, parse(args.value), args.fuel)
-        out.write(fmt(value) + "\n")
+        value = parse(args.value)
+        bijection = OmegaPowerBijection(alpha, fuel=args.fuel)
+        out.write(fmt(getattr(bijection, args.direction)(value)) + "\n")
     elif args.command == "reduce":
         fam = load_instance(args.instance)
         fam.check_coverage(value_bound=_coverage_bound(fam))
@@ -202,8 +203,7 @@ def _run(args) -> int:
                 f"missed={str(in_missed).lower()} listed={str(in_listed).lower()}\n"
             )
     elif args.command == "decode-wo":
-        with open(args.path, "r", encoding="ascii") as handle:
-            content = handle.read()
+        content = read_ascii_file(args.path)
         out.write(fmt(wellorder_decode(_parse_wo_file(content))) + "\n")
     elif args.command == "selftest":
         size = args.size
@@ -240,15 +240,22 @@ def _parse_wo_file(content: str):
             continue
         if line.startswith("bits:"):
             body = line[len("bits:"):].strip()
-            bits = [int(part) for part in body.split(",")] if body else []
+            bits = [_wo_int(part, line) for part in body.split(",")] if body else []
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ToolkitError(f"bad well-order line: {line!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((_wo_int(parts[0], line), _wo_int(parts[1], line)))
     if bits is not None:
         return bits
     return pairs
+
+
+def _wo_int(text: str, line: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad number {text.strip()!r} in well-order line {line!r}") from None
 
 
 def _law_spot_checks(out):

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from .carriers import QueryableSet
 from .core import (
     OMEGA, ONE, ZERO, Ordinal, _coerce, add, compare, left_subtract, multiply, omega_power,
 )
@@ -31,10 +32,7 @@ __all__ = [
     "fin_decode",
     "MapSpec",
     "CsbBijection",
-    "csb_bijection",
     "OmegaPowerBijection",
-    "omega_power_bijection",
-    "QueryableOrdinalSet",
     "pset_to_infpset",
 ]
 
@@ -67,7 +65,7 @@ class DigitMap:
         self._digits = cleaned
 
     def digit(self, exp: Ordinal) -> int:
-        return self._digits.get(exp, 0)
+        return self._digits.get(_coerce(exp), 0)
 
     @property
     def support(self) -> list:
@@ -348,90 +346,51 @@ class CsbBijection:
     def _checked_invert(self, spec: MapSpec, value):
         pre = spec.invert(value)
         back = spec.apply(pre)
-        if back != value and not _same(back, value):
+        if back != value:
             raise InconsistentMapSpec(
                 f"inverse check failed for {spec.label or 'map'}: {pre!r} -> {back!r} != {value!r}"
             )
         return pre
 
-    def _classify_a(self, a):
-        if a in self._side_a:
-            return self._side_a[a]
-        seen = {}
+    def _classify(self, value, memo: dict, first: MapSpec, second: MapSpec, sides: str):
+        """Side ('A' or 'B') of the chain through ``value``, followed
+        backwards: through ``first``, then ``second``, and so on.  The chain
+        stops where the next inverse is missing, on ``sides[0]`` at
+        ``first`` and ``sides[1]`` at ``second``; a cycle counts as 'A'."""
+        seen = set()
         trail = []
-        value = a
         for _ in range(self.fuel):
-            if value in self._side_a:
-                side = self._side_a[value]
+            if value in memo:
+                side = memo[value]
                 break
             if value in seen:
                 side = "A"  # cyclic chain: route through f
                 break
-            seen[value] = True
+            seen.add(value)
             trail.append(value)
-            if not self.g.in_range(value):
-                side = "A"
+            if not first.in_range(value):
+                side = sides[0]
                 break
-            b = self._checked_invert(self.g, value)
-            if not self.f.in_range(b):
-                side = "B"
+            other = self._checked_invert(first, value)
+            if not second.in_range(other):
+                side = sides[1]
                 break
-            value = self._checked_invert(self.f, b)
+            value = self._checked_invert(second, other)
         else:
             raise FuelExhausted(f"chain classification undecided after {self.fuel} steps")
         for visited in trail:
-            self._side_a[visited] = side
-        return side
-
-    def _classify_b(self, b):
-        if b in self._side_b:
-            return self._side_b[b]
-        seen = {}
-        trail = []
-        value = b
-        for _ in range(self.fuel):
-            if value in self._side_b:
-                side = self._side_b[value]
-                break
-            if value in seen:
-                side = "A"
-                break
-            seen[value] = True
-            trail.append(value)
-            if not self.f.in_range(value):
-                side = "B"
-                break
-            a = self._checked_invert(self.f, value)
-            if not self.g.in_range(a):
-                side = "A"
-                break
-            value = self._checked_invert(self.g, a)
-        else:
-            raise FuelExhausted(f"chain classification undecided after {self.fuel} steps")
-        for visited in trail:
-            self._side_b[visited] = side
+            memo[visited] = side
         return side
 
     def forward(self, a):
-        if self._classify_a(a) == "A":
+        if self._classify(a, self._side_a, self.g, self.f, "AB") == "A":
             return self.f.apply(a)
         return self._checked_invert(self.g, a)
 
     def backward(self, b):
-        if self._classify_b(b) == "B":
+        if self._classify(b, self._side_b, self.f, self.g, "BA") == "B":
             return self.g.apply(b)
         return self._checked_invert(self.f, b)
-
-
-def _same(a, b) -> bool:
-    if isinstance(a, Ordinal) and isinstance(b, Ordinal):
-        return compare(a, b) == 0
-    return a == b
-
-
-def csb_bijection(f: MapSpec, g: MapSpec, fuel: int = 10_000) -> CsbBijection:
-    """Build the bijection evaluator for injections f: A -> B, g: B -> A."""
-    return CsbBijection(f, g, fuel)
 
 
 # -- the omega-power bijection ----------------------------------------------------
@@ -514,75 +473,10 @@ class OmegaPowerBijection:
         return self._csb.backward(z)
 
 
-def omega_power_bijection(
-    alpha: Ordinal, direction: str, v: Ordinal, fuel: int = 10_000
-) -> Ordinal:
-    """One application of the w**alpha <-> alpha bijection.
-
-    ``direction`` is ``down`` (from below w**alpha) or ``up`` (from
-    below alpha).  Use :class:`OmegaPowerBijection` directly to reuse the
-    memoized evaluator.
-    """
-    bij = OmegaPowerBijection(alpha, fuel=fuel)
-    if direction == "down":
-        return bij.down(v)
-    if direction == "up":
-        return bij.up(v)
-    raise BoundViolation(f"direction must be 'down' or 'up', got {direction!r}")
-
-
 # -- P(alpha) -> P_inf(alpha) -----------------------------------------------------
 
 
-@dataclass
-class QueryableOrdinalSet:
-    """A subset of [0, alpha) given by a membership test plus a certificate.
-
-    ``certificate`` is ``('finite', tuple_of_members)`` for an exactly
-    listed finite set or ``('infinite', enumerator)`` where the
-    enumerator is an injective function from naturals to members.
-    """
-
-    membership: Callable
-    certificate: Optional[tuple] = None
-
-    def contains(self, x: Ordinal) -> bool:
-        return bool(self.membership(x))
-
-
-def _validate_certificate(alpha: Ordinal, qset: QueryableOrdinalSet, samples: int):
-    if qset.certificate is None:
-        raise CertificateError("a finiteness certificate is required")
-    kind, payload = qset.certificate
-    if kind == "finite":
-        for x in payload:
-            if not qset.contains(x):
-                raise CertificateError(f"listed member {x} fails the membership test")
-        listed = set(payload)
-        probe = ZERO
-        checked = 0
-        while checked < samples and compare(probe, alpha) < 0:
-            if probe not in listed and qset.contains(probe):
-                raise CertificateError(f"unlisted member {probe} found for a finite certificate")
-            checked += 1
-            probe = add(probe, ONE)
-        return
-    if kind == "infinite":
-        seen = set()
-        for k in range(samples):
-            x = payload(k)
-            if compare(x, alpha) >= 0 or not qset.contains(x):
-                raise CertificateError(f"enumerated point {x} is not a member below alpha")
-            if x in seen:
-                raise CertificateError("enumerator repeated a point")
-            seen.add(x)
-        return
-    raise CertificateError(f"unknown certificate kind {kind!r}")
-
-
-def pset_to_infpset(
-    alpha: Ordinal, qset: QueryableOrdinalSet, samples: int = 32
-) -> QueryableOrdinalSet:
+def pset_to_infpset(alpha: Ordinal, qset: QueryableSet, samples: int = 32) -> QueryableSet:
     """Injective map from subsets of [0, alpha) to infinite subsets.
 
     An infinite input A becomes the set of pair codes (z, 0) with z in A;
@@ -590,7 +484,12 @@ def pset_to_infpset(
     carries an infinite-enumerator certificate.
     """
     _require_infinite(alpha)
-    _validate_certificate(alpha, qset, samples)
+    if qset.certificate is None:
+        raise CertificateError("a finiteness certificate is required")
+    # alpha is infinite, so the first naturals all lie below it
+    qset.validate_certificate(
+        lambda x: compare(x, alpha) < 0, map(Ordinal, range(samples)), samples
+    )
     kind, payload = qset.certificate
 
     if kind == "infinite":
@@ -624,4 +523,4 @@ def pset_to_infpset(
                     remaining -= 1
                 x = add(x, ONE)
 
-    return QueryableOrdinalSet(membership, ("infinite", enumerate_member))
+    return QueryableSet(membership, ("infinite", enumerate_member))

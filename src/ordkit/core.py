@@ -51,8 +51,8 @@ class Ordinal:
         if isinstance(value, int):
             if value < 0:
                 raise BoundViolation("ordinals are non-negative")
-            terms = ((_ZERO_SENTINEL, value),) if value else ()
-            object.__setattr__(self, "_terms", _fix_zero_exponents(terms))
+            # only called once ZERO exists: the constants below use _raw
+            object.__setattr__(self, "_terms", ((ZERO, value),) if value else ())
         else:
             object.__setattr__(self, "_terms", _validate(tuple(value)))
         object.__setattr__(self, "_hash", None)
@@ -211,20 +211,6 @@ def _validate(terms: tuple) -> tuple:
     return tuple(fixed)
 
 
-# Bootstrap: Ordinal(0) needs an exponent before ZERO exists.
-class _Sentinel:
-    pass
-
-
-_ZERO_SENTINEL = _Sentinel()
-
-
-def _fix_zero_exponents(terms):
-    if terms and terms[0][0] is _ZERO_SENTINEL:
-        return ((ZERO, terms[0][1]),)
-    return terms
-
-
 ZERO = Ordinal._raw(())
 ONE = Ordinal._raw(((ZERO, 1),))
 OMEGA = Ordinal._raw(((ONE, 1),))
@@ -331,6 +317,10 @@ def classify(x: Ordinal) -> tuple:
 # -- parsing ---------------------------------------------------------------
 
 
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = "0123456789"
+
+
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
@@ -345,14 +335,14 @@ class _Lexer:
         if self.pos >= len(self.text):
             return None
         ch = self.text[self.pos]
-        if ch.isdigit():
+        if ch in _DIGITS:
             return "nat"
         return ch
 
     def take_nat(self) -> tuple:
         self._skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         return _nat_int(self.text[start:self.pos]), start
 
@@ -373,8 +363,6 @@ def _nat_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        if not text.isascii():
-            raise
         import decimal
 
         return int(decimal.Decimal(text))

@@ -19,6 +19,10 @@ class ParseError(ToolkitError):
         self.position = position
 
 
+class FileInputError(ToolkitError):
+    name = "file-error"
+
+
 class OutOfRangeError(ToolkitError):
     name = "out-of-range"
 

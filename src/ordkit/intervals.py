@@ -15,8 +15,6 @@ from .errors import OutOfRangeError, ParseError, PartitionError
 
 __all__ = [
     "OrdinalSet",
-    "combine",
-    "order_type",
     "indecomposable_split",
     "parse_interval_set",
 ]
@@ -223,21 +221,6 @@ class OrdinalSet:
                 x = add(x, Ordinal(1))
             if emitted >= count:
                 return
-
-
-def combine(op: str, s: OrdinalSet, t: OrdinalSet) -> OrdinalSet:
-    """Pointwise ``union``, ``intersect``, or ``difference``."""
-    if op == "union":
-        return s.union(t)
-    if op == "intersect":
-        return s.intersect(t)
-    if op == "difference":
-        return s.difference(t)
-    raise OutOfRangeError(f"unknown set operation {op!r}")
-
-
-def order_type(s: OrdinalSet) -> Ordinal:
-    return s.order_type()
 
 
 def indecomposable_split(s: OrdinalSet, b: OrdinalSet, c: OrdinalSet) -> str:

@@ -99,7 +99,7 @@ class CheckReport:
 
 
 def _check_csb(size: int) -> CheckReport:
-    from .coding import MapSpec, csb_bijection
+    from .coding import CsbBijection, MapSpec
 
     report = CheckReport("csb_bijective")
     for s in range(size + 1):
@@ -112,7 +112,7 @@ def _check_csb(size: int) -> CheckReport:
                 g_inv = {v: k for k, v in g_map.items()}
                 f_spec = MapSpec(f_map.__getitem__, f_inv.__contains__, f_inv.__getitem__)
                 g_spec = MapSpec(g_map.__getitem__, g_inv.__contains__, g_inv.__getitem__)
-                h = csb_bijection(f_spec, g_spec, fuel=10_000)
+                h = CsbBijection(f_spec, g_spec, fuel=10_000)
                 report.cases += 1
                 image = [h.forward(a) for a in domain]
                 bad = sorted(set(image)) != list(domain)

@@ -29,7 +29,7 @@ from .carriers import (
     image_of,
     preimage_of,
 )
-from .coding import OmegaPowerBijection, pair_decode, pair_encode
+from .coding import OmegaPowerBijection, pair_decode, pair_encode, pset_to_infpset
 from .core import (
     OMEGA,
     ONE,
@@ -55,6 +55,15 @@ from .errors import (
     WitnessNotFound,
 )
 from .intervals import OrdinalSet
+
+# Search and sampling bounds, each the single value every caller uses.
+_ROW_SCAN = 64  # rows scanned for a witness or a first cover
+_COVERAGE_WINDOW = 6  # kept rows whose strength a stage checks
+_STAGE_SEARCH = 64  # least rows searched for a stage's qualifying row
+_SCAN_BUDGET = 512  # originals scanned for the next infinite row
+_MAX_WINDOW = 128  # widest window of a tail-limit analysis
+_REFUTER_SAMPLES = 64  # carrier sample points of a refuter
+_KURATOWSKI_SAMPLES = 256  # carrier sample points searched for a fiber
 
 __all__ = [
     "cantor_diagonal",
@@ -134,9 +143,7 @@ def _window_limit(values: List[Ordinal]) -> tuple:
     return candidate, False
 
 
-def ordinal_sequence_limit(
-    seq: Callable[[int], Ordinal], start: int = 0, max_window: int = 128
-) -> tuple:
+def ordinal_sequence_limit(seq: Callable[[int], Ordinal], start: int = 0) -> tuple:
     """Supremum of a weakly monotone sequence, with attainment flag.
 
     Evaluates growing late windows until two consecutive window analyses
@@ -145,14 +152,14 @@ def ordinal_sequence_limit(
     """
     previous = None
     width = 8
-    while width <= max_window:
+    while width <= _MAX_WINDOW:
         window = [seq(start + i) for i in range(width // 2, width)]
         current = _window_limit(window)
         if previous is not None and previous == current:
             return current
         previous = current
         width *= 2
-    raise TailLimitUndecided(f"no stable window limit within width {max_window}")
+    raise TailLimitUndecided(f"no stable window limit within width {_MAX_WINDOW}")
 
 
 # -- the omega-product reduction --------------------------------------------------
@@ -201,15 +208,19 @@ class ReductionResult:
 
     # -- case 2 stages --------------------------------------------------
 
-    def _stage_coverage(self, restriction: dict, window: int) -> list:
+    def _full_strength(self, m: int, restriction: dict, delta_m: Ordinal) -> bool:
+        """Whether kept row m, restricted, still reaches a set of its full
+        order type ``delta_m`` inside its image."""
+        image = image_of(self._kept.row(m), self.carrier, restriction)
+        a_m = self._kept.image(m)
+        strength = a_m.positions_of(image.intersect(a_m)).order_type()
+        return compare(strength, delta_m) == 0
+
+    def _stage_coverage(self, restriction: dict) -> list:
         report = []
-        for m in range(window):
+        for m in range(_COVERAGE_WINDOW):
             delta_m = self._kept.delta(m)
-            row = self._kept.row(m)
-            image = image_of(row, self.carrier, restriction)
-            a_m = self._kept.image(m)
-            strength = a_m.positions_of(image.intersect(a_m)).order_type()
-            report.append((m, delta_m, compare(strength, delta_m) == 0))
+            report.append((m, delta_m, self._full_strength(m, restriction, delta_m)))
         return report
 
     def _coverage_ok(self, report: list) -> bool:
@@ -222,7 +233,7 @@ class ReductionResult:
                 best_qual = delta_m
         return compare(best, best_qual) == 0
 
-    def ensure_stage(self, n: int, coverage_window: int = 6, search_bound: int = 64):
+    def ensure_stage(self, n: int):
         if self.case_taken[0] != "case2":
             raise PreconditionViolated("stages exist only in case 2")
         while len(self.stages) <= n:
@@ -232,20 +243,16 @@ class ReductionResult:
             b_restriction = self._b_restriction(index)
             # least k with beta_index < beta_k and full row strength on B_n
             k = None
-            for cand in range(max(search_bound, index + 8)):
+            for cand in range(max(_STAGE_SEARCH, index + 8)):
                 delta_c = self._kept.delta(cand)
                 if compare(self._kept.delta(index), delta_c) >= 0:
                     continue
-                row = self._kept.row(cand)
-                image = image_of(row, self.carrier, b_restriction)
-                a_c = self._kept.image(cand)
-                strength = a_c.positions_of(image.intersect(a_c)).order_type()
-                if compare(strength, delta_c) == 0:
+                if self._full_strength(cand, b_restriction, delta_c):
                     k = cand
                     break
             if k is None:
                 raise CoverageBroken(
-                    f"no qualifying row above beta_{index} within {search_bound} rows"
+                    f"no qualifying row above beta_{index} within {_STAGE_SEARCH} rows"
                 )
             beta_k = omega_power(self._kept.delta(k))
             if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
@@ -257,13 +264,11 @@ class ReductionResult:
             # the candidate chunk.  Reserve-zone chunks never carry row
             # strength, so the complement branch is always the one taken; a
             # pass here means the instance left the structured class.
-            if self._coverage_ok(self._stage_coverage(chunk, coverage_window)):
+            if self._coverage_ok(self._stage_coverage(chunk)):
                 raise CoverageBroken(
                     "reserve chunk unexpectedly carries full row strength"
                 )
-            after = self._stage_coverage(
-                self._restriction_difference(b_restriction, chunk), coverage_window
-            )
+            after = self._stage_coverage(self._restriction_difference(b_restriction, chunk))
             if not self._coverage_ok(after):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
             q_map = self._chunk_iso(chunk_lo, chunk_hi)
@@ -306,52 +311,42 @@ class ReductionResult:
 
     # -- evaluation -------------------------------------------------------
 
-    def evaluate_point(self, element, fuel: Optional[int] = None) -> tuple:
-        """('determined', value) or ('unresolved', None) under the fuel."""
-        fuel = self.fuel if fuel is None else fuel
+    def _delta_value(self, element, fuel: int) -> Optional[Ordinal]:
+        """The M -> [0, delta) value of ``element``; None when the stages
+        within ``fuel`` do not reach it."""
         if self.case_taken[0] == "case1":
-            return ("determined", self._alpha_value(self._case1_delta(element)))
+            k = self.case_taken[1]
+            value = self._kept.row(k)(self.carrier, element)
+            return self._kept.image(k).locate(value)
         p = self.carrier.global_position(element)
         if compare(p, self.beta) < 0:
             # provably inside every B_n: the glued map sends it to zero
-            return ("determined", self._alpha_value(self._bij.down(ZERO)))
+            return self._bij.down(ZERO)
         offset = left_subtract(self.beta, p)
         if compare(offset, self.beta) >= 0:
-            return ("determined", self._alpha_value(self._bij.down(ZERO)))
+            return self._bij.down(ZERO)
         for n in range(fuel):
             self.ensure_stage(n)
             if compare(offset, self._peeled[n + 1]) < 0:
-                w = left_subtract(self._peeled[n], offset)
-                z = self._bij.down(w)
-                return ("determined", self._alpha_value(z))
-        return ("unresolved", None)
+                return self._bij.down(left_subtract(self._peeled[n], offset))
+        return None
+
+    def evaluate_point(self, element, fuel: Optional[int] = None) -> tuple:
+        """('determined', value) or ('unresolved', None) under the fuel."""
+        z = self._delta_value(element, self.fuel if fuel is None else fuel)
+        if z is None:
+            return ("unresolved", None)
+        return ("determined", self._alpha_value(z))
 
     def surjection(self, element) -> Ordinal:
-        status, value = self.evaluate_point(element)
-        if status != "determined":
-            raise FuelExhausted(f"point {element!r} unresolved within fuel {self.fuel}")
-        return value
-
-    def _case1_delta(self, element) -> Ordinal:
-        k = self.case_taken[1]
-        value = self._kept.row(k)(self.carrier, element)
-        return self._kept.image(k).locate(value)
+        return self._alpha_value(self.m_to_delta(element))
 
     def m_to_delta(self, element) -> Ordinal:
         """The intermediate surjection M -> [0, delta)."""
-        if self.case_taken[0] == "case1":
-            return self._case1_delta(element)
-        p = self.carrier.global_position(element)
-        if compare(p, self.beta) < 0:
-            return self._bij.down(ZERO)
-        offset = left_subtract(self.beta, p)
-        if compare(offset, self.beta) >= 0:
-            return self._bij.down(ZERO)
-        for n in range(self.fuel):
-            self.ensure_stage(n)
-            if compare(offset, self._peeled[n + 1]) < 0:
-                return self._bij.down(left_subtract(self._peeled[n], offset))
-        raise FuelExhausted(f"point {element!r} unresolved within fuel {self.fuel}")
+        z = self._delta_value(element, self.fuel)
+        if z is None:
+            raise FuelExhausted(f"point {element!r} unresolved within fuel {self.fuel}")
+        return z
 
     def _alpha_value(self, z: Ordinal) -> Ordinal:
         """The pairing-decoded step from delta onto alpha, extended by zero."""
@@ -377,17 +372,11 @@ class ReductionResult:
             raise BoundViolation(f"{fmt(z)} is not below delta = {fmt(self.delta)}")
         if self.case_taken[0] == "case1":
             k = self.case_taken[1]
-            row = self._kept.row(k)
             target_value = self._kept.image(k).enumerate(z)
-            restriction = preimage_of(row, self.carrier, OrdinalSet.point(target_value))
-            for label in self.carrier.labels:
-                positions = restriction.get(label)
-                if positions is None or positions.is_empty():
-                    continue
-                candidate = (label, positions.min_element())
-                if compare(row(self.carrier, candidate), target_value) == 0:
-                    return candidate
-            raise WitnessNotFound(f"row {k} has no preimage of {fmt(target_value)}")
+            found = _least_preimage(self._kept.row(k), self.carrier, target_value)
+            if found is None:
+                raise WitnessNotFound(f"row {k} has no preimage of {fmt(target_value)}")
+            return found
         w = self._bij.up(z)
         for n in range(self.fuel):
             self.ensure_stage(n)
@@ -396,26 +385,39 @@ class ReductionResult:
                 return self.carrier.element_at(p)
         raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {self.fuel}")
 
-    def witness_for(self, gamma: Ordinal, row_scan: int = 64):
+    def witness_for(self, gamma: Ordinal):
         """A carrier element mapped to gamma by the surjection."""
         if compare(gamma, self.alpha) >= 0:
             raise BoundViolation(f"target {fmt(gamma)} is not below alpha")
-        for n in range(row_scan):
+        for n in range(_ROW_SCAN):
             if not self.fam.has_row(n):
                 break
             image = self.fam.row_image(n)
             if image.contains(gamma):
                 z = pair_encode(self.delta, Ordinal(n), image.locate(gamma))
                 return self.delta_witness(z)
-        raise WitnessNotFound(f"no row covers {fmt(gamma)} within {row_scan} rows")
+        raise WitnessNotFound(f"no row covers {fmt(gamma)} within {_ROW_SCAN} rows")
+
+
+def _least_preimage(row: BlockwiseMap, carrier: Carrier, value: Ordinal):
+    """The least position, in the first block that has one, that ``row``
+    maps to ``value``; None if there is none."""
+    restriction = preimage_of(row, carrier, OrdinalSet.point(value))
+    for label in carrier.labels:
+        positions = restriction.get(label)
+        if positions is None or positions.is_empty():
+            continue
+        candidate = (label, positions.min_element())
+        if compare(row(carrier, candidate), value) == 0:
+            return candidate
+    return None
 
 
 class _KeptRows:
     """Renumbered view of the family with finite-order-type rows dropped."""
 
-    def __init__(self, fam: SurjectionFamily, scan_budget: int = 512):
+    def __init__(self, fam: SurjectionFamily):
         self.fam = fam
-        self.scan_budget = scan_budget
         self._kept: list = []
         self._next_original = 0
 
@@ -429,10 +431,8 @@ class _KeptRows:
                 self._kept.append(n)
             self._next_original += 1
             scanned += 1
-            if scanned > self.scan_budget:
-                raise CoverageBroken(
-                    f"no further infinite rows within {self.scan_budget} originals"
-                )
+            if scanned > _SCAN_BUDGET:
+                raise CoverageBroken(f"no further infinite rows within {_SCAN_BUDGET} originals")
 
     def original(self, j: int) -> int:
         self._extend_to(j)
@@ -544,11 +544,10 @@ def _interval_samples(lo: Ordinal, hi: Ordinal) -> list:
     return out
 
 
-def verify_surjective(
-    result: ReductionResult, bound: Ordinal, row_scan: int = 64
-) -> VerificationReport:
+def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     """Witness search over every first-cover target interval below bound.
 
+    ``result`` is a :class:`ReductionResult` or a :class:`TransferResult`.
     Targets are partitioned by the least row whose image covers them;
     each interval gets a deterministic spread of sample targets, every
     sample is inverted through the construction and the resulting witness
@@ -559,24 +558,25 @@ def verify_surjective(
     report = VerificationReport(bound)
     want = OrdinalSet.interval(ZERO, bound)
     covered = OrdinalSet()
-    for n in range(row_scan):
+    # every explicit row (a transfer family can have many), and at least
+    # the first _ROW_SCAN rows of a tail
+    scan = max(_ROW_SCAN, len(result.fam.rows))
+    for n in range(scan):
         if want.difference(covered).is_empty():
             break
         if not result.fam.has_row(n):
-            raise WitnessNotFound(
-                f"targets below {fmt(bound)} not covered by {row_scan} rows"
-            )
+            raise WitnessNotFound(f"targets below {fmt(bound)} not covered by {scan} rows")
         fresh = result.fam.row_image(n).intersect(want).difference(covered)
         for lo, hi in fresh.intervals:
             samples = []
             for target in _interval_samples(lo, hi):
-                witness = result.witness_for(target, row_scan=row_scan)
+                witness = result.witness_for(target)
                 value = result.surjection(witness)
                 samples.append((target, witness, value, compare(value, target) == 0))
             report.entries.append(((lo, hi), n, samples))
         covered = covered.union(fresh)
     if not want.difference(covered).is_empty():
-        raise WitnessNotFound(f"rows 0..{row_scan} do not cover [0, {fmt(bound)})")
+        raise WitnessNotFound(f"rows 0..{scan} do not cover [0, {fmt(bound)})")
     if not report.ok():
         raise WitnessNotFound("a witness failed re-evaluation")
     return report
@@ -644,52 +644,34 @@ def _fiber_rows(f: CarrierMap, g: BlockwiseMap) -> list:
                 raise PreconditionViolated(
                     f"infinite fiber: constant carrier piece on {fp.label!r}"
                 )
-            for q in fdom.iter_prefix(total.nat_value()):
-                value = g(source, (fp.label, q))
-                rows.append(
-                    BlockwiseMap(
-                        [
-                            Piece(
-                                fp.target_label,
-                                "constant",
-                                value=value,
-                                dom=OrdinalSet.point(fp.value),
-                            )
-                        ]
+            singletons = [(q, fp.value) for q in fdom.iter_prefix(total.nat_value())]
+        else:
+            for gp in g.pieces:
+                if gp.label != fp.label:
+                    continue
+                pieces = _compose_monotone(fp, gp, source)
+                if pieces:
+                    rows.append(BlockwiseMap(pieces))
+            # zero-extension overflow: positions beyond the target length all
+            # land on position 0 of the target block
+            singletons = []
+            t_len = fp.target.order_type()
+            total = fdom.order_type()
+            if compare(t_len, total) < 0:
+                overflow = left_subtract(t_len, total)
+                if not overflow.is_nat():
+                    raise PreconditionViolated(
+                        f"infinite fiber over zero on {fp.label!r}"
                     )
-                )
-            continue
-        for gp in g.pieces:
-            if gp.label != fp.label:
-                continue
-            pieces = _compose_monotone(fp, gp, source)
-            if pieces:
-                rows.append(BlockwiseMap(pieces))
-        # zero-extension overflow: positions beyond the target length all
-        # land on position 0 of the target block
-        t_len = fp.target.order_type()
-        total = fdom.order_type()
-        if compare(t_len, total) < 0:
-            overflow = left_subtract(t_len, total)
-            if not overflow.is_nat():
-                raise PreconditionViolated(
-                    f"infinite fiber over zero on {fp.label!r}"
-                )
-            for kk in range(overflow.nat_value()):
-                q = fdom.enumerate(add(t_len, Ordinal(kk)))
-                value = g(source, (fp.label, q))
-                rows.append(
-                    BlockwiseMap(
-                        [
-                            Piece(
-                                fp.target_label,
-                                "constant",
-                                value=value,
-                                dom=OrdinalSet.point(ZERO),
-                            )
-                        ]
-                    )
-                )
+                singletons = [
+                    (fdom.enumerate(add(t_len, Ordinal(kk))), ZERO)
+                    for kk in range(overflow.nat_value())
+                ]
+        # one row per fiber point q, sending the target position to g(q)
+        for q, position in singletons:
+            value = g(source, (fp.label, q))
+            piece = Piece(fp.target_label, "constant", value=value, dom=OrdinalSet.point(position))
+            rows.append(BlockwiseMap([piece]))
     return rows
 
 
@@ -702,11 +684,13 @@ def fiber_family_values(n_size: int, m_size: int, f_vals, g_vals) -> list:
     """
     n_carrier = Carrier([("n", OrdinalSet.interval(ZERO, Ordinal(n_size)))])
     m_carrier = Carrier([("m", OrdinalSet.interval(ZERO, Ordinal(m_size)))])
-    from .carriers import CarrierPiece
-
     f_pieces = [
-        CarrierPiece(
-            "n", "m", "constant", value=Ordinal(f_vals[i]), dom=OrdinalSet.point(Ordinal(i))
+        Piece(
+            "n",
+            "constant",
+            value=Ordinal(f_vals[i]),
+            dom=OrdinalSet.point(Ordinal(i)),
+            target_label="m",
         )
         for i in range(n_size)
     ]
@@ -734,7 +718,7 @@ def fiber_family_values(n_size: int, m_size: int, f_vals, g_vals) -> list:
 class TransferResult:
     carrier: Carrier
     alpha: Ordinal
-    family: SurjectionFamily
+    fam: SurjectionFamily
     route: str  # 'reduce' | 'row' | 'sweep'
     reduction: Optional[ReductionResult]
     row_index: int = 0
@@ -743,72 +727,39 @@ class TransferResult:
         if self.route == "reduce":
             return self.reduction.surjection(element)
         if self.route == "row":
-            return self.family.row(self.row_index)(self.carrier, element)
+            return self.fam.row(self.row_index)(self.carrier, element)
         theta = self.carrier.order_type
         p = self.carrier.global_position(element)
         decoded = pair_decode(theta, p)
         if decoded is None:
             return ZERO
         j, q = decoded
-        if not j.is_nat() or j.nat_value() >= len(self.family.rows):
+        if not j.is_nat() or j.nat_value() >= len(self.fam.rows):
             return ZERO
         if compare(q, theta) >= 0:
             return ZERO
-        return self.family.row(j.nat_value())(self.carrier, self.carrier.element_at(q))
+        return self.fam.row(j.nat_value())(self.carrier, self.carrier.element_at(q))
 
     def witness_for(self, gamma: Ordinal):
         if self.route == "reduce":
             return self.reduction.witness_for(gamma)
-        rows = (
-            [self.row_index] if self.route == "row" else range(len(self.family.rows))
-        )
+        rows = [self.row_index] if self.route == "row" else range(len(self.fam.rows))
         for j in rows:
-            image = self.family.row_image(j)
-            if not image.contains(gamma):
+            if not self.fam.row_image(j).contains(gamma):
                 continue
-            restriction = preimage_of(
-                self.family.row(j), self.carrier, OrdinalSet.point(gamma)
-            )
-            for label in self.carrier.labels:
-                positions = restriction.get(label)
-                if positions is None or positions.is_empty():
-                    continue
-                y = (label, positions.min_element())
-                if compare(self.family.row(j)(self.carrier, y), gamma) != 0:
-                    continue
-                if self.route == "row":
-                    return y
-                theta = self.carrier.order_type
-                code = pair_encode(theta, Ordinal(j), self.carrier.global_position(y))
-                return self.carrier.element_at(code)
+            y = _least_preimage(self.fam.row(j), self.carrier, gamma)
+            if y is None:
+                continue
+            if self.route == "row":
+                return y
+            theta = self.carrier.order_type
+            code = pair_encode(theta, Ordinal(j), self.carrier.global_position(y))
+            return self.carrier.element_at(code)
         raise WitnessNotFound(f"no row reaches {fmt(gamma)}")
 
     def verify(self, bound: Ordinal) -> list:
         """Sampled bounded surjectivity check; returns report lines."""
-        if self.route == "reduce":
-            return verify_surjective(self.reduction, bound).lines()
-        lines = []
-        covered = OrdinalSet()
-        want = OrdinalSet.interval(ZERO, bound)
-        rows = (
-            [self.row_index] if self.route == "row" else range(len(self.family.rows))
-        )
-        for j in rows:
-            fresh = self.family.row_image(j).intersect(want).difference(covered)
-            for lo, hi in fresh.intervals:
-                for target in _interval_samples(lo, hi):
-                    witness = self.witness_for(target)
-                    value = self.surjection(witness)
-                    if compare(value, target) != 0:
-                        raise WitnessNotFound(f"re-evaluation failed at {fmt(target)}")
-                    label, pos = witness
-                    lines.append(
-                        f"target={fmt(target)} witness={label}:{fmt(pos)} value={fmt(value)}"
-                    )
-            covered = covered.union(fresh)
-        if not want.difference(covered).is_empty():
-            raise WitnessNotFound(f"family does not cover [0, {fmt(bound)})")
-        return lines
+        return verify_surjective(self, bound).lines()
 
 
 def finite_to_one_transfer(
@@ -852,7 +803,7 @@ def finite_to_one_transfer(
 @dataclass
 class RefutationWitness:
     missed_set: QueryableSet
-    distinguishers: list  # (tag, index, point, in_missed, in_listed)
+    distinguishers: list  # (tag, index, point, in_missed, in_listed, listed)
 
     def recheck(self) -> bool:
         for _, _, point, in_missed, in_listed, set_ref in self.distinguishers:
@@ -885,12 +836,77 @@ def _listing_pairs(bound: int):
     return out
 
 
+def _check_table(carrier: Carrier, table: list, points: list):
+    """What both refuters need: a nonempty table whose entries differ on the
+    sample points, and an infinite carrier."""
+    if not table:
+        raise PreconditionViolated("table must be nonempty")
+    for i in range(len(table)):
+        for j in range(i + 1, len(table)):
+            if _distinct_point(table[i], table[j], points) is None:
+                raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
+    if not carrier.order_type.is_infinite():
+        raise PreconditionViolated("carrier must be infinite")
+
+
+def _induced_index(phi: Callable, table: list, points: list) -> Callable:
+    """The cached map (n, x) -> the first table index whose entry agrees
+    with phi(n, x) on the sample points, 0 when none does."""
+    cache: dict = {}
+
+    def induced(n: int, x) -> int:
+        key = (n, x)
+        if key not in cache:
+            candidate = phi(n, x)
+            index = 0  # extended by zero
+            for i, entry in enumerate(table):
+                if _distinct_point(candidate, entry, points) is None:
+                    index = i
+                    break
+            cache[key] = index
+        return cache[key]
+
+    return induced
+
+
+def _distinguisher(tag, index, point, missed: QueryableSet, listed: QueryableSet) -> tuple:
+    return (tag, index, point, missed.contains(point), listed.contains(point), listed)
+
+
+def _refutation(
+    missed: QueryableSet,
+    distinguishers: list,
+    phi: Callable,
+    points: list,
+    check_bound: int,
+    search: Callable,
+    missed_name: str,
+) -> RefutationWitness:
+    """The witness: the table ``distinguishers``, then one against each
+    listed set phi(n, sample i) for the first ``check_bound`` pairs (n, i),
+    at the first point of ``search(n, i)`` where it differs from
+    ``missed``; every distinguisher is rechecked."""
+    for n, q_idx in _listing_pairs(check_bound):
+        if q_idx >= len(points):
+            continue
+        listed = phi(n, points[q_idx])
+        w = _distinct_point(missed, listed, search(n, q_idx))
+        if w is None:
+            raise WitnessNotFound(
+                f"cannot separate the {missed_name} from phi({n}, sample {q_idx})"
+            )
+        distinguishers.append(_distinguisher((n, q_idx), None, w, missed, listed))
+    witness = RefutationWitness(missed, distinguishers)
+    if not witness.recheck():
+        raise WitnessNotFound("a recorded distinguisher failed re-evaluation")
+    return witness
+
+
 def refute_powerset(
     phi: Callable,
     carrier: Carrier,
     table: list,
     check_bound: int = 1000,
-    sample_size: int = 64,
 ) -> RefutationWitness:
     """One extension step against a listing of subsets.
 
@@ -903,31 +919,10 @@ def refute_powerset(
     differs from it, or failing that at its own code point, the element
     that collapses to (n, y).
     """
-    points = carrier.sample_elements(sample_size)
-    size = len(table)
-    if size == 0:
-        raise PreconditionViolated("table must be nonempty")
-    for i in range(size):
-        for j in range(i + 1, size):
-            if _distinct_point(table[i], table[j], points) is None:
-                raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
+    points = carrier.sample_elements(_REFUTER_SAMPLES)
+    _check_table(carrier, table, points)
     theta = carrier.order_type
-    if not theta.is_infinite():
-        raise PreconditionViolated("carrier must be infinite")
-
-    induced_cache: dict = {}
-
-    def induced(n: int, x) -> int:
-        key = (n, x)
-        if key not in induced_cache:
-            candidate = phi(n, x)
-            index = 0  # extended by zero
-            for i in range(size):
-                if _distinct_point(candidate, table[i], points) is None:
-                    index = i
-                    break
-            induced_cache[key] = index
-        return induced_cache[key]
+    induced = _induced_index(phi, table, points)
 
     collapse_cache: dict = {}
 
@@ -956,11 +951,11 @@ def refute_powerset(
 
     missed = cantor_diagonal(listing, carrier)
 
-    distinguishers = []
-    pairs = _listing_pairs(check_bound)
     # guaranteed distinguishers against table entries: find a point whose
     # collapsed index is i, which then separates the diagonal from table[i]
-    for i in range(size):
+    pairs = _listing_pairs(check_bound)
+    distinguishers = []
+    for i in range(len(table)):
         found = None
         for n, q_idx in pairs:
             if q_idx >= len(points):
@@ -973,27 +968,13 @@ def refute_powerset(
             found = _distinct_point(missed, table[i], points)
         if found is None:
             raise WitnessNotFound(f"cannot separate the diagonal from table entry {i}")
-        distinguishers.append(
-            ("table", i, found, missed.contains(found), table[i].contains(found), table[i])
-        )
-    for n, q_idx in pairs:
-        if q_idx >= len(points):
-            continue
-        listed = phi(n, points[q_idx])
-        w = _distinct_point(missed, listed, points)
-        if w is None:
-            w = _distinct_point(missed, listed, [code_point(n, points[q_idx])])
-        if w is None:
-            raise WitnessNotFound(
-                f"cannot separate the diagonal from phi({n}, sample {q_idx})"
-            )
-        distinguishers.append(
-            ((n, q_idx), None, w, missed.contains(w), listed.contains(w), listed)
-        )
-    witness = RefutationWitness(missed, distinguishers)
-    if not witness.recheck():
-        raise WitnessNotFound("a recorded distinguisher failed re-evaluation")
-    return witness
+        distinguishers.append(_distinguisher("table", i, found, missed, table[i]))
+
+    def search(n: int, q_idx: int):
+        yield from points
+        yield code_point(n, points[q_idx])  # built only when no sample separates
+
+    return _refutation(missed, distinguishers, phi, points, check_bound, search, "diagonal")
 
 
 def refute_infinite_powerset(
@@ -1001,7 +982,6 @@ def refute_infinite_powerset(
     carrier: Carrier,
     table: list,
     check_bound: int = 1000,
-    sample_size: int = 64,
     certificate_members: int = 100,
 ) -> RefutationWitness:
     """One extension step against a listing of infinite subsets.
@@ -1013,39 +993,22 @@ def refute_infinite_powerset(
     omega is provably infinite (it contains every index beyond the table),
     and its image is returned with an infinite certificate.
     """
-    from .coding import QueryableOrdinalSet, pset_to_infpset
-
-    points = carrier.sample_elements(sample_size)
-    size = len(table)
-    if size == 0:
-        raise PreconditionViolated("table must be nonempty")
+    points = carrier.sample_elements(_REFUTER_SAMPLES)
     for i, entry in enumerate(table):
         if entry.certificate is None or entry.certificate[0] != "infinite":
             raise CertificateError(f"table entry {i} lacks an infinite certificate")
-        entry.validate_certificate(carrier, samples=8)
-    for i in range(size):
-        for j in range(i + 1, size):
-            if _distinct_point(table[i], table[j], points) is None:
-                raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
+        entry.validate_certificate(carrier.is_element, samples=8)
+    _check_table(carrier, table, points)
     theta = carrier.order_type
-    if not theta.is_infinite():
-        raise PreconditionViolated("carrier must be infinite")
+    size = len(table)
 
-    induced_cache: dict = {}
+    def infinite_phi(n: int, x) -> QueryableSet:
+        listed = phi(n, x)
+        if listed.certificate is not None and listed.certificate[0] == "finite":
+            raise CertificateError("listed sets must be infinite")
+        return listed
 
-    def induced(n: int, x) -> int:
-        key = (n, x)
-        if key not in induced_cache:
-            candidate = phi(n, x)
-            if candidate.certificate is not None and candidate.certificate[0] == "finite":
-                raise CertificateError("listed sets must be infinite")
-            index = 0
-            for i in range(size):
-                if _distinct_point(candidate, table[i], points) is None:
-                    index = i
-                    break
-            induced_cache[key] = index
-        return induced_cache[key]
+    induced = _induced_index(infinite_phi, table, points)
 
     g_cache: dict = {}
 
@@ -1076,7 +1039,7 @@ def refute_infinite_powerset(
         """An element with g_value == v, via the padding lane."""
         return carrier.element_at(pair_encode(theta, ONE, v))
 
-    def carry(ordinal_set: QueryableOrdinalSet) -> QueryableSet:
+    def carry(ordinal_set: QueryableSet) -> QueryableSet:
         """t: subsets of omega -> infinite subsets of M."""
         image = pset_to_infpset(OMEGA, ordinal_set)
 
@@ -1090,7 +1053,7 @@ def refute_infinite_powerset(
 
         return QueryableSet(membership, ("infinite", enumerator))
 
-    def table_pullback(z: int) -> QueryableOrdinalSet:
+    def table_pullback(z: int) -> QueryableSet:
         """u(z): the subset of omega whose carried image matches table[z],
         read through the tagged codes; garbage off the carried range."""
         entry = table[z]
@@ -1101,10 +1064,10 @@ def refute_infinite_powerset(
         def one_read(zeta: Ordinal) -> bool:
             return not entry.contains(g_witness(pair_encode(OMEGA, zeta, ONE)))
 
-        for probe in range(sample_size):
+        for probe in range(_REFUTER_SAMPLES):
             if zero_read(Ordinal(probe)):
-                return QueryableOrdinalSet(zero_read, None)
-        return QueryableOrdinalSet(one_read, None)
+                return QueryableSet(zero_read)
+        return QueryableSet(one_read)
 
     pullbacks = [table_pullback(z) for z in range(size)]
 
@@ -1116,26 +1079,18 @@ def refute_infinite_powerset(
             return True  # beyond the table: u(z) is empty, so z enters B
         return not pullbacks[z].contains(zeta)
 
-    diagonal = QueryableOrdinalSet(
-        diag_membership, ("infinite", lambda k: Ordinal(size + k))
-    )
+    diagonal = QueryableSet(diag_membership, ("infinite", lambda k: Ordinal(size + k)))
     missed = carry(diagonal)
-    kind, enum = missed.certificate
-    seen = set()
-    for k in range(certificate_members):
-        x = enum(k)
-        if not carrier.is_element(x) or not missed.contains(x) or x in seen:
-            raise CertificateError("infinite certificate construction failed")
-        seen.add(x)
+    missed.validate_certificate(carrier.is_element, samples=certificate_members)
 
     # padding-lane elements of the diagonal's indices beyond the table, and
     # the search points for listed sets: built once, read in this order
     lane = [
         g_witness(pair_encode(OMEGA, Ordinal(probe + size), ZERO))
-        for probe in range(sample_size)
+        for probe in range(_REFUTER_SAMPLES)
     ]
     search_points = list(points)
-    for probe in range(sample_size):
+    for probe in range(_REFUTER_SAMPLES):
         search_points.append(g_witness(Ordinal(probe)))
         search_points.append(lane[probe])
 
@@ -1144,40 +1099,26 @@ def refute_infinite_powerset(
         w = _distinct_point(missed, table[i], lane + points)
         if w is None:
             raise WitnessNotFound(f"cannot separate the missed set from table entry {i}")
-        distinguishers.append(
-            ("table", i, w, missed.contains(w), table[i].contains(w), table[i])
-        )
-    pairs = _listing_pairs(check_bound)
-    for n, q_idx in pairs:
-        if q_idx >= len(points):
-            continue
-        listed = phi(n, points[q_idx])
-        if listed.certificate is not None and listed.certificate[0] == "finite":
-            raise CertificateError("listed sets must be infinite")
-        w = _distinct_point(missed, listed, search_points)
-        if w is None:
-            raise WitnessNotFound(
-                f"cannot separate the missed set from phi({n}, sample {q_idx})"
-            )
-        distinguishers.append(
-            ((n, q_idx), None, w, missed.contains(w), listed.contains(w), listed)
-        )
-    witness = RefutationWitness(missed, distinguishers)
-    if not witness.recheck():
-        raise WitnessNotFound("a recorded distinguisher failed re-evaluation")
-    return witness
+        distinguishers.append(_distinguisher("table", i, w, missed, table[i]))
+    return _refutation(
+        missed,
+        distinguishers,
+        infinite_phi,
+        points,
+        check_bound,
+        lambda n, q_idx: search_points,
+        "missed set",
+    )
 
 
 # -- power Dedekind infiniteness witness ---------------------------------------------
 
 
-def kuratowski_witness(
-    g: Callable, carrier: Carrier, bound: int, sample_size: int = 256
-) -> list:
+def kuratowski_witness(g: Callable, carrier: Carrier, bound: int) -> list:
     """From an evaluable surjection M -> omega (surjective below ``bound``),
     the disjoint fiber family n -> g^{-1}({n}) witnessing that the power
     set is Dedekind infinite.  Raises on an empty fiber below the bound."""
-    points = carrier.sample_elements(sample_size)
+    points = carrier.sample_elements(_KURATOWSKI_SAMPLES)
     fibers = []
     for n in range(bound):
         target = Ordinal(n)

@@ -4,11 +4,9 @@ from ordkit.carriers import (
     BlockwiseMap,
     Carrier,
     CarrierMap,
-    CarrierPiece,
     Piece,
     QueryableSet,
     SurjectionFamily,
-    family_row_image,
     image_of,
     parse_instance,
     preimage_of,
@@ -129,8 +127,8 @@ class TestCarrierMap:
             source,
             dest,
             [
-                CarrierPiece("c0", "m", "monotone", target=iv("0", "w")),
-                CarrierPiece("c1", "m", "monotone", target=iv("0", "w")),
+                Piece("c0", "monotone", target=iv("0", "w"), target_label="m"),
+                Piece("c1", "monotone", target=iv("0", "w"), target_label="m"),
             ],
         )
         assert cmap.evaluate(("c1", Ordinal(4))) == ("m", Ordinal(4))
@@ -141,7 +139,7 @@ class TestCarrierMap:
         source = Carrier([("c", iv("0", "w"))])
         dest = Carrier([("m", iv("0", "w"))])
         cmap = CarrierMap(
-            source, dest, [CarrierPiece("c", "m", "constant", value=ZERO)]
+            source, dest, [Piece("c", "constant", value=ZERO, target_label="m")]
         )
         with pytest.raises(BoundViolation):
             cmap.fiber(("m", ZERO))
@@ -155,7 +153,7 @@ class TestSurjectionFamily:
             o("w^2"),
             [BlockwiseMap([Piece("m", "monotone", target=iv("0", "w^2"))])],
         )
-        assert family_row_image(fam, 0) == iv("0", "w^2")
+        assert fam.row_image(0) == iv("0", "w^2")
         assert fam.delta(0) == o("w^2")
 
     def test_tail_rule(self):
@@ -166,7 +164,7 @@ class TestSurjectionFamily:
 
         fam = SurjectionFamily(carrier, OMEGA, [tail(0)], tail=(1, tail))
         assert fam.delta(7) == ONE
-        assert family_row_image(fam, 3) == iv("3", "4")
+        assert fam.row_image(3) == iv("3", "4")
 
     def test_missing_row(self):
         carrier = Carrier([("m", iv("0", "w"))])
@@ -205,7 +203,7 @@ class TestInstanceFiles:
         assert fam.carrier.labels == ("a", "b")
         assert fam.alpha == o("w^2")
         assert fam.delta(0) == OMEGA
-        assert family_row_image(fam, 2) == iv("w*2", "w*3").union(iv("2", "3"))
+        assert fam.row_image(2) == iv("w*2", "w*3").union(iv("2", "3"))
 
     def test_bad_key(self):
         with pytest.raises(ParseError):
@@ -239,6 +237,20 @@ class TestInstanceFiles:
                 "row 0: a -> monotone [0,w) ; typo -> constant 0\n"
             )
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "row \u00b9: a -> monotone [0,w)",  # superscript one passes str.isdigit
+            "tail: n >= \u00b9: a -> monotone [0,w)",
+            "tail: n >= x: a -> monotone [0,w)",
+        ],
+    )
+    def test_row_numbers_are_ascii_naturals(self, line):
+        with pytest.raises(ParseError):
+            parse_instance(
+                "carrier: a:[0,w)\nalpha: w\nrow 0: a -> monotone [0,w)\n" + line + "\n"
+            )
+
     def test_tail_rows_validated_at_start(self):
         with pytest.raises(ParseError):
             parse_instance(
@@ -252,16 +264,22 @@ class TestQueryableSet:
     def test_finite_certificate_checked(self, carrier):
         member = ("a", ZERO)
         good = QueryableSet(lambda x: x == member, ("finite", (member,)))
-        good.validate_certificate(carrier)
+        good.validate_certificate(carrier.is_element, carrier.sample_elements(16))
         liar = QueryableSet(lambda x: False, ("finite", (member,)))
         with pytest.raises(CertificateError):
-            liar.validate_certificate(carrier)
+            liar.validate_certificate(carrier.is_element, carrier.sample_elements(16))
+        greedy = QueryableSet(lambda x: x[0] == "a", ("finite", (member,)))
+        with pytest.raises(CertificateError):
+            greedy.validate_certificate(carrier.is_element, carrier.sample_elements(16))
 
     def test_infinite_certificate_checked(self, carrier):
         good = QueryableSet(
             lambda x: x[0] == "b", ("infinite", lambda k: ("b", Ordinal(k)))
         )
-        good.validate_certificate(carrier)
+        good.validate_certificate(carrier.is_element)
         repeater = QueryableSet(lambda x: True, ("infinite", lambda k: ("a", ZERO)))
         with pytest.raises(CertificateError):
-            repeater.validate_certificate(carrier)
+            repeater.validate_certificate(carrier.is_element)
+        outside = QueryableSet(lambda x: True, ("infinite", lambda k: ("a", OMEGA + k)))
+        with pytest.raises(CertificateError):
+            outside.validate_certificate(carrier.is_element)

@@ -30,6 +30,13 @@ class TestCalculator:
         assert status == 1
         assert out.splitlines()[0] == "syntax-error"
 
+    @pytest.mark.parametrize("expr", ["w*\u00b2", "w*\u0663", "\u0663"])
+    def test_non_ascii_digits_rejected(self, expr):
+        # superscript two and Arabic-Indic three pass str.isdigit
+        status, out = run("eval", expr)
+        assert status == 1
+        assert out.splitlines()[0] == "syntax-error"
+
 
 class TestCodingCommands:
     def test_pair_and_unpair(self):
@@ -174,6 +181,40 @@ class TestEngineCommands:
         status, out = run("selftest", "--size", "2")
         assert status == 0
         assert "csb_bijective" in out and "0 failures" in out
+
+
+class TestFileInput:
+    INSTANCE = "carrier: m:[0,w^2)\nalpha: w^2\nrow 0: m -> monotone [0,w^2)\n"
+
+    def _error_name(self, tmp_path, command, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        argv = {
+            "reduce": ["reduce", "--instance", str(path), "--verify-below", "w"],
+            "refute": ["refute", "--instance", str(path), "--mode", "pset"],
+            "decode-wo": ["decode-wo", str(path)],
+        }[command]
+        status, out = run(*argv)
+        assert status == 1
+        return out.splitlines()[0]
+
+    @pytest.mark.parametrize("command", ["reduce", "refute", "decode-wo"])
+    def test_missing_file(self, tmp_path, command):
+        assert self._error_name(tmp_path, command, None) == "file-error"
+
+    @pytest.mark.parametrize("command", ["reduce", "decode-wo"])
+    def test_non_ascii_file(self, tmp_path, command):
+        content = "# caf\u00e9\n".encode("utf-8") + self.INSTANCE.encode("ascii")
+        assert self._error_name(tmp_path, command, content) == "file-error"
+
+    def test_bad_tail_start(self, tmp_path):
+        content = (self.INSTANCE + "tail: n >= x: m -> constant n\n").encode("ascii")
+        assert self._error_name(tmp_path, "reduce", content) == "syntax-error"
+
+    @pytest.mark.parametrize("content", [b"0 x\n", b"0 1\n1 2.5\n", b"bits: 1,x\n"])
+    def test_bad_well_order_number(self, tmp_path, content):
+        assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
 
 
 class TestDeterminism:

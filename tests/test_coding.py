@@ -6,20 +6,20 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ordkit.carriers import QueryableSet
+from ordkit.cli import main
 from ordkit.coding import (
     DigitMap,
     _embed,
     MapSpec,
+    CsbBijection,
     OmegaPowerBijection,
-    QueryableOrdinalSet,
     cantor_pair,
     cantor_unpair,
-    csb_bijection,
     digitmap_rightlex_cmp,
     fin_decode,
     fin_encode,
     from_digits,
-    omega_power_bijection,
     pair_decode,
     pair_encode,
     pset_to_infpset,
@@ -79,6 +79,11 @@ class TestDigits:
     def test_bad_digits_and_exponents_rejected(self, digits):
         with pytest.raises(BoundViolation):
             DigitMap(digits)
+
+    def test_digit_lookup_coerces_int_exponents(self):
+        d = DigitMap({1: 2, ZERO: 5})
+        assert d.digit(1) == d.digit(ONE) == 2
+        assert d.digit(0) == 5 and d.digit(7) == 0
 
     def test_exponent_given_twice_rejected(self):
         with pytest.raises(BoundViolation):
@@ -288,20 +293,20 @@ class TestCsb:
     def test_singletons(self):
         f = MapSpec(lambda a: 5, lambda b: b == 5, lambda b: 0)
         g = MapSpec(lambda b: 0, lambda a: a == 0, lambda a: 5)
-        h = csb_bijection(f, g)
+        h = CsbBijection(f, g)
         assert h.forward(0) == 5
         assert h.backward(5) == 0
 
     def test_identity(self):
         f = MapSpec(lambda a: a, lambda b: b in (0, 1, 2), lambda b: b)
-        h = csb_bijection(f, f)
+        h = CsbBijection(f, f)
         assert [h.forward(a) for a in (0, 1, 2)] == [0, 1, 2]
 
     def test_shifted_chain(self):
         # f: n -> n on omega; g: n -> n + 1: stoppers classify correctly
         f = MapSpec(lambda a: a, lambda b: True, lambda b: b)
         g = MapSpec(lambda b: b + 1, lambda a: a >= 1, lambda a: a - 1)
-        h = csb_bijection(f, g, fuel=100)
+        h = CsbBijection(f, g, fuel=100)
         for a in range(10):
             assert h.backward(h.forward(a)) == a
 
@@ -310,13 +315,13 @@ class TestCsb:
         f = MapSpec(lambda a: a - 1, lambda b: True, lambda b: b + 1)
         g = MapSpec(lambda b: b - 1, lambda a: True, lambda a: a + 1)
         with pytest.raises(FuelExhausted):
-            csb_bijection(f, g, fuel=50).forward(0)
+            CsbBijection(f, g, fuel=50).forward(0)
 
     def test_inconsistent_mapspec(self):
         f = MapSpec(lambda a: a, lambda b: True, lambda b: b + 1)  # wrong inverse
         g = MapSpec(lambda b: b, lambda a: True, lambda a: a)
         with pytest.raises(InconsistentMapSpec):
-            csb_bijection(f, g, fuel=50).forward(3)
+            CsbBijection(f, g, fuel=50).forward(3)
 
 
 class TestOmegaPowerBijection:
@@ -351,24 +356,27 @@ class TestOmegaPowerBijection:
         with pytest.raises(BoundViolation):
             bij.up(OMEGA)
 
-    def test_direction_dispatch(self):
-        value = omega_power_bijection(OMEGA, "down", o("w*2+1"))
-        assert omega_power_bijection(OMEGA, "up", value) == o("w*2+1")
-        with pytest.raises(BoundViolation):
-            omega_power_bijection(OMEGA, "sideways", ZERO)
+    def test_direction_dispatch(self, capsys):
+        assert main(["cnfbij", "--alpha", "w", "--dir", "down", "w*2+1"]) == 0
+        value = capsys.readouterr().out.strip()
+        assert main(["cnfbij", "--alpha", "w", "--dir", "up", value]) == 0
+        assert capsys.readouterr().out == "w*2 + 1\n"
+        with pytest.raises(SystemExit) as err:
+            main(["cnfbij", "--alpha", "w", "--dir", "sideways", "0"])
+        assert err.value.code == 2
 
 
 class TestPsetToInfpset:
     def test_empty_set_goes_to_tagged_complement(self):
         alpha = OMEGA
-        empty = QueryableOrdinalSet(lambda x: False, ("finite", ()))
+        empty = QueryableSet(lambda x: False, ("finite", ()))
         image = pset_to_infpset(alpha, empty)
         assert image.contains(pair_encode(alpha, Ordinal(9), ONE))
         assert not image.contains(pair_encode(alpha, Ordinal(9), ZERO))
 
     def test_infinite_set_keeps_members(self):
         alpha = o("w*2")
-        evens = QueryableOrdinalSet(
+        evens = QueryableSet(
             lambda x: x.is_nat() and x.nat_value() % 2 == 0,
             ("infinite", lambda k: Ordinal(2 * k)),
         )
@@ -382,19 +390,22 @@ class TestPsetToInfpset:
 
     def test_injectivity_witness(self):
         alpha = OMEGA
-        a = QueryableOrdinalSet(lambda x: x == ZERO, ("finite", (ZERO,)))
-        b = QueryableOrdinalSet(lambda x: False, ("finite", ()))
+        a = QueryableSet(lambda x: x == ZERO, ("finite", (ZERO,)))
+        b = QueryableSet(lambda x: False, ("finite", ()))
         fa, fb = pset_to_infpset(alpha, a), pset_to_infpset(alpha, b)
         probe = pair_encode(alpha, ZERO, ONE)
         assert fa.contains(probe) != fb.contains(probe)
 
     def test_bad_certificate(self):
         alpha = OMEGA
-        liar = QueryableOrdinalSet(lambda x: False, ("finite", (ONE,)))
+        liar = QueryableSet(lambda x: False, ("finite", (ONE,)))
         with pytest.raises(CertificateError):
             pset_to_infpset(alpha, liar)
-        repeater = QueryableOrdinalSet(lambda x: True, ("infinite", lambda k: ZERO))
+        repeater = QueryableSet(lambda x: True, ("infinite", lambda k: ZERO))
         with pytest.raises(CertificateError):
             pset_to_infpset(alpha, repeater)
+        greedy = QueryableSet(lambda x: x.is_nat(), ("finite", (ZERO, ONE)))
         with pytest.raises(CertificateError):
-            pset_to_infpset(alpha, QueryableOrdinalSet(lambda x: True, None))
+            pset_to_infpset(alpha, greedy)
+        with pytest.raises(CertificateError):
+            pset_to_infpset(alpha, QueryableSet(lambda x: True, None))

@@ -1,10 +1,15 @@
 """Golden CLI outputs: status and stdout of a fixed command set, byte for byte.
 
 The expected outputs in ``golden/cli_outputs.json`` were recorded before the
-refuter and codec speed-ups, so this test pins that those changes left every
-answer as it was.  The command set is acceptance criterion 10's plus
-``refute`` in both modes at ``--check 100``.  To record the file again (only
-when an output is meant to change), run from the repository root::
+refuter and codec speed-ups and before the merge of the duplicate code paths,
+so this test pins that those changes left every answer as it was.  The
+command set is acceptance criterion 10's, ``refute`` in both modes at
+``--check 100``, ``reduce`` on every instance at two or three bounds,
+``refute`` in both modes at three check bounds on three more instances
+(infpset fails with ``certificate-error`` on two of them), ``cnfbij`` at two
+more alphas and ``selftest --size 3``.  Error exits are pinned too.  To record
+the file again (only when an output is meant to change), run from the
+repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -42,6 +47,28 @@ COMMANDS = [
     ("eval", "w*0"),
     ("refute", "--instance", "refute_demo.txt", "--mode", "pset", "--check", "100"),
     ("refute", "--instance", "refute_demo.txt", "--mode", "infpset", "--check", "100"),
+    *(
+        ("reduce", "--instance", name, "--verify-below", bound)
+        for name in (
+            "case1_identity.txt", "case1_mixed.txt", "case2_blocks.txt", "case2_filtered.txt",
+            "case2_slow.txt", "case2_tower.txt", "degenerate_delta_omega.txt",
+        )
+        for bound in ("w^2", "w^3")
+        if (name, bound) != ("case2_tower.txt", "w^2")
+    ),
+    ("reduce", "--instance", "case2_tower.txt", "--verify-below", "w^w"),
+    ("reduce", "--instance", "degenerate_delta_omega.txt", "--verify-below", "w"),
+    *(
+        ("refute", "--instance", name, "--mode", mode, "--check", check)
+        for name in ("refute_split_row0.txt", "case2_tower.txt", "case1_mixed.txt")
+        for mode in ("pset", "infpset")
+        for check in ("20", "100", "400")
+    ),
+    ("cnfbij", "--alpha", "w^w", "--dir", "down", "w^(w^2+1)*3 + w^w + 7"),
+    ("cnfbij", "--alpha", "w^w", "--dir", "up", "w^5*2 + w + 3"),
+    ("cnfbij", "--alpha", "w*2+1", "--dir", "down", "w^(w+1) + w*4 + 2"),
+    ("cnfbij", "--alpha", "w*2+1", "--dir", "up", "w+5"),
+    ("selftest", "--size", "3"),
 ]
 
 

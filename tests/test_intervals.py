@@ -6,7 +6,6 @@ from ordkit.core import OMEGA, Ordinal, add, compare, parse
 from ordkit.errors import OutOfRangeError, ParseError, PartitionError
 from ordkit.intervals import (
     OrdinalSet,
-    combine,
     format_interval_set,
     indecomposable_split,
     parse_interval_set,
@@ -25,13 +24,13 @@ def iv(lo, hi):
 
 class TestAlgebra:
     def test_union_merges_adjacent(self):
-        assert combine("union", iv("0", "w"), iv("w", "w*2")) == iv("0", "w*2")
+        assert iv("0", "w").union(iv("w", "w*2")) == iv("0", "w*2")
 
     def test_intersect_containment(self):
-        assert combine("intersect", iv("0", "w^2"), iv("w", "w*3")) == iv("w", "w*3")
+        assert iv("0", "w^2").intersect(iv("w", "w*3")) == iv("w", "w*3")
 
     def test_difference_splits(self):
-        left = combine("difference", iv("0", "w^2"), iv("w", "w*2"))
+        left = iv("0", "w^2").difference(iv("w", "w*2"))
         assert left == iv("0", "w").union(iv("w*2", "w^2"))
 
     def test_membership(self):

@@ -6,7 +6,6 @@ from ordkit.carriers import (
     BlockwiseMap,
     Carrier,
     CarrierMap,
-    CarrierPiece,
     Piece,
     QueryableSet,
     SurjectionFamily,
@@ -281,7 +280,7 @@ class TestTransfer:
         f = CarrierMap(
             n_carrier,
             m_carrier,
-            [CarrierPiece("n", "m", "monotone", target=iv("0", "w"))],
+            [Piece("n", "monotone", target=iv("0", "w"), target_label="m")],
         )
         g = BlockwiseMap([Piece("n", "monotone", target=iv("0", "w"))])
         return f, g
@@ -300,8 +299,8 @@ class TestTransfer:
             n_carrier,
             m_carrier,
             [
-                CarrierPiece("c0", "m", "monotone", target=iv("0", "w")),
-                CarrierPiece("c1", "m", "monotone", target=iv("0", "w")),
+                Piece("c0", "monotone", target=iv("0", "w"), target_label="m"),
+                Piece("c1", "monotone", target=iv("0", "w"), target_label="m"),
             ],
         )
         g = BlockwiseMap(
@@ -321,8 +320,8 @@ class TestTransfer:
             n_carrier,
             m_carrier,
             [
-                CarrierPiece("c0", "m", "monotone", target=iv("0", "w")),
-                CarrierPiece("c1", "m", "monotone", target=iv("0", "w")),
+                Piece("c0", "monotone", target=iv("0", "w"), target_label="m"),
+                Piece("c1", "monotone", target=iv("0", "w"), target_label="m"),
             ],
         )
         g = BlockwiseMap(
@@ -333,6 +332,29 @@ class TestTransfer:
         )
         result = finite_to_one_transfer(f, g, OMEGA)
         assert result.verify(Ordinal(10))
+
+    def test_verify_reaches_every_fiber_row(self):
+        # 70 singleton fiber rows come before the row that covers [1, w)
+        n_carrier = Carrier([("side", iv("0", "70")), ("main", iv("0", "w"))])
+        m_carrier = Carrier([("m", iv("0", "w"))])
+        f = CarrierMap(
+            n_carrier,
+            m_carrier,
+            [
+                Piece("side", "constant", value=Ordinal(0), target_label="m"),
+                Piece("main", "monotone", target=iv("0", "w"), target_label="m"),
+            ],
+        )
+        g = BlockwiseMap(
+            [
+                Piece("side", "monotone", target=iv("w", "w+70")),
+                Piece("main", "monotone", target=iv("0", "w")),
+            ]
+        )
+        result = finite_to_one_transfer(f, g, o("w+70"))
+        assert len(result.fam.rows) == 71
+        lines = result.verify(o("w+70"))
+        assert "interval=[1,w) row=70" in lines
 
     def test_infinite_alpha_required(self):
         f, g = self._identity_setup()
@@ -353,8 +375,8 @@ class TestTransfer:
             n_carrier,
             m_carrier,
             [
-                CarrierPiece("side", "m", "constant", value=Ordinal(0)),
-                CarrierPiece("main", "m", "monotone", target=iv("0", "w")),
+                Piece("side", "constant", value=Ordinal(0), target_label="m"),
+                Piece("main", "monotone", target=iv("0", "w"), target_label="m"),
             ],
         )
         g = BlockwiseMap(
