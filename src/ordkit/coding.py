@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .carriers import QueryableSet
@@ -69,7 +70,7 @@ class DigitMap:
 
     @property
     def support(self) -> list:
-        return sorted(self._digits, key=_OrdKey, reverse=True)
+        return sorted(self._digits, key=attrgetter("key"), reverse=True)
 
     def items_desc(self) -> list:
         return [(e, self._digits[e]) for e in self.support]
@@ -90,16 +91,6 @@ class DigitMap:
         return f"DigitMap({{{body}}})"
 
 
-class _OrdKey:
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return compare(self.value, other.value) < 0
-
-
 def to_digits(x: Ordinal) -> DigitMap:
     return DigitMap(dict(x.terms))
 
@@ -112,7 +103,7 @@ def from_digits(d: DigitMap) -> Ordinal:
 def digitmap_rightlex_cmp(a: DigitMap, b: DigitMap) -> int:
     """Compare at the largest exponent where the digit maps differ."""
     exps = set(a._digits) | set(b._digits)
-    for e in sorted(exps, key=_OrdKey, reverse=True):
+    for e in sorted(exps, key=attrgetter("key"), reverse=True):
         da, db = a.digit(e), b.digit(e)
         if da != db:
             return -1 if da < db else 1
@@ -258,14 +249,14 @@ def fin_encode(alpha: Ordinal, elements: Iterable) -> Ordinal:
     prefixed into the constant slot.  The empty set maps to 0.
     """
     _require_infinite(alpha)
-    members = sorted(elements, key=_OrdKey, reverse=True)
+    members = sorted(elements, key=attrgetter("key"), reverse=True)
     for a, b in zip(members, members[1:]):
         if compare(a, b) == 0:
             raise BoundViolation("finite-set coding needs distinct elements")
     if not members:
         return ZERO
     embedded = [_embed(alpha, x) for x in members]
-    embedded.sort(key=_OrdKey, reverse=True)
+    embedded.sort(key=attrgetter("key"), reverse=True)
     arity = len(embedded)
     support = set()
     for u in embedded:
@@ -308,7 +299,7 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
         members.append(x)
     if len(set(members)) != len(members):
         return None
-    members.sort(key=_OrdKey, reverse=True)
+    members.sort(key=attrgetter("key"), reverse=True)
     if compare(fin_encode(alpha, members), z) != 0:
         return None
     return members

@@ -45,23 +45,25 @@ __all__ = [
 class Ordinal:
     """An ordinal below epsilon-0 in Cantor normal form."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_key")
 
     def __init__(self, value: int | Iterable = 0):
         if isinstance(value, int):
             if value < 0:
                 raise BoundViolation("ordinals are non-negative")
             # only called once ZERO exists: the constants below use _raw
-            object.__setattr__(self, "_terms", ((ZERO, value),) if value else ())
+            self._terms = ((ZERO, value),) if value else ()
         else:
-            object.__setattr__(self, "_terms", _validate(tuple(value)))
-        object.__setattr__(self, "_hash", None)
+            self._terms = _validate(tuple(value))
+        self._hash = None
+        self._key = None
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Ordinal":
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_hash", None)
+        self._terms = terms
+        self._hash = None
+        self._key = None
         return self
 
     @classmethod
@@ -104,45 +106,52 @@ class Ordinal:
 
     # -- comparisons -------------------------------------------------------
 
+    @property
+    def key(self) -> tuple:
+        """The nested tuple ``((exponent.key, coeff), ...)``, built once.
+
+        Tuples compare lexicographically, a proper prefix first, which on
+        these keys is exactly the CNF order."""
+        k = self._key
+        if k is None:
+            k = self._key = tuple([(e.key, c) for e, c in self._terms])
+        return k
+
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
+        return self.key == other.key
 
     def __lt__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return compare(self, other) < 0
+        return self.key < other.key
 
     def __le__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return compare(self, other) <= 0
+        return self.key <= other.key
 
     def __gt__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return compare(self, other) > 0
+        return self.key > other.key
 
     def __ge__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return compare(self, other) >= 0
+        return self.key >= other.key
 
     def __hash__(self):
+        # a natural hashes like the int it equals
         h = self._hash
         if h is None:
-            h = hash(tuple((hash(e), c) for e, c in self._terms))
-            object.__setattr__(self, "_hash", h)
+            h = self._hash = hash(self.nat_value() if self.is_nat() else self.key)
         return h
 
     def __bool__(self):
@@ -218,14 +227,9 @@ OMEGA = Ordinal._raw(((ONE, 1),))
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Standard ordinal order: -1, 0, or 1."""
-    for (ea, ca), (eb, cb) in zip(a._terms, b._terms):
-        c = compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    la, lb = len(a._terms), len(b._terms)
-    return 0 if la == lb else (-1 if la < lb else 1)
+    ka = a._key or a.key  # the slot skips the property call; zero's () takes it
+    kb = b._key or b.key
+    return (ka > kb) - (ka < kb)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -235,11 +239,12 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not a._terms:
         return b
     eb = b._terms[0][0]
+    kb = eb.key
     i = 0
     ta = a._terms
-    while i < len(ta) and compare(ta[i][0], eb) > 0:
+    while i < len(ta) and ta[i][0].key > kb:
         i += 1
-    if i < len(ta) and compare(ta[i][0], eb) == 0:
+    if i < len(ta) and ta[i][0].key == kb:
         merged = (eb, ta[i][1] + b._terms[0][1])
         return Ordinal._raw(ta[:i] + (merged,) + b._terms[1:])
     return Ordinal._raw(ta[:i] + b._terms)
@@ -294,7 +299,7 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
         return Ordinal._raw(tb[i:])
     ea, ca = ta[i]
     eb, cb = tb[i]
-    if compare(ea, eb) < 0:
+    if ea.key < eb.key:
         return Ordinal._raw(tb[i:])
     # compare(a, b) < 0 forces ea == eb with ca < cb here
     return Ordinal._raw(((eb, cb - ca),) + tb[i + 1:])
@@ -320,11 +325,17 @@ def classify(x: Ordinal) -> tuple:
 # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
 _DIGITS = "0123456789"
 
+# Deeper parentheses are a syntax error.  The parser, the evaluator, fmt and
+# the comparison key recurse once per level, and at about 330 levels the
+# parser alone meets Python's default recursion limit of 1000.
+MAX_NESTING = 300
+
 
 class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # open parentheses
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -351,6 +362,12 @@ class _Lexer:
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
+        if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"more than {MAX_NESTING} nested parentheses", self.pos - 1)
+        elif ch == ")":
+            self.depth -= 1
 
 
 # Python's int <-> str conversion refuses more digits than

@@ -27,7 +27,7 @@ def _canonical(intervals: Iterable) -> tuple:
             raise OutOfRangeError("interval bounds must be ordinals")
         if compare(lo, hi) < 0:
             pairs.append((lo, hi))
-    pairs.sort(key=_IntervalKey)
+    pairs.sort(key=lambda pair: (pair[0].key, pair[1].key))
     merged: list = []
     for lo, hi in pairs:
         if merged and compare(lo, merged[-1][1]) <= 0:
@@ -36,20 +36,6 @@ def _canonical(intervals: Iterable) -> tuple:
         else:
             merged.append((lo, hi))
     return tuple(merged)
-
-
-class _IntervalKey:
-    __slots__ = ("interval",)
-
-    def __init__(self, interval):
-        self.interval = interval
-
-    def __lt__(self, other):
-        a, b = self.interval, other.interval
-        c = compare(a[0], b[0])
-        if c:
-            return c < 0
-        return compare(a[1], b[1]) < 0
 
 
 class OrdinalSet:

@@ -836,9 +836,12 @@ def _listing_pairs(bound: int):
     return out
 
 
-def _check_table(carrier: Carrier, table: list, points: list):
+def _check_table(carrier: Carrier, table: list, points: list, check_bound: int):
     """What both refuters need: a nonempty table whose entries differ on the
-    sample points, and an infinite carrier."""
+    sample points, an infinite carrier, and at least one listed set to
+    check."""
+    if check_bound < 1:
+        raise BoundViolation(f"check bound must be at least 1, not {check_bound}")
     if not table:
         raise PreconditionViolated("table must be nonempty")
     for i in range(len(table)):
@@ -920,7 +923,7 @@ def refute_powerset(
     that collapses to (n, y).
     """
     points = carrier.sample_elements(_REFUTER_SAMPLES)
-    _check_table(carrier, table, points)
+    _check_table(carrier, table, points, check_bound)
     theta = carrier.order_type
     induced = _induced_index(phi, table, points)
 
@@ -998,7 +1001,7 @@ def refute_infinite_powerset(
         if entry.certificate is None or entry.certificate[0] != "infinite":
             raise CertificateError(f"table entry {i} lacks an infinite certificate")
         entry.validate_certificate(carrier.is_element, samples=8)
-    _check_table(carrier, table, points)
+    _check_table(carrier, table, points, check_bound)
     theta = carrier.order_type
     size = len(table)
 

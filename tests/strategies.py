@@ -1,16 +1,8 @@
+from operator import attrgetter
+
 import hypothesis.strategies as st
 
 from ordkit.core import Ordinal, compare
-
-
-class _Key:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return compare(self.v, other.v) < 0
 
 
 @st.composite
@@ -35,6 +27,6 @@ def nested_ordinals(draw, depth=2):
         candidate = draw(nested_ordinals(depth=depth - 1))
         if all(compare(candidate, e) != 0 for e in exponents):
             exponents.append(candidate)
-    exponents.sort(key=_Key, reverse=True)
+    exponents.sort(key=attrgetter("key"), reverse=True)
     terms = [(e, draw(st.integers(1, 4))) for e in exponents]
     return Ordinal.from_terms(terms)

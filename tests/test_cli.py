@@ -30,6 +30,12 @@ class TestCalculator:
         assert status == 1
         assert out.splitlines()[0] == "syntax-error"
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        # far past the recursion limit: a named error, not a traceback
+        status, out = run("eval", "w^(" * 5000 + "1" + ")" * 5000)
+        assert status == 1
+        assert out.splitlines()[0] == "syntax-error"
+
     @pytest.mark.parametrize("expr", ["w*\u00b2", "w*\u0663", "\u0663"])
     def test_non_ascii_digits_rejected(self, expr):
         # superscript two and Arabic-Indic three pass str.isdigit
@@ -151,6 +157,22 @@ class TestEngineCommands:
             lines = out.splitlines()
             assert lines[0].startswith(f"mode={mode}")
             assert "recheck=ok" in lines[1]
+
+    @pytest.mark.parametrize("mode", ["pset", "infpset"])
+    @pytest.mark.parametrize("check", ["-3", "0"])
+    def test_refute_check_bound_below_one(self, mode, check):
+        # such a bound checks no listed set at all
+        status, out = run(
+            "refute",
+            "--instance",
+            str(INSTANCES / "refute_demo.txt"),
+            "--mode",
+            mode,
+            "--check",
+            check,
+        )
+        assert status == 1
+        assert out.splitlines()[0] == "bound-violation"
 
     @pytest.mark.parametrize("check", ["20", "100"])
     def test_refute_pset_row0_maps_blocks_apart(self, check):

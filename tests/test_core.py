@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from ordkit.core import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -67,6 +69,28 @@ class TestParse:
             rule(0)
 
 
+def _nested(depth, inner="1"):
+    return "w^(" * depth + inner + ")" * depth
+
+
+class TestNestingLimit:
+    def test_deepest_accepted_input(self):
+        x = parse(_nested(MAX_NESTING))
+        y = parse(_nested(MAX_NESTING, "2"))
+        assert MAX_NESTING >= 300
+        assert compare(x, y) == -1 and x < y
+        assert x == parse(_nested(MAX_NESTING)) and x != y
+        assert hash(x) == hash(parse(_nested(MAX_NESTING)))
+        assert parse(fmt(x)) == x
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
+    def test_deeper_input_is_a_syntax_error(self, depth):
+        with pytest.raises(ParseError):
+            parse(_nested(depth))
+        with pytest.raises(ParseError):
+            parse_template("w*(" * depth + "n" + ")" * depth)
+
+
 class TestFormat:
     @pytest.mark.parametrize(
         "text,expected",
@@ -110,6 +134,46 @@ class TestCompare:
         assert compare(a, b) == -compare(b, a)
         if compare(a, b) <= 0 and compare(b, c) <= 0:
             assert compare(a, c) <= 0
+
+
+def _recursive_compare(a, b):
+    """The term-walking compare that the cached key replaced."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = _recursive_compare(ea, eb)
+        if c:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    la, lb = len(a.terms), len(b.terms)
+    return 0 if la == lb else (-1 if la < lb else 1)
+
+
+class TestCompareReference:
+    """compare, the rich comparisons and hash against the recursive compare."""
+
+    @given(nested_ordinals(), nested_ordinals())
+    def test_agrees_with_recursive_compare(self, a, b):
+        expected = _recursive_compare(a, b)
+        assert compare(a, b) == expected
+        assert (a < b, a <= b, a > b, a >= b) == (
+            expected < 0, expected <= 0, expected > 0, expected >= 0
+        )
+        assert (a == b, a != b) == (expected == 0, expected != 0)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(nested_ordinals(), st.integers(0, 60))
+    def test_agrees_with_ints(self, a, n):
+        expected = _recursive_compare(a, Ordinal(n))
+        assert (a == n) == (expected == 0) and (a < n) == (expected < 0)
+        if a == n:
+            assert hash(a) == hash(n)
+            assert a in {n} and n in {a}
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 2**64, 2**61 - 1])
+    def test_natural_hashes_like_its_int(self, n):
+        assert hash(Ordinal(n)) == hash(n)
+        assert Ordinal(n) in {n}
 
 
 class TestArithmetic:
