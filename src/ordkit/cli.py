@@ -11,12 +11,13 @@ boundary as grammar strings.  Exit status: 0 success, 1 domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .carriers import QueryableSet, load_instance, preimage_of, read_ascii_file
 from .coding import OmegaPowerBijection, fin_encode, pair_decode, pair_encode
 from .core import Ordinal, ZERO, compare, fmt, parse
-from .errors import CertificateError, ParseError, ToolkitError
+from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
 from .oracle import exhaustive_check
 from .reduction import (
@@ -30,6 +31,7 @@ from .reduction import (
 __all__ = ["main"]
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ordkit", description="constructive ordinal computation below epsilon-0"
@@ -207,6 +209,8 @@ def _run(args) -> int:
         out.write(fmt(wellorder_decode(_parse_wo_file(content))) + "\n")
     elif args.command == "selftest":
         size = args.size
+        if size < 1:
+            raise BoundViolation(f"selftest size must be at least 1, not {size}")
         for name, cap in (
             ("csb_bijective", 5),
             ("diagonal_missed", 3),

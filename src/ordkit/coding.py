@@ -328,6 +328,8 @@ class CsbBijection:
     """
 
     def __init__(self, f: MapSpec, g: MapSpec, fuel: int = 10_000):
+        if fuel < 0:
+            raise BoundViolation(f"fuel must be non-negative, not {fuel}")
         self.f = f
         self.g = g
         self.fuel = fuel

@@ -4,13 +4,21 @@ An :class:`OrdinalSet` is a canonical, sorted, merged tuple of ``[lo, hi)``
 intervals.  Order types, the canonical enumerating isomorphism and its
 inverse, and the additive-indecomposability split check all operate on
 this representation exactly.
+
+The public constructor ``OrdinalSet(intervals)`` validates its input: any
+iterable of ordinal bound pairs, in any order, empty or overlapping.  It
+serves parsed text, carriers and user code.  The set operations build
+their results canonical by construction (sorted, nonempty, and each
+``hi`` strictly below the next ``lo``) and hand them to the private
+``OrdinalSet._of``, which trusts its input and checks nothing.  Bounds
+compare by :attr:`Ordinal.key`.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import ZERO, Ordinal, add, compare, fmt, left_subtract, parse
+from .core import ONE, ZERO, Ordinal, add, fmt, left_subtract, parse
 from .errors import OutOfRangeError, ParseError, PartitionError
 
 __all__ = [
@@ -20,39 +28,63 @@ __all__ = [
 ]
 
 
-def _canonical(intervals: Iterable) -> tuple:
-    pairs = []
-    for lo, hi in intervals:
-        if not isinstance(lo, Ordinal) or not isinstance(hi, Ordinal):
-            raise OutOfRangeError("interval bounds must be ordinals")
-        if compare(lo, hi) < 0:
-            pairs.append((lo, hi))
-    pairs.sort(key=lambda pair: (pair[0].key, pair[1].key))
+def _check_bounds(lo, hi):
+    if not isinstance(lo, Ordinal) or not isinstance(hi, Ordinal):
+        raise OutOfRangeError("interval bounds must be ordinals")
+
+
+def _coalesce(pairs: list) -> tuple:
+    """Merge nonempty intervals sorted by ``lo`` where they overlap or touch."""
     merged: list = []
     for lo, hi in pairs:
-        if merged and compare(lo, merged[-1][1]) <= 0:
-            if compare(hi, merged[-1][1]) > 0:
+        if merged and lo.key <= merged[-1][1].key:
+            if hi.key > merged[-1][1].key:
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
     return tuple(merged)
 
 
+def _lo_key(pair) -> tuple:
+    return pair[0].key
+
+
+def _canonical(intervals: Iterable) -> tuple:
+    pairs = []
+    for lo, hi in intervals:
+        _check_bounds(lo, hi)
+        if lo.key < hi.key:
+            pairs.append((lo, hi))
+    pairs.sort(key=_lo_key)
+    return _coalesce(pairs)
+
+
 class OrdinalSet:
     """A finite union of half-open ordinal intervals, kept canonical."""
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_intervals", "_order_type")
 
     def __init__(self, intervals: Iterable = ()):
-        object.__setattr__(self, "_intervals", _canonical(intervals))
+        self._intervals = _canonical(intervals)
+        self._order_type = None
+
+    @classmethod
+    def _of(cls, intervals: tuple) -> "OrdinalSet":
+        """Trusted constructor: ``intervals`` must already be canonical."""
+        self = object.__new__(cls)
+        self._intervals = intervals
+        self._order_type = None
+        return self
 
     @classmethod
     def interval(cls, lo: Ordinal, hi: Ordinal) -> "OrdinalSet":
-        return cls(((lo, hi),))
+        _check_bounds(lo, hi)
+        return cls._of(((lo, hi),) if lo.key < hi.key else ())
 
     @classmethod
     def point(cls, x: Ordinal) -> "OrdinalSet":
-        return cls(((x, add(x, Ordinal(1))),))
+        _check_bounds(x, x)
+        return cls._of(((x, add(x, ONE)),))
 
     @property
     def intervals(self) -> tuple:
@@ -81,42 +113,59 @@ class OrdinalSet:
     # -- set algebra ---------------------------------------------------
 
     def union(self, other: "OrdinalSet") -> "OrdinalSet":
-        return OrdinalSet(self._intervals + other._intervals)
+        a, b = self._intervals, other._intervals
+        if not a:
+            return other
+        if not b:
+            return self
+        # a + b is two sorted runs, which the sort merges in one linear pass
+        return OrdinalSet._of(_coalesce(sorted(a + b, key=_lo_key)))
 
     def intersect(self, other: "OrdinalSet") -> "OrdinalSet":
+        a, b = self._intervals, other._intervals
         out = []
-        for alo, ahi in self._intervals:
-            for blo, bhi in other._intervals:
-                lo = alo if compare(alo, blo) >= 0 else blo
-                hi = ahi if compare(ahi, bhi) <= 0 else bhi
-                if compare(lo, hi) < 0:
-                    out.append((lo, hi))
-        return OrdinalSet(out)
+        i = j = 0
+        while i < len(a) and j < len(b):
+            alo, ahi = a[i]
+            blo, bhi = b[j]
+            lo = alo if alo.key >= blo.key else blo
+            # advance past whichever interval ends first
+            if ahi.key <= bhi.key:
+                hi = ahi
+                i += 1
+            else:
+                hi = bhi
+                j += 1
+            if lo.key < hi.key:
+                out.append((lo, hi))
+        return OrdinalSet._of(tuple(out))
 
     def difference(self, other: "OrdinalSet") -> "OrdinalSet":
+        b = other._intervals
         out = []
+        j = 0
         for lo, hi in self._intervals:
-            segments = [(lo, hi)]
-            for blo, bhi in other._intervals:
-                next_segments = []
-                for slo, shi in segments:
-                    cut_lo = slo if compare(slo, blo) >= 0 else blo
-                    cut_hi = shi if compare(shi, bhi) <= 0 else bhi
-                    if compare(cut_lo, cut_hi) >= 0:
-                        next_segments.append((slo, shi))
-                        continue
-                    if compare(slo, cut_lo) < 0:
-                        next_segments.append((slo, cut_lo))
-                    if compare(cut_hi, shi) < 0:
-                        next_segments.append((cut_hi, shi))
-                segments = next_segments
-            out.extend(segments)
-        return OrdinalSet(out)
+            while j < len(b) and b[j][1].key <= lo.key:
+                j += 1
+            # b[j:] starts with the intervals that end above lo; cut them out
+            while j < len(b) and b[j][0].key < hi.key:
+                blo, bhi = b[j]
+                if lo.key < blo.key:
+                    out.append((lo, blo))
+                if hi.key <= bhi.key:
+                    lo = hi  # b[j] may reach into the next interval: keep it
+                    break
+                lo = bhi
+                j += 1
+            if lo.key < hi.key:
+                out.append((lo, hi))
+        return OrdinalSet._of(tuple(out))
 
     def contains(self, x: Ordinal) -> bool:
+        k = x.key
         for lo, hi in self._intervals:
-            if compare(lo, x) <= 0 and compare(x, hi) < 0:
-                return True
+            if k < hi.key:
+                return lo.key <= k
         return False
 
     def is_subset(self, other: "OrdinalSet") -> bool:
@@ -130,9 +179,12 @@ class OrdinalSet:
     # -- order structure -------------------------------------------------
 
     def order_type(self) -> Ordinal:
-        total = ZERO
-        for lo, hi in self._intervals:
-            total = add(total, left_subtract(lo, hi))
+        total = self._order_type
+        if total is None:
+            total = ZERO
+            for lo, hi in self._intervals:
+                total = add(total, left_subtract(lo, hi))
+            self._order_type = total
         return total
 
     def enumerate(self, position: Ordinal) -> Ordinal:
@@ -141,7 +193,7 @@ class OrdinalSet:
         for lo, hi in self._intervals:
             length = left_subtract(lo, hi)
             nxt = add(cum, length)
-            if compare(position, nxt) < 0:
+            if position.key < nxt.key:
                 offset = left_subtract(cum, position)
                 return add(lo, offset)
             cum = nxt
@@ -152,9 +204,10 @@ class OrdinalSet:
     def locate(self, element: Ordinal) -> Ordinal:
         """Inverse of :meth:`enumerate`: the position of ``element``."""
         cum = ZERO
+        k = element.key
         for lo, hi in self._intervals:
-            if compare(element, hi) < 0:
-                if compare(lo, element) <= 0:
+            if k < hi.key:
+                if lo.key <= k:
                     return add(cum, left_subtract(lo, element))
                 break
             cum = add(cum, left_subtract(lo, hi))
@@ -162,49 +215,60 @@ class OrdinalSet:
 
     def slice_positions(self, p_lo: Ordinal, p_hi: Ordinal) -> "OrdinalSet":
         """Elements whose positions lie in ``[p_lo, p_hi)``."""
-        out = []
-        cum = ZERO
-        for lo, hi in self._intervals:
-            length = left_subtract(lo, hi)
-            nxt = add(cum, length)
-            s_lo = p_lo if compare(p_lo, cum) >= 0 else cum
-            s_hi = p_hi if compare(p_hi, nxt) <= 0 else nxt
-            if compare(s_lo, s_hi) < 0:
-                e_lo = add(lo, left_subtract(cum, s_lo))
-                e_hi = add(lo, left_subtract(cum, s_hi))
-                out.append((e_lo, e_hi))
-            cum = nxt
-        return OrdinalSet(out)
+        return self.select_positions(OrdinalSet.interval(p_lo, p_hi))
 
     def select_positions(self, positions: "OrdinalSet") -> "OrdinalSet":
         """Elements at the given set of positions."""
-        out = OrdinalSet()
-        for p_lo, p_hi in positions._intervals:
-            out = out.union(self.slice_positions(p_lo, p_hi))
-        return out
+        # enumeration is strictly increasing, so the images of disjoint
+        # position intervals come out sorted and apart
+        pos = positions._intervals
+        out = []
+        cum = ZERO
+        i = 0
+        for lo, hi in self._intervals:
+            if i == len(pos):
+                break
+            nxt = add(cum, left_subtract(lo, hi))
+            while i < len(pos) and pos[i][0].key < nxt.key:
+                p_lo, p_hi = pos[i]
+                s_lo = p_lo if p_lo.key >= cum.key else cum
+                s_hi = p_hi if p_hi.key <= nxt.key else nxt
+                out.append((add(lo, left_subtract(cum, s_lo)), add(lo, left_subtract(cum, s_hi))))
+                if p_hi.key > nxt.key:
+                    break  # pos[i] goes on into the next interval
+                i += 1
+            cum = nxt
+        return OrdinalSet._of(tuple(out))
 
     def positions_of(self, subset: "OrdinalSet") -> "OrdinalSet":
         """Positions (within self) of the elements of ``subset & self``."""
+        sub = subset._intervals
         out = []
         cum = ZERO
+        j = 0
         for lo, hi in self._intervals:
-            part = subset.intersect(OrdinalSet.interval(lo, hi))
-            for slo, shi in part._intervals:
-                p_lo = add(cum, left_subtract(lo, slo))
-                p_hi = add(cum, left_subtract(lo, shi))
-                out.append((p_lo, p_hi))
+            while j < len(sub) and sub[j][0].key < hi.key:
+                slo, shi = sub[j]
+                if lo.key < shi.key:
+                    s_lo = slo if slo.key >= lo.key else lo
+                    s_hi = shi if shi.key <= hi.key else hi
+                    out.append((add(cum, left_subtract(lo, s_lo)), add(cum, left_subtract(lo, s_hi))))
+                if shi.key > hi.key:
+                    break  # sub[j] goes on into the next interval
+                j += 1
             cum = add(cum, left_subtract(lo, hi))
-        return OrdinalSet(out)
+        # the positions of the ends of two neighbouring intervals touch
+        return OrdinalSet._of(_coalesce(out))
 
     def iter_prefix(self, count: int) -> Iterator[Ordinal]:
         """The first ``count`` elements in increasing order."""
         emitted = 0
         for lo, hi in self._intervals:
             x = lo
-            while emitted < count and compare(x, hi) < 0:
+            while emitted < count and x.key < hi.key:
                 yield x
                 emitted += 1
-                x = add(x, Ordinal(1))
+                x = add(x, ONE)
             if emitted >= count:
                 return
 
@@ -219,8 +283,8 @@ def indecomposable_split(s: OrdinalSet, b: OrdinalSet, c: OrdinalSet) -> str:
     if b.union(c) != s:
         raise PartitionError("B and C do not union to S")
     target = s.order_type()
-    hit_b = compare(b.order_type(), target) == 0
-    hit_c = compare(c.order_type(), target) == 0
+    hit_b = b.order_type() == target
+    hit_c = c.order_type() == target
     if hit_b and hit_c:
         return "both"
     if hit_b:

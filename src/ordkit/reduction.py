@@ -555,6 +555,8 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     """
     if compare(bound, result.alpha) > 0:
         raise BoundViolation("bound must be at most alpha")
+    if bound.is_zero():
+        raise BoundViolation("bound 0 leaves no target to verify")
     report = VerificationReport(bound)
     want = OrdinalSet.interval(ZERO, bound)
     covered = OrdinalSet()

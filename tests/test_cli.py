@@ -83,6 +83,11 @@ class TestCodingCommands:
         assert status == 1
         assert out.splitlines()[0] == "fuel-exhausted"
 
+    def test_negative_fuel_is_a_bound_violation(self):
+        status, out = run("cnfbij", "--alpha", "w", "--dir", "down", "w^2", "--fuel", "-1")
+        assert status == 1
+        assert out.splitlines()[0] == "bound-violation"
+
 
 class TestUsageErrors:
     def test_unknown_flag(self):
@@ -120,6 +125,16 @@ class TestEngineCommands:
         )
         assert status == 0
         assert out.splitlines()[0] == "case=case2 delta=w^w"
+
+    @pytest.mark.parametrize(
+        "name,head",
+        [("case1_identity.txt", "case=case1 k=0 delta=w^2"), ("case2_tower.txt", "case=case2 delta=w^w")],
+    )
+    def test_reduce_verify_below_zero(self, name, head):
+        # a bound of 0 leaves no target to check
+        status, out = run("reduce", "--instance", str(INSTANCES / name), "--verify-below", "0")
+        assert status == 1
+        assert out.splitlines()[:2] == [head, "bound-violation"]
 
     def test_reduce_precondition_error(self):
         status, out = run(
@@ -203,6 +218,12 @@ class TestEngineCommands:
         status, out = run("selftest", "--size", "2")
         assert status == 0
         assert "csb_bijective" in out and "0 failures" in out
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_selftest_size_below_one(self, size):
+        status, out = run("selftest", "--size", size)
+        assert status == 1
+        assert out.splitlines()[0] == "bound-violation"
 
 
 class TestFileInput:

@@ -323,6 +323,15 @@ class TestCsb:
         with pytest.raises(FuelExhausted):
             CsbBijection(f, g, fuel=50).forward(0)
 
+    def test_negative_fuel_rejected(self):
+        f = MapSpec(lambda a: a, lambda b: True, lambda b: b)
+        with pytest.raises(BoundViolation):
+            CsbBijection(f, f, fuel=-1)
+        with pytest.raises(BoundViolation):
+            OmegaPowerBijection(OMEGA, fuel=-1)
+        with pytest.raises(FuelExhausted):
+            CsbBijection(f, f, fuel=0).forward(0)
+
     def test_inconsistent_mapspec(self):
         f = MapSpec(lambda a: a, lambda b: True, lambda b: b + 1)  # wrong inverse
         g = MapSpec(lambda b: b, lambda a: True, lambda a: a)

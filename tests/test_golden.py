@@ -91,6 +91,16 @@ def test_cli_output_matches_golden(argv):
     assert _run(argv) == (expected["status"], expected["stdout"])
 
 
+def test_usage_error_leaves_the_parser_intact():
+    # the parser is built once per process; an argparse exit must not spoil it
+    with pytest.raises(SystemExit) as err:
+        _run(("cnfbij", "--alpha", "w", "--dir", "sideways", "0"))
+    assert err.value.code == 2
+    argv = ("reduce", "--instance", "case2_tower.txt", "--verify-below", "w^3")
+    expected = _load()[argv]
+    assert _run(argv) == (expected["status"], expected["stdout"])
+
+
 def record():
     entries = []
     for argv in COMMANDS:

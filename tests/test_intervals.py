@@ -1,8 +1,10 @@
+from operator import attrgetter
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ordkit.core import OMEGA, Ordinal, add, compare, parse
+from ordkit.core import OMEGA, ZERO, Ordinal, add, compare, left_subtract, parse
 from ordkit.errors import OutOfRangeError, ParseError, PartitionError
 from ordkit.intervals import (
     OrdinalSet,
@@ -11,7 +13,7 @@ from ordkit.intervals import (
     parse_interval_set,
 )
 
-from strategies import flat_ordinals
+from strategies import flat_ordinals, nested_ordinals
 
 
 def o(text):
@@ -20,6 +22,14 @@ def o(text):
 
 def iv(lo, hi):
     return OrdinalSet.interval(o(lo), o(hi))
+
+
+def _assert_canonical(s):
+    intervals = s.intervals
+    for lo, hi in intervals:
+        assert compare(lo, hi) < 0
+    for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
+        assert compare(hi1, lo2) < 0
 
 
 class TestAlgebra:
@@ -39,12 +49,152 @@ class TestAlgebra:
 
     @given(st.lists(st.tuples(flat_ordinals(), flat_ordinals()), max_size=5))
     def test_canonical_invariants(self, pairs):
+        _assert_canonical(OrdinalSet(pairs))
+
+
+# -- the nested-loop, sort-and-merge set algebra the linear sweeps replaced ----
+
+
+def _ref_canonical(intervals):
+    pairs = [(lo, hi) for lo, hi in intervals if compare(lo, hi) < 0]
+    pairs.sort(key=lambda pair: (pair[0].key, pair[1].key))
+    merged = []
+    for lo, hi in pairs:
+        if merged and compare(lo, merged[-1][1]) <= 0:
+            if compare(hi, merged[-1][1]) > 0:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return tuple(merged)
+
+
+def _ref_union(a, b):
+    return _ref_canonical(a + b)
+
+
+def _ref_intersect(a, b):
+    out = []
+    for alo, ahi in a:
+        for blo, bhi in b:
+            lo = alo if compare(alo, blo) >= 0 else blo
+            hi = ahi if compare(ahi, bhi) <= 0 else bhi
+            if compare(lo, hi) < 0:
+                out.append((lo, hi))
+    return _ref_canonical(out)
+
+
+def _ref_difference(a, b):
+    out = []
+    for lo, hi in a:
+        segments = [(lo, hi)]
+        for blo, bhi in b:
+            next_segments = []
+            for slo, shi in segments:
+                cut_lo = slo if compare(slo, blo) >= 0 else blo
+                cut_hi = shi if compare(shi, bhi) <= 0 else bhi
+                if compare(cut_lo, cut_hi) >= 0:
+                    next_segments.append((slo, shi))
+                    continue
+                if compare(slo, cut_lo) < 0:
+                    next_segments.append((slo, cut_lo))
+                if compare(cut_hi, shi) < 0:
+                    next_segments.append((cut_hi, shi))
+            segments = next_segments
+        out.extend(segments)
+    return _ref_canonical(out)
+
+
+def _ref_slice(a, p_lo, p_hi):
+    out = []
+    cum = ZERO
+    for lo, hi in a:
+        nxt = add(cum, left_subtract(lo, hi))
+        s_lo = p_lo if compare(p_lo, cum) >= 0 else cum
+        s_hi = p_hi if compare(p_hi, nxt) <= 0 else nxt
+        if compare(s_lo, s_hi) < 0:
+            out.append((add(lo, left_subtract(cum, s_lo)), add(lo, left_subtract(cum, s_hi))))
+        cum = nxt
+    return _ref_canonical(out)
+
+
+def _ref_select(a, positions):
+    out = ()
+    for p_lo, p_hi in positions:
+        out = _ref_union(out, _ref_slice(a, p_lo, p_hi))
+    return out
+
+
+def _ref_positions_of(a, subset):
+    out = []
+    cum = ZERO
+    for lo, hi in a:
+        for slo, shi in _ref_intersect(subset, ((lo, hi),)):
+            out.append((add(cum, left_subtract(lo, slo)), add(cum, left_subtract(lo, shi))))
+        cum = add(cum, left_subtract(lo, hi))
+    return _ref_canonical(out)
+
+
+def _paired_off(bounds):
+    bounds = sorted(bounds, key=attrgetter("key"))
+    return list(zip(bounds[::2], bounds[1::2]))
+
+
+_bound_pairs = st.one_of(
+    st.lists(st.tuples(nested_ordinals(), nested_ordinals()), max_size=5),
+    # sorted bounds paired off: sets of several separate intervals
+    st.lists(nested_ordinals(), max_size=10).map(_paired_off),
+)
+
+
+class TestSetAlgebraReference:
+    """The linear sweeps and trusted constructor against the code they replaced."""
+
+    @given(_bound_pairs, _bound_pairs)
+    def test_binary_operations(self, pairs_a, pairs_b):
+        a, b = OrdinalSet(pairs_a), OrdinalSet(pairs_b)
+        ref_a, ref_b = _ref_canonical(pairs_a), _ref_canonical(pairs_b)
+        assert a.intervals == ref_a and b.intervals == ref_b
+        for got, want in (
+            (a.union(b), _ref_union(ref_a, ref_b)),
+            (a.intersect(b), _ref_intersect(ref_a, ref_b)),
+            (a.difference(b), _ref_difference(ref_a, ref_b)),
+            (a.positions_of(b), _ref_positions_of(ref_a, ref_b)),
+            (a.select_positions(b), _ref_select(ref_a, ref_b)),
+        ):
+            _assert_canonical(got)
+            assert got.intervals == want
+        assert a.is_subset(b) == (not _ref_difference(ref_a, ref_b))
+
+    @given(_bound_pairs, nested_ordinals(), nested_ordinals())
+    def test_slice_positions(self, pairs, p_lo, p_hi):
         s = OrdinalSet(pairs)
-        intervals = s.intervals
-        for lo, hi in intervals:
-            assert compare(lo, hi) < 0
-        for (_, hi1), (lo2, _) in zip(intervals, intervals[1:]):
-            assert compare(hi1, lo2) < 0
+        got = s.slice_positions(p_lo, p_hi)
+        _assert_canonical(got)
+        assert got.intervals == _ref_slice(s.intervals, p_lo, p_hi)
+
+    @given(_bound_pairs, _bound_pairs)
+    def test_cached_order_type(self, pairs_a, pairs_b):
+        a, b = OrdinalSet(pairs_a), OrdinalSet(pairs_b)
+        for s in (a, b, a.union(b), a.intersect(b), a.difference(b), a.positions_of(b)):
+            first = s.order_type()
+            total = ZERO
+            for lo, hi in s.intervals:
+                total = add(total, left_subtract(lo, hi))
+            assert first == total and s.order_type() is first
+
+    def test_intersect_advances_past_the_shorter_interval(self):
+        a = iv("0", "w").union(iv("w*2", "w*3"))
+        assert a.intersect(iv("5", "w*2+1")) == iv("5", "w").union(iv("w*2", "w*2+1"))
+        assert iv("5", "w*2+1").intersect(a) == iv("5", "w").union(iv("w*2", "w*2+1"))
+
+    def test_positions_of_joins_across_a_gap(self):
+        # positions 3 (end of [0,3)) and 3 (start of [w,w*2)) meet
+        s = iv("0", "3").union(iv("w", "w*2"))
+        assert s.positions_of(iv("1", "w+1")).intervals == ((o("1"), o("4")),)
+
+    def test_difference_leaves_no_empty_piece(self):
+        assert iv("0", "w").difference(iv("0", "5")).intervals == ((o("5"), OMEGA),)
+        assert iv("0", "w").difference(iv("3", "w")).intervals == ((o("0"), o("3")),)
 
 
 class TestOrderType:
