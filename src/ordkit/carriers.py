@@ -5,7 +5,11 @@ blocks; an element is ``(label, position)`` with the position below the
 block shape's order type.  Maps out of a carrier are block-wise monotone
 or constant (:class:`BlockwiseMap`); a monotone piece is the unique order
 isomorphism from (an initial segment of) its domain onto its target set,
-extended by zero beyond the target's length.  This class is closed under
+extended by zero beyond the target's length.  That rule lives in one
+place: :meth:`Piece.image`, :meth:`Piece.preimage` and
+:meth:`Piece.overflow` for sets (and ``_evaluate`` for single points);
+``image_of``, ``preimage_of``, :meth:`CarrierMap.fiber` and the
+finite-to-one transfer are built on them.  This class is closed under
 image, preimage, restriction and difference, with computable order types.
 
 :class:`SurjectionFamily` presents a surjection f: omega x M -> alpha by
@@ -42,6 +46,10 @@ __all__ = [
     "preimage_of",
     "parse_instance",
 ]
+
+
+# limit-scale sample positions of :meth:`Carrier.sample_elements`
+_LADDER = tuple(parse(text) for text in ("w", "w+1", "w*2", "w^2", "w^2+w", "w^3"))
 
 
 class Carrier:
@@ -128,8 +136,7 @@ class Carrier:
                 p = Ordinal(k)
                 if compare(p, theta) < 0:
                     ladder.append((label, p))
-            for text in ("w", "w+1", "w*2", "w^2", "w^2+w", "w^3"):
-                p = parse(text)
+            for p in _LADDER:
                 if compare(p, theta) < 0:
                     ladder.append((label, p))
             ladders.append(ladder)
@@ -172,6 +179,34 @@ class Piece:
         if self.dom is None:
             return carrier.block_positions(self.label)
         return self.dom
+
+    def image(self, carrier: Carrier, part: OrdinalSet) -> OrdinalSet:
+        """The values the piece takes on ``part``, a nonempty subset of its
+        domain: a monotone piece's target elements at the positions of
+        ``part``, and 0 when a position lies past the target's length."""
+        if self.kind == "constant":
+            return OrdinalSet.point(self.value)
+        positions = self.domain_in(carrier).positions_of(part)
+        values = self.target.select_positions(positions)
+        if positions.intervals[-1][1].key > self.target.order_type().key:
+            values = values.union(OrdinalSet.point(ZERO))
+        return values
+
+    def preimage(self, carrier: Carrier, values: OrdinalSet) -> OrdinalSet:
+        """The domain positions the piece sends into ``values``."""
+        dom = self.domain_in(carrier)
+        if self.kind == "constant":
+            return dom if values.contains(self.value) else OrdinalSet()
+        hit = dom.select_positions(self.target.positions_of(values))
+        if values.contains(ZERO):
+            hit = hit.union(self.overflow(carrier))
+        return hit
+
+    def overflow(self, carrier: Carrier) -> OrdinalSet:
+        """The domain positions of a monotone piece past its target's
+        length, which it sends to 0."""
+        dom = self.domain_in(carrier)
+        return dom.slice_positions(self.target.order_type(), dom.order_type())
 
 
 def _evaluate(pieces: tuple, carrier: Carrier, element) -> Optional[tuple]:
@@ -232,40 +267,20 @@ def image_of(
         r = restriction.get(piece.label)
         if r is None or r.is_empty():
             continue
-        dom = piece.domain_in(carrier)
-        part = dom.intersect(r)
-        if part.is_empty():
-            continue
-        if piece.kind == "constant":
-            out = out.union(OrdinalSet.point(piece.value))
-            continue
-        positions = dom.positions_of(part)
-        length = piece.target.order_type()
-        below = positions.intersect(OrdinalSet.interval(ZERO, length))
-        out = out.union(piece.target.select_positions(below))
-        if not positions.difference(OrdinalSet.interval(ZERO, length)).is_empty():
-            out = out.union(OrdinalSet.point(ZERO))
+        part = piece.domain_in(carrier).intersect(r)
+        if not part.is_empty():
+            out = out.union(piece.image(carrier, part))
     return out
 
 
 def preimage_of(map_: BlockwiseMap, carrier: Carrier, target_set: OrdinalSet) -> dict:
-    """Exact preimage as a per-block position-set restriction."""
+    """Exact preimage as a per-block position-set restriction, with an
+    entry for every block."""
     out = {label: OrdinalSet() for label in carrier.labels}
     for piece in map_.pieces:
-        dom = piece.domain_in(carrier)
-        if piece.kind == "constant":
-            if target_set.contains(piece.value):
-                out[piece.label] = out[piece.label].union(dom)
-            continue
-        length = piece.target.order_type()
-        hit = piece.target.positions_of(target_set.intersect(piece.target))
-        hit = hit.intersect(OrdinalSet.interval(ZERO, length))
-        out[piece.label] = out[piece.label].union(dom.select_positions(hit))
-        if target_set.contains(ZERO):
-            total = dom.order_type()
-            if compare(length, total) < 0:
-                overflow = OrdinalSet.interval(length, total)
-                out[piece.label] = out[piece.label].union(dom.select_positions(overflow))
+        hit = piece.preimage(carrier, target_set)
+        if not hit.is_empty():
+            out[piece.label] = out[piece.label].union(hit)
     return out
 
 
@@ -296,33 +311,13 @@ class CarrierMap:
         for piece in self.pieces:
             if piece.target_label != label:
                 continue
-            dom = piece.domain_in(self.source)
-            if piece.kind == "constant":
-                if compare(piece.value, pos) == 0:
-                    total = dom.order_type()
-                    if not total.is_nat():
-                        raise BoundViolation(
-                            f"infinite fiber: constant piece on block {piece.label!r}"
-                        )
-                    for p in dom.iter_prefix(total.nat_value()):
-                        out.append((piece.label, p))
-                continue
-            length = piece.target.order_type()
-            if piece.target.contains(pos):
-                r = piece.target.locate(pos)
-                if compare(r, dom.order_type()) < 0:
-                    out.append((piece.label, dom.enumerate(r)))
-            if pos.is_zero():
-                # zero-extension overflow: positions beyond the target length
-                total = dom.order_type()
-                if compare(length, total) < 0:
-                    overflow = left_subtract(length, total)
-                    if not overflow.is_nat():
-                        raise BoundViolation(
-                            f"infinite fiber over 0 on block {piece.label!r}"
-                        )
-                    for k in range(overflow.nat_value()):
-                        out.append((piece.label, dom.enumerate(add(length, Ordinal(k)))))
+            hit = piece.preimage(self.source, OrdinalSet.point(pos))
+            total = hit.order_type()
+            if not total.is_nat():
+                raise BoundViolation(
+                    f"infinite fiber over {fmt(pos)}: {piece.kind} piece on block {piece.label!r}"
+                )
+            out.extend((piece.label, p) for p in hit.iter_prefix(total.nat_value()))
         return out
 
 

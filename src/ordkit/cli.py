@@ -91,23 +91,19 @@ def _fiber_listing(fam):
 
         def membership(y) -> bool:
             label, pos = y
-            part = restriction.get(label)
-            return part is not None and part.contains(pos)
+            return restriction[label].contains(pos)
 
         total_finite = True
         infinite_label = None
         for label in fam.carrier.labels:
-            part = restriction.get(label)
-            if part is not None and not part.order_type().is_nat():
+            if not restriction[label].order_type().is_nat():
                 total_finite = False
                 infinite_label = label
                 break
         if total_finite:
             members = []
             for label in fam.carrier.labels:
-                part = restriction.get(label)
-                if part is None:
-                    continue
+                part = restriction[label]
                 size = part.order_type().nat_value()
                 members.extend((label, p) for p in part.iter_prefix(size))
             certificate = ("finite", tuple(members))
@@ -172,10 +168,11 @@ def _run(args) -> int:
         fam = load_instance(args.instance)
         fam.check_coverage(value_bound=_coverage_bound(fam))
         result = reduce_omega_product(fam)
+        # verify before writing anything, so an error name comes first
+        report = verify_surjective(result, parse(args.verify_below))
         case, k = result.case_taken
         head = f"case={case}" + (f" k={k}" if case == "case1" else "")
         out.write(head + f" delta={fmt(result.delta)}\n")
-        report = verify_surjective(result, parse(args.verify_below))
         for line in report.lines():
             out.write(line + "\n")
     elif args.command == "refute":

@@ -205,6 +205,7 @@ class ReductionResult:
                     f"(need {fmt(multiply(self.beta, Ordinal(2)))}, have {fmt(theta)})"
                 )
             self._peeled = [ZERO]  # cumulative chunk lengths
+            self._b = [self.carrier.full_restriction()]  # B_n per stage n
 
     # -- case 2 stages --------------------------------------------------
 
@@ -240,7 +241,7 @@ class ReductionResult:
             index = len(self.stages)
             beta_n = omega_power(self._kept.delta(index))
             b_lo = add(self.beta, self._peeled[index])
-            b_restriction = self._b_restriction(index)
+            b_restriction = self._b[index]
             # least k with beta_index < beta_k and full row strength on B_n
             k = None
             for cand in range(max(_STAGE_SEARCH, index + 8)):
@@ -268,39 +269,29 @@ class ReductionResult:
                 raise CoverageBroken(
                     "reserve chunk unexpectedly carries full row strength"
                 )
-            after = self._stage_coverage(self._restriction_difference(b_restriction, chunk))
+            # the chunks are adjacent, so B_n minus this one is B_(n+1)
+            b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
+            after = self._stage_coverage(b_next)
             if not self._coverage_ok(after):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
-            q_map = self._chunk_iso(chunk_lo, chunk_hi)
+            q_map = self._chunk_iso(chunk)
             self.stages.append(
                 Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, q_map, after)
             )
             self._peeled.append(add(self._peeled[index], beta_n))
+            self._b.append(b_next)
 
     def _b_restriction(self, n: int) -> dict:
-        full = self.carrier.full_restriction()
-        if n == 0:
-            return full
-        lo = self.beta
-        hi = add(self.beta, self._peeled[n])
-        peeled = self.carrier.global_range_restriction(lo, hi)
-        return {
-            label: full[label].difference(peeled.get(label, OrdinalSet()))
-            for label in self.carrier.labels
-        }
+        """B_n: the carrier minus the chunks of stages below n."""
+        return self._b[n]
 
-    @staticmethod
-    def _restriction_difference(a: dict, b: dict) -> dict:
-        return {label: a[label].difference(b.get(label, OrdinalSet())) for label in a}
-
-    def _chunk_iso(self, lo: Ordinal, hi: Ordinal) -> BlockwiseMap:
-        """The unique order isomorphism from global positions [lo, hi)
-        onto [0, hi - lo), as block-wise monotone pieces."""
+    def _chunk_iso(self, chunk: dict) -> BlockwiseMap:
+        """The unique order isomorphism from the chunk's global positions
+        [lo, hi) onto [0, hi - lo), as block-wise monotone pieces."""
         pieces = []
         acc = ZERO
-        restriction = self.carrier.global_range_restriction(lo, hi)
         for label in self.carrier.labels:
-            dom = restriction.get(label, OrdinalSet())
+            dom = chunk[label]
             if dom.is_empty():
                 continue
             length = dom.order_type()
@@ -404,8 +395,8 @@ def _least_preimage(row: BlockwiseMap, carrier: Carrier, value: Ordinal):
     maps to ``value``; None if there is none."""
     restriction = preimage_of(row, carrier, OrdinalSet.point(value))
     for label in carrier.labels:
-        positions = restriction.get(label)
-        if positions is None or positions.is_empty():
+        positions = restriction[label]
+        if positions.is_empty():
             continue
         candidate = (label, positions.min_element())
         if compare(row(carrier, candidate), value) == 0:
@@ -526,22 +517,17 @@ class VerificationReport:
         return out
 
 
-_SPREAD = ("1", "2", "5", "w", "w*2+1", "w^2", "w^2+w+1", "w^3")
+# positive and increasing, so lo + x over them is distinct and increasing
+_SPREAD = tuple(parse(text) for text in ("1", "2", "5", "w", "w*2+1", "w^2", "w^2+w+1", "w^3"))
 
 
 def _interval_samples(lo: Ordinal, hi: Ordinal) -> list:
     samples = [lo]
-    for text in _SPREAD:
-        candidate = add(lo, parse(text))
+    for x in _SPREAD:
+        candidate = add(lo, x)
         if compare(candidate, hi) < 0:
             samples.append(candidate)
-    seen = set()
-    out = []
-    for s in samples:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+    return samples
 
 
 def verify_surjective(result, bound: Ordinal) -> VerificationReport:
@@ -590,45 +576,22 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
 def _compose_monotone(f_piece, g_piece, source: Carrier) -> list:
     """Pieces (over the destination carrier) of g restricted to one
     monotone f-piece composed with one g-piece."""
-    fdom = f_piece.domain_in(source)
-    iso_len = fdom.order_type()
-    t_len = f_piece.target.order_type()
-    if compare(t_len, iso_len) < 0:
-        iso_len = t_len
-    gdom = g_piece.domain_in(source)
-    part = fdom.intersect(gdom)
-    if part.is_empty():
+    # the part of both domains that f maps isomorphically onto its target
+    both = f_piece.domain_in(source).intersect(g_piece.domain_in(source))
+    iso = both.difference(f_piece.overflow(source))
+    if iso.is_empty():
         return []
-    idx = fdom.positions_of(part).intersect(OrdinalSet.interval(ZERO, iso_len))
-    if idx.is_empty():
-        return []
-    m_dom = f_piece.target.select_positions(idx)
-    out = []
+    label = f_piece.target_label
     if g_piece.kind == "constant":
-        out.append(
-            Piece(f_piece.target_label, "constant", value=g_piece.value, dom=m_dom)
-        )
-        return out
-    n_set = fdom.select_positions(idx)
-    g_idx = gdom.positions_of(n_set)
-    g_len = g_piece.target.order_type()
-    live = g_idx.intersect(OrdinalSet.interval(ZERO, g_len))
+        return [Piece(label, "constant", value=g_piece.value, dom=f_piece.image(source, iso))]
+    dead = iso.intersect(g_piece.overflow(source))
+    live = iso.difference(dead)
+    out = []
     if not live.is_empty():
-        values = g_piece.target.select_positions(live)
-        live_n = gdom.select_positions(live)
-        live_dom = f_piece.target.select_positions(
-            fdom.positions_of(live_n).intersect(OrdinalSet.interval(ZERO, iso_len))
-        )
-        out.append(
-            Piece(f_piece.target_label, "monotone", target=values, dom=live_dom)
-        )
-    dead = g_idx.difference(OrdinalSet.interval(ZERO, g_len))
+        values = g_piece.image(source, live)
+        out.append(Piece(label, "monotone", target=values, dom=f_piece.image(source, live)))
     if not dead.is_empty():
-        dead_n = gdom.select_positions(dead)
-        dead_dom = f_piece.target.select_positions(
-            fdom.positions_of(dead_n).intersect(OrdinalSet.interval(ZERO, iso_len))
-        )
-        out.append(Piece(f_piece.target_label, "constant", value=ZERO, dom=dead_dom))
+        out.append(Piece(label, "constant", value=ZERO, dom=f_piece.image(source, dead)))
     return out
 
 
@@ -639,14 +602,8 @@ def _fiber_rows(f: CarrierMap, g: BlockwiseMap) -> list:
     source = f.source
     rows = []
     for fp in f.pieces:
-        fdom = fp.domain_in(source)
         if fp.kind == "constant":
-            total = fdom.order_type()
-            if not total.is_nat():
-                raise PreconditionViolated(
-                    f"infinite fiber: constant carrier piece on {fp.label!r}"
-                )
-            singletons = [(q, fp.value) for q in fdom.iter_prefix(total.nat_value())]
+            fiber, position = fp.domain_in(source), fp.value
         else:
             for gp in g.pieces:
                 if gp.label != fp.label:
@@ -654,23 +611,15 @@ def _fiber_rows(f: CarrierMap, g: BlockwiseMap) -> list:
                 pieces = _compose_monotone(fp, gp, source)
                 if pieces:
                     rows.append(BlockwiseMap(pieces))
-            # zero-extension overflow: positions beyond the target length all
-            # land on position 0 of the target block
-            singletons = []
-            t_len = fp.target.order_type()
-            total = fdom.order_type()
-            if compare(t_len, total) < 0:
-                overflow = left_subtract(t_len, total)
-                if not overflow.is_nat():
-                    raise PreconditionViolated(
-                        f"infinite fiber over zero on {fp.label!r}"
-                    )
-                singletons = [
-                    (fdom.enumerate(add(t_len, Ordinal(kk))), ZERO)
-                    for kk in range(overflow.nat_value())
-                ]
+            # zero-extension overflow: all of it lands on position 0
+            fiber, position = fp.overflow(source), ZERO
+        total = fiber.order_type()
+        if not total.is_nat():
+            raise PreconditionViolated(
+                f"infinite fiber over {fmt(position)}: {fp.kind} carrier piece on {fp.label!r}"
+            )
         # one row per fiber point q, sending the target position to g(q)
-        for q, position in singletons:
+        for q in fiber.iter_prefix(total.nat_value()):
             value = g(source, (fp.label, q))
             piece = Piece(fp.target_label, "constant", value=value, dom=OrdinalSet.point(position))
             rows.append(BlockwiseMap([piece]))

@@ -30,3 +30,10 @@ def nested_ordinals(draw, depth=2):
     exponents.sort(key=attrgetter("key"), reverse=True)
     terms = [(e, draw(st.integers(1, 4))) for e in exponents]
     return Ordinal.from_terms(terms)
+
+
+def paired_off(bounds):
+    """Sorted bounds paired off: the intervals of a set of several separate
+    intervals (random pairs of bounds mostly merge into one interval)."""
+    bounds = sorted(bounds, key=attrgetter("key"))
+    return list(zip(bounds[::2], bounds[1::2]))

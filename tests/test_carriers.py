@@ -1,4 +1,9 @@
+import itertools
+from operator import attrgetter
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 from ordkit.carriers import (
     BlockwiseMap,
@@ -11,7 +16,7 @@ from ordkit.carriers import (
     parse_instance,
     preimage_of,
 )
-from ordkit.core import OMEGA, ONE, ZERO, Ordinal, parse
+from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, left_subtract, parse
 from ordkit.errors import (
     BoundViolation,
     CertificateError,
@@ -21,6 +26,9 @@ from ordkit.errors import (
     RowUndefined,
 )
 from ordkit.intervals import OrdinalSet
+from ordkit.reduction import _compose_monotone
+
+from strategies import nested_ordinals, paired_off
 
 
 def o(text):
@@ -143,6 +151,259 @@ class TestCarrierMap:
         )
         with pytest.raises(BoundViolation):
             cmap.fiber(("m", ZERO))
+
+
+# -- the piece rule against the code it replaced ---------------------------------
+#
+# Each of these functions applied the rule "a monotone piece maps the start
+# of its domain onto its target and every later position to 0" by itself;
+# they are kept here, as they were, to check Piece.image / preimage /
+# overflow and the code now built on them.
+
+
+def _ref_image_of(map_, carrier, restriction=None):
+    if restriction is None:
+        restriction = carrier.full_restriction()
+    out = OrdinalSet()
+    for piece in map_.pieces:
+        r = restriction.get(piece.label)
+        if r is None or r.is_empty():
+            continue
+        dom = piece.domain_in(carrier)
+        part = dom.intersect(r)
+        if part.is_empty():
+            continue
+        if piece.kind == "constant":
+            out = out.union(OrdinalSet.point(piece.value))
+            continue
+        positions = dom.positions_of(part)
+        length = piece.target.order_type()
+        below = positions.intersect(OrdinalSet.interval(ZERO, length))
+        out = out.union(piece.target.select_positions(below))
+        if not positions.difference(OrdinalSet.interval(ZERO, length)).is_empty():
+            out = out.union(OrdinalSet.point(ZERO))
+    return out
+
+
+def _ref_preimage_of(map_, carrier, target_set):
+    out = {label: OrdinalSet() for label in carrier.labels}
+    for piece in map_.pieces:
+        dom = piece.domain_in(carrier)
+        if piece.kind == "constant":
+            if target_set.contains(piece.value):
+                out[piece.label] = out[piece.label].union(dom)
+            continue
+        length = piece.target.order_type()
+        hit = piece.target.positions_of(target_set.intersect(piece.target))
+        hit = hit.intersect(OrdinalSet.interval(ZERO, length))
+        out[piece.label] = out[piece.label].union(dom.select_positions(hit))
+        if target_set.contains(ZERO):
+            total = dom.order_type()
+            if compare(length, total) < 0:
+                overflow = OrdinalSet.interval(length, total)
+                out[piece.label] = out[piece.label].union(dom.select_positions(overflow))
+    return out
+
+
+def _ref_fiber(cmap, element):
+    cmap.dest.check_element(element)
+    label, pos = element
+    out = []
+    for piece in cmap.pieces:
+        if piece.target_label != label:
+            continue
+        dom = piece.domain_in(cmap.source)
+        if piece.kind == "constant":
+            if compare(piece.value, pos) == 0:
+                total = dom.order_type()
+                if not total.is_nat():
+                    raise BoundViolation("infinite fiber")
+                for p in dom.iter_prefix(total.nat_value()):
+                    out.append((piece.label, p))
+            continue
+        length = piece.target.order_type()
+        if piece.target.contains(pos):
+            r = piece.target.locate(pos)
+            if compare(r, dom.order_type()) < 0:
+                out.append((piece.label, dom.enumerate(r)))
+        if pos.is_zero():
+            total = dom.order_type()
+            if compare(length, total) < 0:
+                overflow = left_subtract(length, total)
+                if not overflow.is_nat():
+                    raise BoundViolation("infinite fiber over 0")
+                for k in range(overflow.nat_value()):
+                    out.append((piece.label, dom.enumerate(add(length, Ordinal(k)))))
+    return out
+
+
+def _ref_compose_monotone(f_piece, g_piece, source):
+    fdom = f_piece.domain_in(source)
+    iso_len = fdom.order_type()
+    t_len = f_piece.target.order_type()
+    if compare(t_len, iso_len) < 0:
+        iso_len = t_len
+    gdom = g_piece.domain_in(source)
+    part = fdom.intersect(gdom)
+    if part.is_empty():
+        return []
+    idx = fdom.positions_of(part).intersect(OrdinalSet.interval(ZERO, iso_len))
+    if idx.is_empty():
+        return []
+    m_dom = f_piece.target.select_positions(idx)
+    out = []
+    if g_piece.kind == "constant":
+        out.append(Piece(f_piece.target_label, "constant", value=g_piece.value, dom=m_dom))
+        return out
+    n_set = fdom.select_positions(idx)
+    g_idx = gdom.positions_of(n_set)
+    g_len = g_piece.target.order_type()
+    live = g_idx.intersect(OrdinalSet.interval(ZERO, g_len))
+    if not live.is_empty():
+        values = g_piece.target.select_positions(live)
+        live_n = gdom.select_positions(live)
+        live_dom = f_piece.target.select_positions(
+            fdom.positions_of(live_n).intersect(OrdinalSet.interval(ZERO, iso_len))
+        )
+        out.append(Piece(f_piece.target_label, "monotone", target=values, dom=live_dom))
+    dead = g_idx.difference(OrdinalSet.interval(ZERO, g_len))
+    if not dead.is_empty():
+        dead_n = gdom.select_positions(dead)
+        dead_dom = f_piece.target.select_positions(
+            fdom.positions_of(dead_n).intersect(OrdinalSet.interval(ZERO, iso_len))
+        )
+        out.append(Piece(f_piece.target_label, "constant", value=ZERO, dom=dead_dom))
+    return out
+
+
+_ordinals = nested_ordinals()
+# sets of several separate intervals, from sorted bounds paired off
+_sets = st.lists(_ordinals, max_size=6).map(lambda b: OrdinalSet(paired_off(b)))
+_nonempty_sets = _sets.filter(bool)
+# above every value a drawn piece can take
+_DEST_TOP = parse("w^(w^(w^4))")
+
+
+def _shift(s, c):
+    """``c + s``: the same order type, moved up by ``c``."""
+    return OrdinalSet((add(c, lo), add(c, hi)) for lo, hi in s.intervals)
+
+
+@st.composite
+def _pieces(draw, carrier, dom, kinds=("monotone", "constant"), target_label=None):
+    """A piece on block ``n`` over ``dom`` (or, drawn, the whole block);
+    a monotone one gets a target shorter than, as long as, or longer than
+    its domain."""
+    if draw(st.booleans()):
+        dom = None
+    if draw(st.sampled_from(kinds)) == "constant":
+        return Piece("n", "constant", value=draw(_ordinals), dom=dom, target_label=target_label)
+    used = carrier.block_positions("n") if dom is None else dom
+    length = draw(st.sampled_from(["shorter", "equal", "longer"]))
+    if length == "shorter":
+        cut = draw(_ordinals)
+        if compare(cut, used.order_type()) >= 0:
+            cut = used.locate(used.intervals[-1][0])  # drop the last interval
+        base = used.slice_positions(ZERO, cut)
+    elif length == "equal":
+        base = used
+    else:
+        base = used.union(_shift(draw(_nonempty_sets), used.intervals[-1][1]))
+    target = _shift(base, draw(_ordinals))
+    return Piece("n", "monotone", target=target, dom=dom, target_label=target_label)
+
+
+@st.composite
+def _maps(draw, target_label=None, kinds=("monotone", "constant"), count=(1, 3)):
+    """A one-block carrier and pieces over it, with their domains drawn first
+    so the block can hold them all."""
+    doms = draw(st.lists(_nonempty_sets, min_size=count[0], max_size=count[1]))
+    top = max((d.intervals[-1][1] for d in doms), key=attrgetter("key"))
+    carrier = Carrier([("n", OrdinalSet.interval(ZERO, add(top, draw(_ordinals))))])
+    pieces = [draw(_pieces(carrier, d, kinds, target_label)) for d in doms]
+    return carrier, pieces
+
+
+def _outcome(fn, *args):
+    """The result, or the error type a bad input raises."""
+    try:
+        return fn(*args)
+    except BoundViolation:
+        return BoundViolation
+
+
+class TestPieceRuleReference:
+    """Piece.image / preimage / overflow and the code built on them against
+    the copies of the rule they replaced."""
+
+    @given(_maps(), st.one_of(st.none(), _sets), _sets, st.booleans())
+    def test_image_and_preimage(self, carrier_pieces, restriction, values, with_zero):
+        carrier, pieces = carrier_pieces
+        row = BlockwiseMap(pieces)
+        restriction = None if restriction is None else {"n": restriction}
+        image = image_of(row, carrier, restriction)
+        assert image == _ref_image_of(row, carrier, restriction)
+        if with_zero:
+            values = values.union(OrdinalSet.point(ZERO))
+        for target_set in (values, image):
+            assert preimage_of(row, carrier, target_set) == _ref_preimage_of(
+                row, carrier, target_set
+            )
+
+    @given(_maps(target_label="m"), _ordinals)
+    def test_fiber(self, carrier_pieces, extra):
+        source, pieces = carrier_pieces
+        dest = Carrier([("m", OrdinalSet.interval(ZERO, _DEST_TOP))])
+        cmap = CarrierMap(source, dest, pieces)
+        points = {ZERO, extra}
+        for piece in pieces:
+            if piece.kind == "constant":
+                points.add(piece.value)
+            elif piece.target:
+                points.update((piece.target.min_element(), piece.target.intervals[-1][0]))
+        for pos in points:
+            element = ("m", pos)
+            assert _outcome(cmap.fiber, element) == _outcome(_ref_fiber, cmap, element)
+
+    @given(_maps(target_label="m", kinds=("monotone",), count=(1, 1)), st.data())
+    def test_compose_monotone(self, carrier_pieces, data):
+        source, (f_piece,) = carrier_pieces
+        g_dom = data.draw(_nonempty_sets)
+        g_piece = data.draw(_pieces(source, g_dom))
+        assert _compose_monotone(f_piece, g_piece, source) == _ref_compose_monotone(
+            f_piece, g_piece, source
+        )
+
+    def test_exhaustive_on_a_finite_carrier(self):
+        """Every map on a 4-point block cut in two at k, each part constant
+        (0..2) or monotone onto a subset of {0..3}: image_of is the set of
+        values on each restriction, preimage_of the set of points sent into
+        each value set."""
+        size = 4
+        carrier = Carrier([("n", OrdinalSet.interval(ZERO, Ordinal(size)))])
+
+        def points(members):
+            return OrdinalSet((Ordinal(i), Ordinal(i + 1)) for i in members)
+
+        subsets = [
+            [i for i in range(size) if bits >> i & 1] for bits in range(1 << size)
+        ]
+        for k in range(size + 1):
+            doms = [d for d in (OrdinalSet.interval(ZERO, Ordinal(k)),
+                                OrdinalSet.interval(Ordinal(k), Ordinal(size))) if d]
+            choices = [
+                [Piece("n", "constant", value=Ordinal(c), dom=d) for c in range(3)]
+                + [Piece("n", "monotone", target=points(t), dom=d) for t in subsets]
+                for d in doms
+            ]
+            for pieces in itertools.product(*choices):
+                row = BlockwiseMap(pieces)
+                value = [row(carrier, ("n", Ordinal(i))).nat_value() for i in range(size)]
+                for members in subsets:
+                    image = image_of(row, carrier, {"n": points(members)})
+                    assert image == points({value[i] for i in members})
+                    hit = preimage_of(row, carrier, points(members))["n"]
+                    assert hit == points(i for i in range(size) if value[i] in members)
 
 
 class TestSurjectionFamily:

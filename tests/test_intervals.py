@@ -1,5 +1,3 @@
-from operator import attrgetter
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -13,7 +11,7 @@ from ordkit.intervals import (
     parse_interval_set,
 )
 
-from strategies import flat_ordinals, nested_ordinals
+from strategies import flat_ordinals, nested_ordinals, paired_off
 
 
 def o(text):
@@ -134,15 +132,9 @@ def _ref_positions_of(a, subset):
     return _ref_canonical(out)
 
 
-def _paired_off(bounds):
-    bounds = sorted(bounds, key=attrgetter("key"))
-    return list(zip(bounds[::2], bounds[1::2]))
-
-
 _bound_pairs = st.one_of(
     st.lists(st.tuples(nested_ordinals(), nested_ordinals()), max_size=5),
-    # sorted bounds paired off: sets of several separate intervals
-    st.lists(nested_ordinals(), max_size=10).map(_paired_off),
+    st.lists(nested_ordinals(), max_size=10).map(paired_off),
 )
 
 
