@@ -77,9 +77,6 @@ class Carrier:
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.blocks)
 
-    def block_order_type(self, label: str) -> Ordinal:
-        return self._ot[label]
-
     def block_positions(self, label: str) -> OrdinalSet:
         return OrdinalSet.interval(ZERO, self._ot[label])
 
@@ -411,9 +408,14 @@ class SurjectionFamily:
         return self._row_cache[n]
 
     def row_image(self, n: int) -> OrdinalSet:
-        if n not in self._image_cache:
-            self._image_cache[n] = image_of(self.row(n), self.carrier)
-        return self._image_cache[n]
+        """The image of row n; one that leaves [0, alpha) is an error."""
+        image = self._image_cache.get(n)
+        if image is None:
+            image = image_of(self.row(n), self.carrier)
+            if image and image.intervals[-1][1].key > self.alpha.key:
+                raise CoverageBroken(f"row {n} maps outside [0, {fmt(self.alpha)})")
+            self._image_cache[n] = image
+        return image
 
     def delta(self, n: int) -> Ordinal:
         return self.row_image(n).order_type()
@@ -421,60 +423,45 @@ class SurjectionFamily:
     def evaluate(self, n: int, element) -> Ordinal:
         return self.row(n)(self.carrier, element)
 
-    def check_coverage(self, row_bound: int = 16, value_bound: Optional[Ordinal] = None):
-        """Row images must stay inside [0, alpha) and jointly cover it
-        (coverage checked below ``value_bound``, default alpha, using the
-        first ``row_bound`` rows)."""
-        span = OrdinalSet.interval(ZERO, self.alpha)
+    def check_coverage(self):
+        """Make every explicit row image (each must stay inside [0, alpha));
+        without a tail they must also cover [0, alpha).  Tail rows are
+        checked as :meth:`row_image` makes them."""
         union = OrdinalSet()
-        n = 0
-        while n < row_bound and self.has_row(n):
-            image = self.row_image(n)
-            if not image.is_subset(span):
-                raise CoverageBroken(f"row {n} maps outside [0, {fmt(self.alpha)})")
-            union = union.union(image)
-            n += 1
-        bound = value_bound if value_bound is not None else self.alpha
-        want = OrdinalSet.interval(ZERO, bound)
-        if not want.is_subset(union):
-            missing = want.difference(union)
-            raise CoverageBroken(
-                f"rows 0..{n - 1} do not cover [0, {fmt(bound)}); missing {missing}"
-            )
+        for n in range(len(self.rows)):
+            union = union.union(self.row_image(n))
+        if self.tail_rule is None:
+            missing = OrdinalSet.interval(ZERO, self.alpha).difference(union)
+            if missing:
+                raise CoverageBroken(
+                    f"rows 0..{len(self.rows) - 1} do not cover [0, {fmt(self.alpha)}); "
+                    f"missing {missing}"
+                )
 
 
 # -- instance files --------------------------------------------------------------
 
 
-def _parse_piece(text: str, template: bool):
+def _parse_piece(text: str):
+    """A piece as a function of ``n`` (None outside a tail)."""
     head, sep, rest = text.partition("->")
     if not sep:
         raise ParseError(f"piece needs 'label -> kind ...': {text!r}")
     label = head.strip()
     rest = rest.strip()
     if rest.startswith("monotone"):
-        body = rest[len("monotone"):].strip()
-        target = parse_interval_set(body, template=template)
-        if template:
-            return lambda n, label=label, target=target: Piece(
-                label, "monotone", target=target(n)
-            )
-        return Piece(label, "monotone", target=target)
+        target = parse_interval_set(rest[len("monotone"):].strip(), template=True)
+        return lambda n: Piece(label, "monotone", target=target(n))
     if rest.startswith("constant"):
-        body = rest[len("constant"):].strip()
-        if template:
-            value = parse_template(body)
-            return lambda n, label=label, value=value: Piece(label, "constant", value=value(n))
-        return Piece(label, "constant", value=parse(body))
+        value = parse_template(rest[len("constant"):].strip())
+        return lambda n: Piece(label, "constant", value=value(n))
     raise ParseError(f"unknown piece kind in {text!r}")
 
 
-def _parse_row(text: str, template: bool):
-    parts = [p for p in (s.strip() for s in text.split(";")) if p]
-    pieces = [_parse_piece(p, template) for p in parts]
-    if template:
-        return lambda n, pieces=pieces: BlockwiseMap(p(n) for p in pieces)
-    return BlockwiseMap(pieces)
+def _parse_row(text: str):
+    """A row as a function of ``n`` (None outside a tail)."""
+    pieces = [_parse_piece(p) for p in (s.strip() for s in text.split(";")) if p]
+    return lambda n: BlockwiseMap(p(n) for p in pieces)
 
 
 def _nat(text: str, context: str) -> int:
@@ -523,7 +510,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         elif key == "alpha":
             alpha = parse(value.strip())
         elif key.startswith("row"):
-            rows[_nat(key[len("row"):], key)] = _parse_row(value, template=False)
+            rows[_nat(key[len("row"):], key)] = _parse_row(value)(None)
         elif key == "tail":
             spec, tsep, row_text = value.partition(":")
             if not tsep:
@@ -532,7 +519,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             if not spec.startswith("n>="):
                 raise ParseError(f"tail condition must be 'n >= N': {spec!r}")
             start = _nat(spec[len("n>="):], spec)
-            tail = (start, _parse_row(row_text, template=True))
+            tail = (start, _parse_row(row_text))
         else:
             raise ParseError(f"unknown instance key {key!r}")
     if carrier is None or alpha is None:
@@ -550,9 +537,14 @@ def parse_instance(text: str) -> SurjectionFamily:
     probe = [*range(len(row_maps))] + ([len(row_maps)] if tail else [])
     for n in probe:
         row = fam.row(n)
+        seen = set()
         for piece in row.pieces:
             if piece.label not in carrier.labels:
                 raise ParseError(f"row {n} names unknown block {piece.label!r}")
+            # a piece covers its whole block, so a second one would overlap it
+            if piece.label in seen:
+                raise ParseError(f"row {n} gives block {piece.label!r} more than one piece")
+            seen.add(piece.label)
         if not row.is_total_on(carrier):
             raise ParseError(f"row {n} does not cover every block")
     return fam

@@ -16,7 +16,7 @@ import sys
 
 from .carriers import QueryableSet, load_instance, preimage_of, read_ascii_file
 from .coding import OmegaPowerBijection, fin_encode, pair_decode, pair_encode
-from .core import Ordinal, ZERO, compare, fmt, parse
+from .core import Ordinal, compare, fmt, parse
 from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
 from .oracle import exhaustive_check
@@ -166,7 +166,7 @@ def _run(args) -> int:
         out.write(fmt(getattr(bijection, args.direction)(value)) + "\n")
     elif args.command == "reduce":
         fam = load_instance(args.instance)
-        fam.check_coverage(value_bound=_coverage_bound(fam))
+        fam.check_coverage()
         result = reduce_omega_product(fam)
         # verify before writing anything, so an error name comes first
         report = verify_surjective(result, parse(args.verify_below))
@@ -217,19 +217,6 @@ def _run(args) -> int:
             out.write(report.summary() + "\n")
         _law_spot_checks(out)
     return 0
-
-
-def _coverage_bound(fam):
-    # tails cover alpha only in the limit; check a solid finite prefix
-    if fam.tail_rule is None:
-        return fam.alpha
-    span = OrdinalSet()
-    for n in range(12):
-        span = span.union(fam.row_image(n))
-    covered = span.intersect(OrdinalSet.interval(ZERO, fam.alpha))
-    if covered.is_empty():
-        return fam.alpha
-    return covered.intervals[0][1] if covered.intervals[0][0] == ZERO else fam.alpha
 
 
 def _parse_wo_file(content: str):

@@ -9,12 +9,15 @@ pure, and safe to share across threads.
 Expression grammar (ASCII, whitespace-insensitive)::
 
     expr := term ("+" term)*
-    term := "w" ("^" atom)? ("*" nat)? | nat
-    atom := nat | "w" | "(" expr ")"
+    term := "w" ("^" (atom | "w"))? ("*" atom)? | nat | "n"
+    atom := nat | "n" | "(" expr ")"
     nat  := decimal >= 0   (0 forbidden as a coefficient)
 
-Template parsing (used by instance files) extends ``nat`` positions with
-the variable ``n`` and allows a parenthesized expression as a multiplier.
+A coefficient must evaluate to a natural number >= 1.  The variable ``n``
+evaluates only in a template (:func:`parse_template`, the tail rows of
+instance files); :func:`parse` rejects it.  The interval sets
+``[lo,hi),[lo,hi)`` of instance files go through the same lexer and
+parser (``_parse_bounds``).
 """
 
 from __future__ import annotations
@@ -94,12 +97,6 @@ class Ordinal:
         if not self._terms:
             raise OutOfRangeError("0 has no degree")
         return self._terms[0][0]
-
-    @property
-    def leading_coeff(self) -> int:
-        if not self._terms:
-            return 0
-        return self._terms[0][1]
 
     def is_infinite(self) -> bool:
         return bool(self._terms) and not self._terms[0][0].is_zero()
@@ -362,12 +359,6 @@ class _Lexer:
         if self.pos >= len(self.text) or self.text[self.pos] != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
         self.pos += 1
-        if ch == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(f"more than {MAX_NESTING} nested parentheses", self.pos - 1)
-        elif ch == ")":
-            self.depth -= 1
 
 
 # Python's int <-> str conversion refuses more digits than
@@ -394,78 +385,63 @@ def _nat_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-# AST nodes: ('nat', k, pos), ('var', pos), ('w',), ('term', exp_ast|None,
+# AST nodes: ('nat', k, pos), ('var', pos), ('w', pos), ('term', exp_ast|None,
 # coeff_ast|None, pos), ('add', [term_asts])
 
 
-def _parse_expr(lx: _Lexer, template: bool):
-    terms = [_parse_term(lx, template)]
+def _parse_expr(lx: _Lexer):
+    terms = [_parse_term(lx)]
     while lx.peek() == "+":
         lx.expect("+")
-        terms.append(_parse_term(lx, template))
+        terms.append(_parse_term(lx))
     return ("add", terms)
 
 
-def _parse_term(lx: _Lexer, template: bool):
+def _parse_term(lx: _Lexer):
     tok = lx.peek()
     pos = lx.pos
-    if tok == "w":
-        lx.expect("w")
-        exp_ast = None
-        coeff_ast = None
-        if lx.peek() == "^":
-            lx.expect("^")
-            exp_ast = _parse_atom(lx, template)
-        if lx.peek() == "*":
-            lx.expect("*")
-            coeff_ast = _parse_multiplier(lx, template)
-        return ("term", exp_ast, coeff_ast, pos)
-    if tok == "nat":
-        value, npos = lx.take_nat()
-        return ("nat", value, npos)
-    if template and tok == "n":
-        lx.expect("n")
-        return ("var", pos)
-    raise ParseError("expected a term", lx.pos)
+    if tok != "w":
+        if tok == "(":  # a parenthesized expression is an exponent or a coefficient
+            raise ParseError("expected a term", pos)
+        return _parse_atom(lx, "expected a term")
+    lx.expect("w")
+    exp_ast = coeff_ast = None
+    if lx.peek() == "^":
+        lx.expect("^")
+        if lx.peek() == "w":
+            exp_ast = ("w", lx.pos)
+            lx.expect("w")
+        else:
+            exp_ast = _parse_atom(lx, "expected an exponent atom")
+    if lx.peek() == "*":
+        lx.expect("*")
+        coeff_ast = _parse_atom(lx, "expected a coefficient")
+        if coeff_ast[0] == "nat" and coeff_ast[1] == 0:
+            raise ParseError("coefficient 0 is not allowed", coeff_ast[2])
+    return ("term", exp_ast, coeff_ast, pos)
 
 
-def _parse_atom(lx: _Lexer, template: bool):
+def _parse_atom(lx: _Lexer, expected: str):
+    """``nat | "n" | "(" expr ")"``; ``expected`` names the position in
+    the error raised on anything else."""
     tok = lx.peek()
     pos = lx.pos
     if tok == "nat":
         value, npos = lx.take_nat()
         return ("nat", value, npos)
-    if tok == "w":
-        lx.expect("w")
-        return ("w", pos)
-    if template and tok == "n":
+    if tok == "n":
         lx.expect("n")
         return ("var", pos)
-    if tok == "(":
-        lx.expect("(")
-        inner = _parse_expr(lx, template)
-        lx.expect(")")
-        return inner
-    raise ParseError("expected an exponent atom", lx.pos)
-
-
-def _parse_multiplier(lx: _Lexer, template: bool):
-    tok = lx.peek()
-    if tok == "nat":
-        value, npos = lx.take_nat()
-        if value == 0:
-            raise ParseError("coefficient 0 is not allowed", npos)
-        return ("nat", value, npos)
-    if template and tok == "n":
-        pos = lx.pos
-        lx.expect("n")
-        return ("var", pos)
-    if template and tok == "(":
-        lx.expect("(")
-        inner = _parse_expr(lx, template)
-        lx.expect(")")
-        return inner
-    raise ParseError("expected a coefficient", lx.pos)
+    if tok != "(":
+        raise ParseError(expected, pos)
+    lx.expect("(")
+    lx.depth += 1
+    if lx.depth > MAX_NESTING:
+        raise ParseError(f"more than {MAX_NESTING} nested parentheses", pos)
+    inner = _parse_expr(lx)
+    lx.expect(")")
+    lx.depth -= 1
+    return inner
 
 
 def _eval_ast(ast, n: Optional[int]) -> Ordinal:
@@ -496,24 +472,40 @@ def _eval_ast(ast, n: Optional[int]) -> Ordinal:
     raise AssertionError(f"unknown node {kind}")
 
 
-def _parse_to_ast(text: str, template: bool):
+def _parse_to_ast(text: str):
     lx = _Lexer(text)
-    ast = _parse_expr(lx, template)
-    lx._skip_ws()
-    if lx.pos != len(lx.text):
+    ast = _parse_expr(lx)
+    if lx.peek() is not None:
         raise ParseError("trailing input", lx.pos)
     return ast
 
 
+def _parse_bounds(text: str) -> Callable[[Optional[int]], list]:
+    """Parse ``[lo,hi),[lo,hi)`` (a trailing comma allowed) into a function
+    of ``n`` that evaluates the ``(lo, hi)`` bound pairs."""
+    lx = _Lexer(text)
+    asts = []
+    while lx.peek() is not None:
+        lx.expect("[")
+        lo = _parse_expr(lx)
+        lx.expect(",")
+        hi = _parse_expr(lx)
+        lx.expect(")")  # closes the interval, not a group: the depth stays
+        asts.append((lo, hi))
+        if lx.peek() is not None:
+            lx.expect(",")
+    return lambda n: [(_eval_ast(lo, n), _eval_ast(hi, n)) for lo, hi in asts]
+
+
 def parse(text: str) -> Ordinal:
     """Parse an ordinal expression; non-canonical input is normalized."""
-    return _eval_ast(_parse_to_ast(text, template=False), None)
+    return _eval_ast(_parse_to_ast(text), None)
 
 
-def parse_template(text: str) -> Callable[[int], Ordinal]:
-    """Parse an expression that may use the variable ``n``."""
-    ast = _parse_to_ast(text, template=True)
-    return functools.partial(_eval_ast, ast)
+def parse_template(text: str) -> Callable[[Optional[int]], Ordinal]:
+    """Parse an expression that may use the variable ``n``; the result
+    evaluates it at ``n`` (None rejects the variable)."""
+    return functools.partial(_eval_ast, _parse_to_ast(text))
 
 
 # -- formatting ------------------------------------------------------------

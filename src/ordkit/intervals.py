@@ -12,14 +12,19 @@ their results canonical by construction (sorted, nonempty, and each
 ``hi`` strictly below the next ``lo``) and hand them to the private
 ``OrdinalSet._of``, which trusts its input and checks nothing.  Bounds
 compare by :attr:`Ordinal.key`.
+
+The text form ``[lo,hi),[lo,hi)`` is written by
+:func:`format_interval_set` and read by :func:`parse_interval_set`, whose
+bounds (plain, or templates in ``n``) go through :mod:`core`'s expression
+parser; this module scans no text itself.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import ONE, ZERO, Ordinal, add, fmt, left_subtract, parse
-from .errors import OutOfRangeError, ParseError, PartitionError
+from .core import ONE, ZERO, Ordinal, _parse_bounds, add, fmt, left_subtract
+from .errors import OutOfRangeError, PartitionError
 
 __all__ = [
     "OrdinalSet",
@@ -301,56 +306,14 @@ def parse_interval_set(text: str, template: bool = False):
     """Parse ``"[lo,hi),[lo,hi)"``; empty/blank input denotes the empty set.
 
     With ``template=True`` returns a function of ``n`` producing an
-    OrdinalSet (bounds may use the template grammar).
+    OrdinalSet (bounds may use the variable ``n``).
     """
-    from .core import parse_template
+    bounds = _parse_bounds(text.strip())
 
-    text = text.strip()
-    if not text:
-        return (lambda n: OrdinalSet()) if template else OrdinalSet()
-    specs = []
-    pos = 0
-    while pos < len(text):
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-        if pos >= len(text):
-            break
-        if text[pos] != "[":
-            raise ParseError("expected '[' in interval set", pos)
-        depth = 0
-        comma_at = None
-        end_at = None
-        scan = pos + 1
-        while scan < len(text):
-            ch = text[scan]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    end_at = scan
-                    break
-                depth -= 1
-            elif ch == "," and depth == 0 and comma_at is None:
-                comma_at = scan
-            scan += 1
-        if end_at is None or comma_at is None:
-            raise ParseError("interval needs '[lo,hi)'", pos)
-        specs.append((text[pos + 1:comma_at], text[comma_at + 1:end_at]))
-        pos = end_at + 1
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-        if pos < len(text):
-            if text[pos] != ",":
-                raise ParseError("expected ',' between intervals", pos)
-            pos += 1
-    if template:
-        bounds = [(parse_template(lo), parse_template(hi)) for lo, hi in specs]
+    def build(n):
+        return OrdinalSet(bounds(n))
 
-        def build(n: int) -> OrdinalSet:
-            return OrdinalSet((lo(n), hi(n)) for lo, hi in bounds)
-
-        return build
-    return OrdinalSet((parse(lo), parse(hi)) for lo, hi in specs)
+    return build if template else build(None)
 
 
 def format_interval_set(s: OrdinalSet) -> str:

@@ -209,19 +209,14 @@ class ReductionResult:
 
     # -- case 2 stages --------------------------------------------------
 
-    def _full_strength(self, m: int, restriction: dict, delta_m: Ordinal) -> bool:
-        """Whether kept row m, restricted, still reaches a set of its full
-        order type ``delta_m`` inside its image."""
-        image = image_of(self._kept.row(m), self.carrier, restriction)
-        a_m = self._kept.image(m)
-        strength = a_m.positions_of(image.intersect(a_m)).order_type()
-        return compare(strength, delta_m) == 0
-
     def _stage_coverage(self, restriction: dict) -> list:
+        # row m keeps full strength when its restricted image (a subset of
+        # its full image) still has the full order type delta_m
         report = []
         for m in range(_COVERAGE_WINDOW):
             delta_m = self._kept.delta(m)
-            report.append((m, delta_m, self._full_strength(m, restriction, delta_m)))
+            image = image_of(self._kept.row(m), self.carrier, restriction)
+            report.append((m, delta_m, compare(image.order_type(), delta_m) == 0))
         return report
 
     def _coverage_ok(self, report: list) -> bool:
@@ -248,7 +243,8 @@ class ReductionResult:
                 delta_c = self._kept.delta(cand)
                 if compare(self._kept.delta(index), delta_c) >= 0:
                     continue
-                if self._full_strength(cand, b_restriction, delta_c):
+                image = image_of(self._kept.row(cand), self.carrier, b_restriction)
+                if compare(image.order_type(), delta_c) == 0:
                     k = cand
                     break
             if k is None:
@@ -687,8 +683,6 @@ class TransferResult:
         j, q = decoded
         if not j.is_nat() or j.nat_value() >= len(self.fam.rows):
             return ZERO
-        if compare(q, theta) >= 0:
-            return ZERO
         return self.fam.row(j.nat_value())(self.carrier, self.carrier.element_at(q))
 
     def witness_for(self, gamma: Ordinal):
@@ -732,7 +726,7 @@ def finite_to_one_transfer(
     defaults = [Piece(label, "constant", value=ZERO) for label in f.dest.labels]
     rows = [BlockwiseMap(tuple(row.pieces) + tuple(defaults)) for row in rows]
     fam = SurjectionFamily(f.dest, alpha, rows)
-    fam.check_coverage(row_bound=len(rows))
+    fam.check_coverage()
     try:
         reduction = reduce_omega_product(fam, fuel=fuel)
         return TransferResult(f.dest, alpha, fam, "reduce", reduction)
@@ -888,7 +882,7 @@ def refute_powerset(
         value = 0
         if decoded is not None:
             n, q = decoded
-            if n.is_nat() and compare(q, theta) < 0:
+            if n.is_nat():
                 value = induced(n.nat_value(), carrier.element_at(q))
         collapse_cache[x] = value
         return value
@@ -980,7 +974,7 @@ def refute_infinite_powerset(
                 inner = pair_decode(theta, q)
                 if inner is not None:
                     n, y_pos = inner
-                    if n.is_nat() and compare(y_pos, theta) < 0:
+                    if n.is_nat():
                         value = Ordinal(
                             induced(n.nat_value(), carrier.element_at(y_pos))
                         )

@@ -1,3 +1,4 @@
+import functools
 from operator import attrgetter
 
 import hypothesis.strategies as st
@@ -16,20 +17,35 @@ def flat_ordinals(draw, max_exponent=6, max_terms=4, max_coeff=50):
     return Ordinal.from_terms(terms)
 
 
-@st.composite
-def nested_ordinals(draw, depth=2):
-    """Ordinals with ordinal exponents, up to the given nesting depth."""
-    if depth == 0:
-        return draw(flat_ordinals(max_exponent=2, max_terms=2, max_coeff=4))
-    count = draw(st.integers(0, 3))
-    exponents = []
-    for _ in range(count):
-        candidate = draw(nested_ordinals(depth=depth - 1))
-        if all(compare(candidate, e) != 0 for e in exponents):
-            exponents.append(candidate)
-    exponents.sort(key=attrgetter("key"), reverse=True)
-    terms = [(e, draw(st.integers(1, 4))) for e in exponents]
-    return Ordinal.from_terms(terms)
+@functools.cache
+def nested_ordinals(depth=2):
+    """Ordinals with ordinal exponents, up to the given nesting depth.
+
+    Each depth's strategy is built once, around the cached strategy of the
+    depth below.  Depth 0 keeps a composite layer of its own as well:
+    Hypothesis's example generation follows that nesting, and dropping it
+    would change which ordinals are drawn."""
+    inner = (
+        flat_ordinals(max_exponent=2, max_terms=2, max_coeff=4)
+        if depth == 0
+        else nested_ordinals(depth - 1)
+    )
+
+    @st.composite
+    def nested(draw):
+        if depth == 0:
+            return draw(inner)
+        count = draw(st.integers(0, 3))
+        exponents = []
+        for _ in range(count):
+            candidate = draw(inner)
+            if all(compare(candidate, e) != 0 for e in exponents):
+                exponents.append(candidate)
+        exponents.sort(key=attrgetter("key"), reverse=True)
+        terms = [(e, draw(st.integers(1, 4))) for e in exponents]
+        return Ordinal.from_terms(terms)
+
+    return nested()
 
 
 def paired_off(bounds):

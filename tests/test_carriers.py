@@ -25,7 +25,7 @@ from ordkit.errors import (
     ParseError,
     RowUndefined,
 )
-from ordkit.intervals import OrdinalSet
+from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import _compose_monotone
 
 from strategies import nested_ordinals, paired_off
@@ -451,6 +451,19 @@ class TestSurjectionFamily:
         with pytest.raises(CoverageBroken):
             fam.check_coverage()
 
+    def test_tail_row_outside_alpha_rejected(self):
+        carrier = Carrier([("m", iv("0", "w^w"))])
+        target = parse_interval_set("[0,w^n)", template=True)
+
+        def tail(n):
+            return BlockwiseMap([Piece("m", "monotone", target=target(n))])
+
+        fam = SurjectionFamily(carrier, o("w^20"), [], tail=(0, tail))
+        fam.check_coverage()  # with a tail, coverage is left to verification
+        assert fam.delta(20) == o("w^20")
+        with pytest.raises(CoverageBroken, match="row 21 maps outside"):
+            fam.row_image(21)
+
 
 class TestInstanceFiles:
     def test_parse_roundtrip_structure(self):
@@ -511,6 +524,19 @@ class TestInstanceFiles:
             parse_instance(
                 "carrier: a:[0,w)\nalpha: w\nrow 0: a -> monotone [0,w)\n" + line + "\n"
             )
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "row 0: m -> constant 0 ; m -> monotone [0,w^2)",
+            "row 0: m -> monotone [0,w^2) ; m -> constant 0",
+            "row 0: m -> monotone [0,w^2)\ntail: n >= 1: m -> constant n ; m -> constant 0",
+        ],
+    )
+    def test_two_pieces_on_one_block_rejected(self, rows):
+        # each piece of a file covers its whole block, so two always overlap
+        with pytest.raises(ParseError, match="more than one piece"):
+            parse_instance("carrier: m:[0,w^3)\nalpha: w^2\n" + rows + "\n")
 
     def test_tail_rows_validated_at_start(self):
         with pytest.raises(ParseError):

@@ -159,6 +159,28 @@ class TestEngineCommands:
         assert status == 1
         assert out.splitlines()[0] == "coverage-broken"
 
+    def test_reduce_late_row_outside_alpha(self, tmp_path):
+        # every explicit row is checked, not only the first sixteen
+        rows = ["row 0: m -> monotone [0,w^2)"]
+        rows += [f"row {k}: m -> monotone [0,w)" for k in range(1, 16)]
+        rows += ["row 16: m -> monotone [0,w^3)"]
+        path = tmp_path / "late.txt"
+        path.write_text("carrier: m:[0,w^3)\nalpha: w^2\n" + "\n".join(rows) + "\n")
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w^2")
+        assert status == 1
+        assert out.splitlines() == ["coverage-broken", "row 16 maps outside [0, w^2)"]
+
+    def test_reduce_tail_gap_found_in_verification(self, tmp_path):
+        # no row reaches 0; with a tail, coverage is left to verification
+        path = tmp_path / "gap.txt"
+        path.write_text(
+            "carrier: m:[0,w^w)\nalpha: w^w\n"
+            "row 0: m -> monotone [1,w^w)\ntail: n >= 1: m -> monotone [1,w^w)\n"
+        )
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w^2")
+        assert status == 1
+        assert out.splitlines()[0] == "witness-not-found"
+
     def test_refute_modes(self):
         for mode in ("pset", "infpset"):
             status, out = run(

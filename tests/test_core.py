@@ -63,6 +63,13 @@ class TestParse:
         rule = parse_template("w^(n+1)")
         assert rule(2) == parse("w^3")
 
+    def test_parenthesized_coefficient(self):
+        assert parse("w*(2+1)") == parse("w*3")
+        with pytest.raises(ParseError, match="variable n outside template"):
+            parse("w*(n+1)")
+        with pytest.raises(ParseError):
+            parse("w*(w)")
+
     def test_template_coefficient_zero_rejected(self):
         rule = parse_template("w*n")
         with pytest.raises(ParseError):

@@ -1,8 +1,20 @@
+import re
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from ordkit.core import OMEGA, ZERO, Ordinal, add, compare, left_subtract, parse
+from ordkit.core import (
+    MAX_NESTING,
+    OMEGA,
+    ZERO,
+    Ordinal,
+    add,
+    compare,
+    left_subtract,
+    parse,
+    parse_template,
+)
 from ordkit.errors import OutOfRangeError, ParseError, PartitionError
 from ordkit.intervals import (
     OrdinalSet,
@@ -285,3 +297,135 @@ class TestText:
     def test_template(self):
         rule = parse_interval_set("[w*n,w*(n+1))", template=True)
         assert rule(3) == iv("w*3", "w*4")
+
+    def test_trailing_comma_accepted(self):
+        assert parse_interval_set("[0,w),") == iv("0", "w")
+        assert parse_interval_set("[0,w), ", template=True)(1) == iv("0", "w")
+
+    def test_error_position_counts_from_the_set_text(self):
+        with pytest.raises(ParseError) as err:
+            parse_interval_set("[0,w),[w,w^)")
+        assert err.value.position == 11
+
+    def test_interval_brackets_do_not_count_as_nesting(self):
+        head = "[0,1),[2,3),[4,5),[6,7),[w,"
+        s = parse_interval_set(head + "w^(" * MAX_NESTING + "1" + ")" * MAX_NESTING + ")")
+        assert len(s.intervals) == 5
+        # the closing ')' of each interval must not lower the depth count
+        deep = head + "w^(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1) + ")"
+        with pytest.raises(ParseError):
+            parse_interval_set(deep)
+        with pytest.raises(ParseError):
+            parse_interval_set(deep, template=True)
+
+
+# -- the bracket scanner that core's parser replaced --------------------------
+
+
+def _ref_parse_interval_set(text, template=False):
+    """Split each ``[lo,hi)`` at the first comma and the first ``)`` outside
+    parentheses, and parse each bound on its own."""
+    text = text.strip()
+    if not text:
+        return (lambda n: OrdinalSet()) if template else OrdinalSet()
+    specs = []
+    pos = 0
+    while pos < len(text):
+        while pos < len(text) and text[pos] in " \t":
+            pos += 1
+        if pos >= len(text):
+            break
+        if text[pos] != "[":
+            raise ParseError("expected '[' in interval set", pos)
+        depth = 0
+        comma_at = None
+        end_at = None
+        scan = pos + 1
+        while scan < len(text):
+            ch = text[scan]
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                if depth == 0:
+                    end_at = scan
+                    break
+                depth -= 1
+            elif ch == "," and depth == 0 and comma_at is None:
+                comma_at = scan
+            scan += 1
+        if end_at is None or comma_at is None:
+            raise ParseError("interval needs '[lo,hi)'", pos)
+        specs.append((text[pos + 1:comma_at], text[comma_at + 1:end_at]))
+        pos = end_at + 1
+        while pos < len(text) and text[pos] in " \t":
+            pos += 1
+        if pos < len(text):
+            if text[pos] != ",":
+                raise ParseError("expected ',' between intervals", pos)
+            pos += 1
+    if template:
+        bounds = [(parse_template(lo), parse_template(hi)) for lo, hi in specs]
+        return lambda n: OrdinalSet((lo(n), hi(n)) for lo, hi in bounds)
+    return OrdinalSet((parse(lo), parse(hi)) for lo, hi in specs)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ParseError:
+        return ParseError
+
+
+_TEMPLATE_NS = (0, 1, 2, 5)
+
+
+def _same_parse(text, template=False):
+    """Both parsers raise ParseError on ``text``, or give the same set
+    (for a template: the same outcome at each of a few ``n``)."""
+    got = _outcome(parse_interval_set, text, template)
+    want = _outcome(_ref_parse_interval_set, text, template)
+    if not template or got is ParseError or want is ParseError:
+        assert got == want
+        return got
+    for n in _TEMPLATE_NS:
+        assert _outcome(got, n) == _outcome(want, n)
+    return got
+
+
+@st.composite
+def _set_texts(draw, template=False):
+    """A rendered multi-interval set with spaces and tabs between tokens;
+    a template replaces some numbers with ``n`` or ``(n+1)``."""
+    bounds = draw(st.lists(nested_ordinals(), max_size=8))
+    text = format_interval_set(OrdinalSet(paired_off(bounds)))
+    tokens = re.findall(r"[0-9]+|.", text)
+    if template:
+        tokens = [
+            draw(st.sampled_from([t, t, "n", "(n+1)"])) if t.isdigit() else t for t in tokens
+        ]
+    gaps = draw(st.lists(st.text(" \t", max_size=2), min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+
+
+class TestParserReference:
+    """parse_interval_set on core's lexer against the scanner it replaced."""
+
+    @given(_set_texts())
+    def test_plain_texts(self, text):
+        assert _same_parse(text) is not ParseError
+
+    @given(_set_texts(template=True))
+    def test_template_texts(self, text):
+        _same_parse(text, template=True)
+
+    @given(_set_texts(), st.data())
+    def test_one_character_edits(self, text, data):
+        at = data.draw(st.integers(0, len(text)))
+        insert = data.draw(st.sampled_from([None, *"[](),^*+wn0123456789"]))
+        if insert is None:
+            edited = text[:at] + text[at + 1:]
+        else:
+            edited = text[:at] + insert + text[at:]
+        _same_parse(edited)
+        _same_parse(edited, template=True)
