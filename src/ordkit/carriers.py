@@ -242,15 +242,16 @@ class BlockwiseMap:
             raise OutOfRangeError(f"map undefined at {element!r}")
         return value
 
+    def gap(self, carrier: Carrier, label: str) -> OrdinalSet:
+        """The positions of block ``label`` that no piece covers."""
+        out = carrier.block_positions(label)
+        for piece in self.pieces:
+            if piece.label == label:
+                out = out.difference(piece.domain_in(carrier))
+        return out
+
     def is_total_on(self, carrier: Carrier) -> bool:
-        for label in carrier.labels:
-            covered = OrdinalSet()
-            for piece in self.pieces:
-                if piece.label == label:
-                    covered = covered.union(piece.domain_in(carrier))
-            if not carrier.block_positions(label).is_subset(covered):
-                return False
-        return True
+        return all(self.gap(carrier, label).is_empty() for label in carrier.labels)
 
 
 def image_of(
@@ -420,9 +421,6 @@ class SurjectionFamily:
     def delta(self, n: int) -> Ordinal:
         return self.row_image(n).order_type()
 
-    def evaluate(self, n: int, element) -> Ordinal:
-        return self.row(n)(self.carrier, element)
-
     def check_coverage(self):
         """Make every explicit row image (each must stay inside [0, alpha));
         without a tail they must also cover [0, alpha).  Tail rows are
@@ -545,7 +543,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             if piece.label in seen:
                 raise ParseError(f"row {n} gives block {piece.label!r} more than one piece")
             seen.add(piece.label)
-        if not row.is_total_on(carrier):
+        if len(seen) != len(carrier.labels):
             raise ParseError(f"row {n} does not cover every block")
     return fam
 

@@ -436,8 +436,6 @@ class OmegaPowerBijection:
         )
 
     def _decode(self, z: Ordinal) -> Optional[Ordinal]:
-        if compare(z, self.alpha) >= 0:
-            return None
         codes = fin_decode(self.alpha, z)
         if codes is None:
             return None

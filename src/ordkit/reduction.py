@@ -179,6 +179,12 @@ class Stage:
     coverage: list  # [(kept row m, delta_m, qualifies)]
 
 
+def _top_rows(deltas: list) -> list:
+    """The window rows whose delta_m is the window's largest."""
+    top = max(deltas)
+    return [m for m, delta_m in enumerate(deltas) if delta_m == top]
+
+
 class ReductionResult:
     """An evaluable surjection M -> [0, alpha) with its construction record."""
 
@@ -209,25 +215,11 @@ class ReductionResult:
 
     # -- case 2 stages --------------------------------------------------
 
-    def _stage_coverage(self, restriction: dict) -> list:
-        # row m keeps full strength when its restricted image (a subset of
-        # its full image) still has the full order type delta_m
-        report = []
-        for m in range(_COVERAGE_WINDOW):
-            delta_m = self._kept.delta(m)
-            image = image_of(self._kept.row(m), self.carrier, restriction)
-            report.append((m, delta_m, compare(image.order_type(), delta_m) == 0))
-        return report
-
-    def _coverage_ok(self, report: list) -> bool:
-        best = ZERO
-        best_qual = ZERO
-        for _, delta_m, qualifies in report:
-            if compare(delta_m, best) > 0:
-                best = delta_m
-            if qualifies and compare(delta_m, best_qual) > 0:
-                best_qual = delta_m
-        return compare(best, best_qual) == 0
+    def _strong(self, m: int, restriction: dict) -> bool:
+        """Kept row m keeps full strength on the restriction: its restricted
+        image (a subset of its full image) still has order type delta_m."""
+        image = image_of(self._kept.row(m), self.carrier, restriction)
+        return compare(image.order_type(), self._kept.delta(m)) == 0
 
     def ensure_stage(self, n: int):
         if self.case_taken[0] != "case2":
@@ -235,16 +227,12 @@ class ReductionResult:
         while len(self.stages) <= n:
             index = len(self.stages)
             beta_n = omega_power(self._kept.delta(index))
-            b_lo = add(self.beta, self._peeled[index])
             b_restriction = self._b[index]
             # least k with beta_index < beta_k and full row strength on B_n
             k = None
             for cand in range(max(_STAGE_SEARCH, index + 8)):
-                delta_c = self._kept.delta(cand)
-                if compare(self._kept.delta(index), delta_c) >= 0:
-                    continue
-                image = image_of(self._kept.row(cand), self.carrier, b_restriction)
-                if compare(image.order_type(), delta_c) == 0:
+                above = compare(self._kept.delta(index), self._kept.delta(cand)) < 0
+                if above and self._strong(cand, b_restriction):
                     k = cand
                     break
             if k is None:
@@ -254,21 +242,27 @@ class ReductionResult:
             beta_k = omega_power(self._kept.delta(k))
             if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
                 raise CoverageBroken(f"beta_{index}*2 < beta_k fails at stage {index}")
-            chunk_lo = b_lo
+            chunk_lo = add(self.beta, self._peeled[index])
             chunk_hi = add(chunk_lo, beta_n)
             chunk = self.carrier.global_range_restriction(chunk_lo, chunk_hi)
+            # the coverage condition holds on a restriction exactly when a
+            # window row of the largest delta_m keeps full strength there
+            top = _top_rows([self._kept.delta(m) for m in range(_COVERAGE_WINDOW)])
             # Branch order: first ask whether coverage survives keeping only
             # the candidate chunk.  Reserve-zone chunks never carry row
             # strength, so the complement branch is always the one taken; a
             # pass here means the instance left the structured class.
-            if self._coverage_ok(self._stage_coverage(chunk)):
+            if any(self._strong(m, chunk) for m in top):
                 raise CoverageBroken(
                     "reserve chunk unexpectedly carries full row strength"
                 )
             # the chunks are adjacent, so B_n minus this one is B_(n+1)
             b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
-            after = self._stage_coverage(b_next)
-            if not self._coverage_ok(after):
+            after = [
+                (m, self._kept.delta(m), self._strong(m, b_next))
+                for m in range(_COVERAGE_WINDOW)
+            ]
+            if not any(after[m][2] for m in top):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
             q_map = self._chunk_iso(chunk)
             self.stages.append(
@@ -337,16 +331,11 @@ class ReductionResult:
 
     def _alpha_value(self, z: Ordinal) -> Ordinal:
         """The pairing-decoded step from delta onto alpha, extended by zero."""
-        decoded = pair_decode(self.delta, z)
-        if decoded is None:
+        decoded = _nat_pair(self.delta, z)
+        if decoded is None or not self.fam.has_row(decoded[0]):
             return ZERO
         n, gamma = decoded
-        if not n.is_nat():
-            return ZERO
-        n_int = n.nat_value()
-        if not self.fam.has_row(n_int):
-            return ZERO
-        image = self.fam.row_image(n_int)
+        image = self.fam.row_image(n)
         if compare(gamma, image.order_type()) >= 0:
             return ZERO
         return image.enumerate(gamma)
@@ -376,14 +365,15 @@ class ReductionResult:
         """A carrier element mapped to gamma by the surjection."""
         if compare(gamma, self.alpha) >= 0:
             raise BoundViolation(f"target {fmt(gamma)} is not below alpha")
-        for n in range(_ROW_SCAN):
+        scan = _row_scan(self.fam)
+        for n in range(scan):
             if not self.fam.has_row(n):
                 break
             image = self.fam.row_image(n)
             if image.contains(gamma):
                 z = pair_encode(self.delta, Ordinal(n), image.locate(gamma))
                 return self.delta_witness(z)
-        raise WitnessNotFound(f"no row covers {fmt(gamma)} within {_ROW_SCAN} rows")
+        raise WitnessNotFound(f"no row covers {fmt(gamma)} within {scan} rows")
 
 
 def _least_preimage(row: BlockwiseMap, carrier: Carrier, value: Ordinal):
@@ -398,6 +388,28 @@ def _least_preimage(row: BlockwiseMap, carrier: Carrier, value: Ordinal):
         if compare(row(carrier, candidate), value) == 0:
             return candidate
     return None
+
+
+def _nat_pair(theta: Ordinal, p: Ordinal) -> Optional[tuple]:
+    """(n, q) when p codes a pair (n, q) below theta with n a natural, as
+    an int; None otherwise."""
+    decoded = pair_decode(theta, p)
+    if decoded is None or not decoded[0].is_nat():
+        return None
+    return decoded[0].nat_value(), decoded[1]
+
+
+def _code_point(carrier: Carrier, n: int, y):
+    """The element at the code of (n, y's global position): the point that
+    a pairing sweep of the carrier reads as y in row n."""
+    theta = carrier.order_type
+    return carrier.element_at(pair_encode(theta, Ordinal(n), carrier.global_position(y)))
+
+
+def _row_scan(fam: SurjectionFamily) -> int:
+    """Rows searched for a witness or a first cover: every explicit row (a
+    transfer family can have many), and at least _ROW_SCAN rows of a tail."""
+    return max(_ROW_SCAN, len(fam.rows))
 
 
 class _KeptRows:
@@ -434,18 +446,11 @@ class _KeptRows:
     def delta(self, j: int) -> Ordinal:
         return self.fam.delta(self.original(j))
 
-    def explicit_count(self) -> int:
-        """Kept rows among the explicit (non-tail) originals."""
-        count = 0
-        for n in range(len(self.fam.rows)):
-            if self.fam.delta(n).is_infinite():
-                count += 1
-        return count
-
 
 def _compute_delta(fam: SurjectionFamily, kept: _KeptRows) -> tuple:
     """(delta, attained_kept_index or None) over the filtered rows."""
-    explicit_kept = kept.explicit_count()
+    # kept rows among the explicit (non-tail) originals
+    explicit_kept = sum(fam.delta(n).is_infinite() for n in range(len(fam.rows)))
     best = ZERO
     best_at = None
     for j in range(explicit_kept):
@@ -457,10 +462,8 @@ def _compute_delta(fam: SurjectionFamily, kept: _KeptRows) -> tuple:
             raise PreconditionViolated("no rows with infinite order type")
         return best, best_at
     limit, attained = ordinal_sequence_limit(kept.delta, start=explicit_kept)
-    if compare(best, limit) > 0:
-        return best, best_at
-    if compare(best, limit) == 0 and best_at is not None:
-        return best, best_at
+    if compare(best, limit) >= 0:
+        return best, best_at  # the limit is at least w, so best_at is set
     if attained:
         for j in range(explicit_kept, explicit_kept + 512):
             if compare(kept.delta(j), limit) == 0:
@@ -542,9 +545,7 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     report = VerificationReport(bound)
     want = OrdinalSet.interval(ZERO, bound)
     covered = OrdinalSet()
-    # every explicit row (a transfer family can have many), and at least
-    # the first _ROW_SCAN rows of a tail
-    scan = max(_ROW_SCAN, len(result.fam.rows))
+    scan = _row_scan(result.fam)
     for n in range(scan):
         if want.difference(covered).is_empty():
             break
@@ -675,15 +676,11 @@ class TransferResult:
             return self.reduction.surjection(element)
         if self.route == "row":
             return self.fam.row(self.row_index)(self.carrier, element)
-        theta = self.carrier.order_type
-        p = self.carrier.global_position(element)
-        decoded = pair_decode(theta, p)
-        if decoded is None:
+        decoded = _nat_pair(self.carrier.order_type, self.carrier.global_position(element))
+        if decoded is None or decoded[0] >= len(self.fam.rows):
             return ZERO
         j, q = decoded
-        if not j.is_nat() or j.nat_value() >= len(self.fam.rows):
-            return ZERO
-        return self.fam.row(j.nat_value())(self.carrier, self.carrier.element_at(q))
+        return self.fam.row(j)(self.carrier, self.carrier.element_at(q))
 
     def witness_for(self, gamma: Ordinal):
         if self.route == "reduce":
@@ -695,11 +692,7 @@ class TransferResult:
             y = _least_preimage(self.fam.row(j), self.carrier, gamma)
             if y is None:
                 continue
-            if self.route == "row":
-                return y
-            theta = self.carrier.order_type
-            code = pair_encode(theta, Ordinal(j), self.carrier.global_position(y))
-            return self.carrier.element_at(code)
+            return y if self.route == "row" else _code_point(self.carrier, j, y)
         raise WitnessNotFound(f"no row reaches {fmt(gamma)}")
 
     def verify(self, bound: Ordinal) -> list:
@@ -722,9 +715,17 @@ def finite_to_one_transfer(
         raise PreconditionViolated("alpha must be infinite")
     if not g.is_total_on(f.source):
         raise PreconditionViolated("g must be total on the source carrier")
-    rows = _fiber_rows(f, g)
-    defaults = [Piece(label, "constant", value=ZERO) for label in f.dest.labels]
-    rows = [BlockwiseMap(tuple(row.pieces) + tuple(defaults)) for row in rows]
+    # extend each row by 0 only where its pieces leave a block uncovered: a
+    # whole-block default would overlap them, and image_of would count a 0
+    # that the row never takes
+    rows = []
+    for row in _fiber_rows(f, g):
+        pads = []
+        for label in f.dest.labels:
+            gap = row.gap(f.dest, label)
+            if not gap.is_empty():
+                pads.append(Piece(label, "constant", value=ZERO, dom=gap))
+        rows.append(BlockwiseMap(row.pieces + tuple(pads)))
     fam = SurjectionFamily(f.dest, alpha, rows)
     fam.check_coverage()
     try:
@@ -737,8 +738,6 @@ def finite_to_one_transfer(
         if span.is_subset(fam.row_image(j)):
             # a single fiber row already surjects (e.g. singleton fibers)
             return TransferResult(f.dest, alpha, fam, "row", None, row_index=j)
-    if not f.dest.order_type.is_infinite():
-        raise PreconditionViolated("cannot surject a finite carrier onto alpha")
     return TransferResult(f.dest, alpha, fam, "sweep", None)
 
 
@@ -823,17 +822,25 @@ def _distinguisher(tag, index, point, missed: QueryableSet, listed: QueryableSet
 
 def _refutation(
     missed: QueryableSet,
-    distinguishers: list,
+    table: list,
+    table_search: Callable,
     phi: Callable,
     points: list,
     check_bound: int,
     search: Callable,
     missed_name: str,
 ) -> RefutationWitness:
-    """The witness: the table ``distinguishers``, then one against each
-    listed set phi(n, sample i) for the first ``check_bound`` pairs (n, i),
-    at the first point of ``search(n, i)`` where it differs from
-    ``missed``; every distinguisher is rechecked."""
+    """The witness: one distinguisher against each table entry i, at the
+    first point of ``table_search(i)`` where it differs from ``missed``,
+    then one against each listed set phi(n, sample i) for the first
+    ``check_bound`` pairs (n, i), at the first point of ``search(n, i)``;
+    every distinguisher is rechecked."""
+    distinguishers = []
+    for i, entry in enumerate(table):
+        w = _distinct_point(missed, entry, table_search(i))
+        if w is None:
+            raise WitnessNotFound(f"cannot separate the {missed_name} from table entry {i}")
+        distinguishers.append(_distinguisher("table", i, w, missed, entry))
     for n, q_idx in _listing_pairs(check_bound):
         if q_idx >= len(points):
             continue
@@ -875,54 +882,36 @@ def refute_powerset(
     collapse_cache: dict = {}
 
     def collapse(x) -> int:
-        if x in collapse_cache:
-            return collapse_cache[x]
-        p = carrier.global_position(x)
-        decoded = pair_decode(theta, p)
-        value = 0
-        if decoded is not None:
-            n, q = decoded
-            if n.is_nat():
-                value = induced(n.nat_value(), carrier.element_at(q))
-        collapse_cache[x] = value
-        return value
+        if x not in collapse_cache:
+            decoded = _nat_pair(theta, carrier.global_position(x))
+            value = 0
+            if decoded is not None:
+                value = induced(decoded[0], carrier.element_at(decoded[1]))
+            collapse_cache[x] = value
+        return collapse_cache[x]
 
     def listing(x) -> QueryableSet:
         return table[collapse(x)]
 
-    def code_point(n: int, y):
-        """The element that collapses to (n, y): there the listing is
-        the table entry induced by phi(n, y)."""
-        return carrier.element_at(
-            pair_encode(theta, Ordinal(n), carrier.global_position(y))
-        )
-
     missed = cantor_diagonal(listing, carrier)
-
-    # guaranteed distinguishers against table entries: find a point whose
-    # collapsed index is i, which then separates the diagonal from table[i]
     pairs = _listing_pairs(check_bound)
-    distinguishers = []
-    for i in range(len(table)):
-        found = None
+
+    def table_search(i: int):
+        # a code point whose collapsed index is i separates the diagonal
+        # from table[i]; the samples are the fallback
         for n, q_idx in pairs:
-            if q_idx >= len(points):
-                continue
-            y = points[q_idx]
-            if induced(n, y) == i:
-                found = code_point(n, y)
+            if q_idx < len(points) and induced(n, points[q_idx]) == i:
+                yield _code_point(carrier, n, points[q_idx])
                 break
-        if found is None:
-            found = _distinct_point(missed, table[i], points)
-        if found is None:
-            raise WitnessNotFound(f"cannot separate the diagonal from table entry {i}")
-        distinguishers.append(_distinguisher("table", i, found, missed, table[i]))
+        yield from points
 
     def search(n: int, q_idx: int):
         yield from points
-        yield code_point(n, points[q_idx])  # built only when no sample separates
+        yield _code_point(carrier, n, points[q_idx])  # built only when no sample separates
 
-    return _refutation(missed, distinguishers, phi, points, check_bound, search, "diagonal")
+    return _refutation(
+        missed, table, table_search, phi, points, check_bound, search, "diagonal"
+    )
 
 
 def refute_infinite_powerset(
@@ -966,19 +955,13 @@ def refute_infinite_powerset(
         if x in g_cache:
             return g_cache[x]
         value = ZERO
-        p = carrier.global_position(x)
-        decoded = pair_decode(theta, p)
+        decoded = _nat_pair(theta, carrier.global_position(x))
         if decoded is not None:
             j, q = decoded
-            if compare(j, ZERO) == 0:
-                inner = pair_decode(theta, q)
-                if inner is not None:
-                    n, y_pos = inner
-                    if n.is_nat():
-                        value = Ordinal(
-                            induced(n.nat_value(), carrier.element_at(y_pos))
-                        )
-            elif compare(j, ONE) == 0 and q.is_nat():
+            inner = _nat_pair(theta, q) if j == 0 else None
+            if inner is not None:
+                value = Ordinal(induced(inner[0], carrier.element_at(inner[1])))
+            elif j == 1 and q.is_nat():
                 value = q
         g_cache[x] = value
         return value
@@ -1042,15 +1025,10 @@ def refute_infinite_powerset(
         search_points.append(g_witness(Ordinal(probe)))
         search_points.append(lane[probe])
 
-    distinguishers = []
-    for i in range(size):
-        w = _distinct_point(missed, table[i], lane + points)
-        if w is None:
-            raise WitnessNotFound(f"cannot separate the missed set from table entry {i}")
-        distinguishers.append(_distinguisher("table", i, w, missed, table[i]))
     return _refutation(
         missed,
-        distinguishers,
+        table,
+        lambda i: lane + points,
         infinite_phi,
         points,
         check_bound,

@@ -1,4 +1,5 @@
 import io
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from ordkit.cli import main
 
 INSTANCES = Path(__file__).parent / "instances"
+ROOT = Path(__file__).parent.parent
 
 
 def run(*argv):
@@ -170,6 +172,18 @@ class TestEngineCommands:
         assert status == 1
         assert out.splitlines() == ["coverage-broken", "row 16 maps outside [0, w^2)"]
 
+    def test_reduce_cover_after_row_63(self, tmp_path):
+        # witnesses are searched in as many rows as verification scans
+        rows = [f"row {k}: a -> monotone [0,w)" for k in range(70)]
+        rows += ["row 70: a -> monotone [0,w^2)"]
+        path = tmp_path / "late_cover.txt"
+        path.write_text("carrier: a:[0,w^3)\nalpha: w^2\n" + "\n".join(rows) + "\n")
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w^2")
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[0] == "case=case1 k=70 delta=w^2"
+        assert "interval=[w,w^2) row=70" in lines
+
     def test_reduce_tail_gap_found_in_verification(self, tmp_path):
         # no row reaches 0; with a tail, coverage is left to verification
         path = tmp_path / "gap.txt"
@@ -282,6 +296,28 @@ class TestFileInput:
     @pytest.mark.parametrize("content", [b"0 x\n", b"0 1\n1 2.5\n", b"bits: 1,x\n"])
     def test_bad_well_order_number(self, tmp_path, content):
         assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
+
+
+def _readme_commands() -> list:
+    """The lines of the README's command-line block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", _readme_commands(), ids=lambda line: line.split()[1])
+    def test_command_line_example(self, line, monkeypatch):
+        # run from the repository root, where the example paths lead;
+        # a "# -> a / b" comment gives the output lines
+        monkeypatch.chdir(ROOT)
+        program, *argv = shlex.split(line, comments=True)
+        assert program == "ordkit"
+        status, out = run(*argv)
+        assert status == 0, out
+        _, arrow, expected = line.partition("# ->")
+        if arrow:
+            assert " / ".join(out.splitlines()) == expected.strip()
 
 
 class TestDeterminism:

@@ -1,6 +1,9 @@
+import itertools
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from ordkit.carriers import (
     BlockwiseMap,
@@ -9,17 +12,28 @@ from ordkit.carriers import (
     Piece,
     QueryableSet,
     SurjectionFamily,
+    image_of,
     load_instance,
+    parse_instance,
 )
 from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, multiply, omega_power, parse
 from ordkit.errors import (
+    CoverageBroken,
     EmptyFiber,
     PreconditionViolated,
     TableNotInjective,
     TailLimitUndecided,
+    ToolkitError,
 )
 from ordkit.intervals import OrdinalSet
 from ordkit.reduction import (
+    _COVERAGE_WINDOW,
+    _STAGE_SEARCH,
+    ReductionResult,
+    Stage,
+    _compute_delta,
+    _KeptRows,
+    _top_rows,
     cantor_diagonal,
     finite_to_one_transfer,
     fiber_family_values,
@@ -273,6 +287,162 @@ class TestReduceCase2:
             reduce_omega_product(fam)
 
 
+def _ref_coverage_ok(report: list) -> bool:
+    best = ZERO
+    best_qual = ZERO
+    for _, delta_m, qualifies in report:
+        if compare(delta_m, best) > 0:
+            best = delta_m
+        if qualifies and compare(delta_m, best_qual) > 0:
+            best_qual = delta_m
+    return compare(best, best_qual) == 0
+
+
+class _ReferenceStages(ReductionResult):
+    """The stage construction as it was before row strength had one test:
+    every window row is imaged on the chunk and on B_(n+1), and the
+    coverage condition compares the window's largest delta_m with its
+    largest qualifying one."""
+
+    def _stage_coverage(self, restriction: dict) -> list:
+        report = []
+        for m in range(_COVERAGE_WINDOW):
+            delta_m = self._kept.delta(m)
+            image = image_of(self._kept.row(m), self.carrier, restriction)
+            report.append((m, delta_m, compare(image.order_type(), delta_m) == 0))
+        return report
+
+    def ensure_stage(self, n: int):
+        while len(self.stages) <= n:
+            index = len(self.stages)
+            beta_n = omega_power(self._kept.delta(index))
+            b_lo = add(self.beta, self._peeled[index])
+            b_restriction = self._b[index]
+            k = None
+            for cand in range(max(_STAGE_SEARCH, index + 8)):
+                delta_c = self._kept.delta(cand)
+                if compare(self._kept.delta(index), delta_c) >= 0:
+                    continue
+                image = image_of(self._kept.row(cand), self.carrier, b_restriction)
+                if compare(image.order_type(), delta_c) == 0:
+                    k = cand
+                    break
+            if k is None:
+                raise CoverageBroken(
+                    f"no qualifying row above beta_{index} within {_STAGE_SEARCH} rows"
+                )
+            beta_k = omega_power(self._kept.delta(k))
+            if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
+                raise CoverageBroken(f"beta_{index}*2 < beta_k fails at stage {index}")
+            chunk_lo = b_lo
+            chunk_hi = add(chunk_lo, beta_n)
+            chunk = self.carrier.global_range_restriction(chunk_lo, chunk_hi)
+            if _ref_coverage_ok(self._stage_coverage(chunk)):
+                raise CoverageBroken("reserve chunk unexpectedly carries full row strength")
+            b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
+            after = self._stage_coverage(b_next)
+            if not _ref_coverage_ok(after):
+                raise CoverageBroken(f"coverage condition fails after stage {index}")
+            q_map = self._chunk_iso(chunk)
+            self.stages.append(
+                Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, q_map, after)
+            )
+            self._peeled.append(add(self._peeled[index], beta_n))
+            self._b.append(b_next)
+
+
+# tail targets [0, T(n)) by template, with the supremum delta of T(n) over
+# n >= 1 as a function of the drawn constants (b, c)
+_TAILS = {
+    "w^(n+{c})": lambda b, c: "w^w",
+    "w^(n+n+{c})": lambda b, c: "w^w",
+    "w^{c}*n": lambda b, c: f"w^{c + 1}",
+    "w^{c}+w^{b}*n": lambda b, c: f"w^{c}+w^{b + 1}" if b < c else f"w^{b + 1}",
+    "w^(w^n)": lambda b, c: "w^(w^w)",
+}
+
+
+@st.composite
+def _case2_instances(draw):
+    """Case-2 instance texts: a tail that does not attain its supremum
+    delta, after finite and small explicit rows, on a carrier with a
+    reserve zone; optionally a constant side block, or the strong reserve
+    variant of two blocks of order type w^delta mapped alike."""
+    template = draw(st.sampled_from(sorted(_TAILS)))
+    b, c = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    delta = _TAILS[template](b, c)
+    explicit = draw(st.lists(st.sampled_from(["[0,3)", "[0,w)"]), min_size=1, max_size=3))
+    variant = draw(st.sampled_from(["plain", "side", "strong"]))
+    if variant == "strong":
+        blocks = [("a", f"[0,w^({delta}))"), ("b", f"[0,w^({delta}))")]
+    else:
+        blocks = [("m", f"[0,w^({delta})*2)")]
+    sides = []
+    if variant == "side":
+        sides = [("s", draw(st.sampled_from(["[0,5)", "[0,w^2)"])))]
+        blocks.insert(draw(st.integers(0, 1)), sides[0])
+
+    def row(target):
+        return " ; ".join(
+            f"{label} -> constant {draw(st.integers(0, 2))}"
+            if (label, shape) in sides
+            else f"{label} -> monotone {target}"
+            for label, shape in blocks
+        )
+
+    lines = ["carrier: " + "; ".join(f"{label}:{shape}" for label, shape in blocks)]
+    lines.append(f"alpha: {delta}")
+    lines += [f"row {i}: {row(target)}" for i, target in enumerate(explicit)]
+    tail = template.format(b=b, c=c)
+    lines.append(f"tail: n >= {len(explicit)}: {row(f'[0,{tail})')}")
+    return "\n".join(lines) + "\n"
+
+
+def _stage_records(cls, text: str) -> list:
+    """Stages 0-5 built one at a time, each as a tuple of its fields; an
+    error ends the list as its type and message."""
+    fam = parse_instance(text)
+    kept = _KeptRows(fam)
+    delta, attained_at = _compute_delta(fam, kept)
+    assert attained_at is None
+    records = []
+    try:
+        result = cls(fam, kept, delta, None, 10_000)
+        for n in range(6):
+            result.ensure_stage(n)
+            s = result.stages[n]
+            records.append(
+                (s.index, s.k, s.beta, s.chunk_lo, s.chunk_hi, s.b_restriction,
+                 s.q_map.pieces, s.coverage)
+            )
+    except ToolkitError as error:
+        records.append((type(error), str(error)))
+    return records
+
+
+class TestStageReference:
+    """ensure_stage against the from-scratch construction it replaced."""
+
+    @settings(max_examples=100)
+    @given(_case2_instances())
+    @example(
+        # chunk 0 keeps the strength of rows 0 and 1 but not of the top row
+        # 5: the reference builds stage 0 and fails at stage 1
+        "carrier: a:[0,w^(w^(w^w))); b:[0,w^(w^(w^w)))\nalpha: w^(w^w)\n"
+        "row 0: a -> monotone [0,w) ; b -> monotone [0,w)\n"
+        "tail: n >= 1: a -> monotone [0,w^(w^n)) ; b -> monotone [0,w^(w^n))\n"
+    )
+    def test_stage_records(self, text):
+        assert _stage_records(ReductionResult, text) == _stage_records(_ReferenceStages, text)
+
+    def test_coverage_condition_is_a_top_row_keeping_strength(self):
+        for deltas in itertools.product([o("w"), o("w^2"), o("w^3")], repeat=6):
+            top = _top_rows(list(deltas))
+            for qualifies in itertools.product((False, True), repeat=6):
+                report = [(m, d, q) for m, d, q in zip(range(6), deltas, qualifies)]
+                assert _ref_coverage_ok(report) == any(qualifies[m] for m in top)
+
+
 class TestTransfer:
     def _identity_setup(self):
         n_carrier = Carrier([("n", iv("0", "w"))])
@@ -355,6 +525,27 @@ class TestTransfer:
         assert len(result.fam.rows) == 71
         lines = result.verify(o("w+70"))
         assert "interval=[1,w) row=70" in lines
+
+    def test_zero_extension_adds_no_value(self):
+        # c1 is the one-point fiber over m:0; the row built from c0 covers
+        # the whole of m, so extending it by 0 must add nothing to its image
+        n_carrier = Carrier([("c0", iv("0", "w")), ("c1", iv("0", "1"))])
+        m_carrier = Carrier([("m", iv("0", "w"))])
+        f = CarrierMap(
+            n_carrier,
+            m_carrier,
+            [
+                Piece("c0", "monotone", target=iv("0", "w"), target_label="m"),
+                Piece("c1", "constant", value=ZERO, target_label="m"),
+            ],
+        )
+        g = BlockwiseMap(
+            [Piece("c0", "monotone", target=iv("1", "w")), Piece("c1", "constant", value=ZERO)]
+        )
+        result = finite_to_one_transfer(f, g, OMEGA)
+        assert [result.fam.row_image(j) for j in range(2)] == [iv("1", "w"), iv("0", "1")]
+        assert result.route == "sweep"
+        assert "interval=[0,1) row=1" in result.verify(OMEGA)
 
     def test_infinite_alpha_required(self):
         f, g = self._identity_setup()
