@@ -20,6 +20,7 @@ the ordinals below some alpha).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -32,6 +33,7 @@ from .errors import (
     OutOfRangeError,
     ParseError,
     RowUndefined,
+    TailLimitUndecided,
 )
 from .intervals import OrdinalSet, parse_interval_set
 
@@ -370,7 +372,13 @@ class QueryableSet:
 
 
 class SurjectionFamily:
-    """A presented surjection f: omega x M -> alpha given by rows."""
+    """A presented surjection f: omega x M -> alpha given by rows.
+
+    A ``tail`` ``(start, rule)`` gives row ``n >= start`` as ``rule(n)``.
+    Its CNF shape must be settled from ``start`` on: rows ``start`` and
+    ``start + 1`` decide the supremum of its order types.  Every tail that
+    :func:`parse_instance` makes meets this; a tail built in code must.
+    """
 
     def __init__(
         self,
@@ -403,8 +411,6 @@ class SurjectionFamily:
         if self.tail_rule is None:
             raise RowUndefined(f"row {n} is not defined (no tail rule)")
         if n not in self._row_cache:
-            if n < self.tail_start:
-                raise RowUndefined(f"row {n} below the tail start {self.tail_start}")
             self._row_cache[n] = self.tail_rule(n)
         return self._row_cache[n]
 
@@ -470,6 +476,20 @@ def _nat(text: str, context: str) -> int:
     return int(text)
 
 
+# Settle point of a tail.  A tail row's order type comes from its bounds,
+# the block order types and alpha through sums, left differences, cuts and
+# comparisons.  Each coefficient met, in a value or in an exponent, is a*n + b
+# with b a signed sum of literals, and a comparison with c*n + d meets each
+# literal at most once in b - d.  So with L the sum of the decimal literals
+# of the tail row, alpha (whose bound check is one such comparison) and the
+# block order types, every outcome is fixed for n > L: a == c, or
+# |(a-c)*n| > L >= |b-d|.  From there a row's order type keeps one CNF shape
+# with coefficients linear in n.  Each row before it is read as an explicit
+# row, so L is capped.
+_DIGIT_RUN = re.compile("[0-9]+")
+_MAX_SETTLE = 4096
+
+
 def parse_instance(text: str) -> SurjectionFamily:
     """Parse the line-oriented instance format.
 
@@ -517,7 +537,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             if not spec.startswith("n>="):
                 raise ParseError(f"tail condition must be 'n >= N': {spec!r}")
             start = _nat(spec[len("n>="):], spec)
-            tail = (start, _parse_row(row_text))
+            tail = (start, _parse_row(row_text), row_text)
         else:
             raise ParseError(f"unknown instance key {key!r}")
     if carrier is None or alpha is None:
@@ -527,14 +547,22 @@ def parse_instance(text: str) -> SurjectionFamily:
         if i not in rows:
             raise ParseError(f"row {i} is missing (rows must be consecutive from 0)")
         row_maps.append(rows[i])
-    if tail is not None and tail[0] != len(row_maps):
-        raise ParseError(
-            f"tail starts at {tail[0]} but explicit rows end at {len(row_maps) - 1}"
-        )
-    fam = SurjectionFamily(carrier, alpha, row_maps, tail)
-    probe = [*range(len(row_maps))] + ([len(row_maps)] if tail else [])
-    for n in probe:
-        row = fam.row(n)
+    if tail is not None:
+        start, rule, row_text = tail
+        if start != len(row_maps):
+            raise ParseError(
+                f"tail starts at {start} but explicit rows end at {len(row_maps) - 1}"
+            )
+        texts = [row_text, fmt(alpha), *map(fmt, carrier._ot.values())]
+        # a literal of six or more digits passes the cap alone, unread by int()
+        literals = (d.lstrip("0") for d in _DIGIT_RUN.findall(" ".join(texts)))
+        length = sum(int(d or 0) if len(d) < 6 else _MAX_SETTLE + 1 for d in literals)
+        if length > _MAX_SETTLE:
+            raise TailLimitUndecided(f"tail literals sum to more than {_MAX_SETTLE}")
+        settle = start + length + 1
+        row_maps += [rule(n) for n in range(start, settle)]
+        tail = (settle, rule)
+    for n, row in enumerate(row_maps):
         seen = set()
         for piece in row.pieces:
             if piece.label not in carrier.labels:
@@ -545,7 +573,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             seen.add(piece.label)
         if len(seen) != len(carrier.labels):
             raise ParseError(f"row {n} does not cover every block")
-    return fam
+    return SurjectionFamily(carrier, alpha, row_maps, tail)
 
 
 def read_ascii_file(path) -> str:

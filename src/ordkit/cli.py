@@ -19,7 +19,7 @@ from .coding import OmegaPowerBijection, fin_encode, pair_decode, pair_encode
 from .core import Ordinal, compare, fmt, parse
 from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
-from .oracle import exhaustive_check
+from .oracle import _CHECKS, exhaustive_check
 from .reduction import (
     reduce_omega_product,
     refute_infinite_powerset,
@@ -208,11 +208,7 @@ def _run(args) -> int:
         size = args.size
         if size < 1:
             raise BoundViolation(f"selftest size must be at least 1, not {size}")
-        for name, cap in (
-            ("csb_bijective", 5),
-            ("diagonal_missed", 3),
-            ("transfer_surjective", 4),
-        ):
+        for name, (_, cap) in _CHECKS.items():
             report = exhaustive_check(name, min(size, cap))
             out.write(report.summary() + "\n")
         _law_spot_checks(out)
@@ -232,7 +228,7 @@ def _parse_wo_file(content: str):
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
-            raise ToolkitError(f"bad well-order line: {line!r}")
+            raise ParseError(f"bad well-order line: {line!r}")
         pairs.append((_wo_int(parts[0], line), _wo_int(parts[1], line)))
     if bits is not None:
         return bits

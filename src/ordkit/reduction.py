@@ -1,7 +1,10 @@
 """Reduction engines and refuters.
 
 The centerpiece turns a presented surjection f: omega x M -> alpha into an
-evaluable surjection M -> alpha.  Case 1 (some row's order type attains the
+evaluable surjection M -> alpha.  The supremum delta of the rows' order
+types is exact: the explicit rows give their largest, and a tail, settled
+from its start (see :class:`~ordkit.carriers.SurjectionFamily`), gives its
+supremum from two rows.  Case 1 (some row's order type attains the
 supremum delta) composes the row isomorphism with the pairing-based step
 from delta onto alpha.  Case 2 realizes the stage recursion at the order-type
 level: q_n is the unique isomorphism from a peeled chunk of the carrier onto
@@ -17,7 +20,7 @@ power Dedekind infiniteness, and the well-order code surrogate decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Optional
 
 from .carriers import (
     BlockwiseMap,
@@ -60,8 +63,7 @@ from .intervals import OrdinalSet
 _ROW_SCAN = 64  # rows scanned for a witness or a first cover
 _COVERAGE_WINDOW = 6  # kept rows whose strength a stage checks
 _STAGE_SEARCH = 64  # least rows searched for a stage's qualifying row
-_SCAN_BUDGET = 512  # originals scanned for the next infinite row
-_MAX_WINDOW = 128  # widest window of a tail-limit analysis
+_FUEL = 10_000  # stages per evaluated point, and the omega-power bijection's fuel
 _REFUTER_SAMPLES = 64  # carrier sample points of a refuter
 _KURATOWSKI_SAMPLES = 256  # carrier sample points searched for a fiber
 
@@ -99,67 +101,30 @@ def cantor_diagonal(listing: Callable, carrier: Carrier) -> QueryableSet:
     return QueryableSet(membership)
 
 
-# -- limits of weakly monotone ordinal sequences ---------------------------------
-
-
-def _strict_limit(values: List[Ordinal]) -> Ordinal:
-    """Limit candidate for a strictly increasing window of CNF values."""
-    first = values[0].terms
-    prefix_len = 0
-    while prefix_len < len(first) and all(
-        len(v.terms) > prefix_len and v.terms[prefix_len] == first[prefix_len]
-        for v in values
-    ):
-        prefix_len += 1
-    prefix = Ordinal.from_terms(first[:prefix_len])
-    remainders = [Ordinal.from_terms(v.terms[prefix_len:]) for v in values]
-    remainders = [r for r in remainders if not r.is_zero()]
-    if not remainders:
-        raise TailLimitUndecided("window collapsed to its common prefix")
-    exponents = [r.degree for r in remainders]
-    if all(compare(e, exponents[0]) == 0 for e in exponents):
-        return add(prefix, omega_power(add(exponents[0], ONE)))
-    e_limit, e_attained = _window_limit(exponents)
-    if e_attained:
-        return add(prefix, omega_power(add(e_limit, ONE)))
-    return add(prefix, omega_power(e_limit))
-
-
-def _window_limit(values: List[Ordinal]) -> tuple:
-    """(limit, attained) for one window of a weakly monotone sequence."""
-    for a, b in zip(values, values[1:]):
-        if compare(a, b) > 0:
-            raise TailLimitUndecided("sequence is not weakly monotone")
-    strict = []
-    for v in values:
-        if not strict or compare(strict[-1], v) < 0:
-            strict.append(v)
-    if len(strict) == 1:
-        return strict[0], True
-    candidate = _strict_limit(strict)
-    for v in values:
-        if compare(v, candidate) >= 0:
-            raise TailLimitUndecided("window value reaches its own limit candidate")
-    return candidate, False
+# -- the supremum of a settled tail ----------------------------------------------
 
 
 def ordinal_sequence_limit(seq: Callable[[int], Ordinal], start: int = 0) -> tuple:
-    """Supremum of a weakly monotone sequence, with attainment flag.
-
-    Evaluates growing late windows until two consecutive window analyses
-    agree; undecidable windows raise.  Sound for sequences whose CNF
-    structure eventually stabilizes (all instance-template tails do).
-    """
-    previous = None
-    width = 8
-    while width <= _MAX_WINDOW:
-        window = [seq(start + i) for i in range(width // 2, width)]
-        current = _window_limit(window)
-        if previous is not None and previous == current:
-            return current
-        previous = current
-        width *= 2
-    raise TailLimitUndecided(f"no stable window limit within width {_MAX_WINDOW}")
+    """Supremum of a sequence settled from ``start`` on (see
+    :class:`~ordkit.carriers.SurjectionFamily`), with attainment flag.
+    Rows ``start`` and ``start + 1`` decide it: equal rows are constant;
+    else, at the first term where they differ, a growing coefficient climbs
+    to the next power and a growing exponent to the power of its own
+    supremum.  Rows that fall or change shape raise."""
+    a, b = seq(start), seq(start + 1)
+    if a == b:
+        return a, True
+    if compare(a, b) > 0 or len(a.terms) != len(b.terms):
+        raise TailLimitUndecided(
+            f"sequence is not settled at {start}: {fmt(a)} then {fmt(b)}"
+        )
+    i = next(i for i, (x, y) in enumerate(zip(a.terms, b.terms)) if x != y)
+    prefix = Ordinal.from_terms(a.terms[:i])
+    exponent = a.terms[i][0]
+    if exponent == b.terms[i][0]:
+        return add(prefix, omega_power(add(exponent, ONE))), False
+    e_limit, _ = ordinal_sequence_limit(lambda n: seq(n).terms[i][0], start)
+    return add(prefix, omega_power(e_limit)), False
 
 
 # -- the omega-product reduction --------------------------------------------------
@@ -421,17 +386,14 @@ class _KeptRows:
         self._next_original = 0
 
     def _extend_to(self, j: int):
-        scanned = 0
         while len(self._kept) <= j:
             n = self._next_original
-            if not self.fam.has_row(n):
-                raise CoverageBroken(f"fewer than {j + 1} rows with infinite order type")
-            if self.fam.delta(n).is_infinite():
+            if self.fam.has_row(n) and self.fam.delta(n).is_infinite():
                 self._kept.append(n)
+            elif not self.fam.has_row(n) or n >= len(self.fam.rows):
+                # a settled tail keeps one shape: once a tail row is finite, all are
+                raise CoverageBroken(f"fewer than {j + 1} rows with infinite order type")
             self._next_original += 1
-            scanned += 1
-            if scanned > _SCAN_BUDGET:
-                raise CoverageBroken(f"no further infinite rows within {_SCAN_BUDGET} originals")
 
     def original(self, j: int) -> int:
         self._extend_to(j)
@@ -457,22 +419,17 @@ def _compute_delta(fam: SurjectionFamily, kept: _KeptRows) -> tuple:
         d = kept.delta(j)
         if compare(d, best) > 0:
             best, best_at = d, j
-    if fam.tail_rule is None:
-        if best_at is None:
-            raise PreconditionViolated("no rows with infinite order type")
-        return best, best_at
-    limit, attained = ordinal_sequence_limit(kept.delta, start=explicit_kept)
-    if compare(best, limit) >= 0:
-        return best, best_at  # the limit is at least w, so best_at is set
-    if attained:
-        for j in range(explicit_kept, explicit_kept + 512):
-            if compare(kept.delta(j), limit) == 0:
-                return limit, j
-        raise TailLimitUndecided("attained tail limit has no witness row in range")
-    return limit, None
+    if fam.tail_rule is not None:
+        limit, attained = ordinal_sequence_limit(fam.delta, fam.tail_start)
+        if limit.is_infinite() and compare(limit, best) > 0:
+            # every tail row has the shape of the first, so all are kept
+            return limit, (explicit_kept if attained else None)
+    if best_at is None:
+        raise PreconditionViolated("no rows with infinite order type")
+    return best, best_at
 
 
-def reduce_omega_product(fam: SurjectionFamily, fuel: int = 10_000) -> ReductionResult:
+def reduce_omega_product(fam: SurjectionFamily) -> ReductionResult:
     """Turn the presented surjection omega x M -> alpha into M -> alpha.
 
     Rows with finite order type are dropped and the rest renumbered; the
@@ -487,7 +444,7 @@ def reduce_omega_product(fam: SurjectionFamily, fuel: int = 10_000) -> Reduction
         raise PreconditionViolated(
             f"delta = {fmt(delta)} must exceed w for the reduction"
         )
-    result = ReductionResult(fam, kept, delta, attained_at, fuel)
+    result = ReductionResult(fam, kept, delta, attained_at, _FUEL)
     if result.case_taken[0] == "case2":
         result.ensure_stage(2)  # materialize the first stages eagerly
     return result
@@ -561,7 +518,7 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
             report.entries.append(((lo, hi), n, samples))
         covered = covered.union(fresh)
     if not want.difference(covered).is_empty():
-        raise WitnessNotFound(f"rows 0..{scan} do not cover [0, {fmt(bound)})")
+        raise WitnessNotFound(f"rows 0..{scan - 1} do not cover [0, {fmt(bound)})")
     if not report.ok():
         raise WitnessNotFound("a witness failed re-evaluation")
     return report
@@ -700,9 +657,7 @@ class TransferResult:
         return verify_surjective(self, bound).lines()
 
 
-def finite_to_one_transfer(
-    f: CarrierMap, g: BlockwiseMap, alpha: Ordinal, fuel: int = 10_000
-) -> TransferResult:
+def finite_to_one_transfer(f: CarrierMap, g: BlockwiseMap, alpha: Ordinal) -> TransferResult:
     """From finite-to-one f: N -> M and surjective g: N -> [0, alpha),
     an evaluable surjection M -> [0, alpha).
 
@@ -729,7 +684,7 @@ def finite_to_one_transfer(
     fam = SurjectionFamily(f.dest, alpha, rows)
     fam.check_coverage()
     try:
-        reduction = reduce_omega_product(fam, fuel=fuel)
+        reduction = reduce_omega_product(fam)
         return TransferResult(f.dest, alpha, fam, "reduce", reduction)
     except PreconditionViolated:
         pass

@@ -195,6 +195,42 @@ class TestEngineCommands:
         assert status == 1
         assert out.splitlines()[0] == "witness-not-found"
 
+    @pytest.mark.parametrize(
+        "name,bound,head",
+        [
+            # the supremum w^w is reached only past n = 20
+            ("tail_mixed_growth.txt", "w^3", "case=case2 delta=w^w"),
+            ("tail_mixed_growth.txt", "w^22", "case=case2 delta=w^w"),
+            # the largest order type comes before the tail settles
+            ("tail_shrinking.txt", "w^3", "case=case1 k=1 delta=w^5"),
+            # the carrier's order type caps the rows across its two intervals
+            ("tail_split_cap.txt", "w^3", "case=case1 k=10 delta=w^3*10"),
+        ],
+    )
+    def test_reduce_tail_supremum(self, name, bound, head):
+        status, out = run("reduce", "--instance", str(INSTANCES / name), "--verify-below", bound)
+        assert status == 0
+        assert out.splitlines()[0] == head
+        assert "MISMATCH" not in out
+
+    def test_reduce_tail_leaves_alpha_late(self):
+        # rows 1..10 stay inside alpha = w^10; the settle point counts alpha's
+        # literals, so row 11 is read and rejected
+        path = INSTANCES / "tail_past_alpha.txt"
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w^3")
+        assert (status, out) == (1, "coverage-broken\nrow 11 maps outside [0, w^10)\n")
+
+    def test_reduce_tail_settling_too_late(self, tmp_path):
+        # literals summing past 4096 would need that many explicit rows
+        path = tmp_path / "far.txt"
+        path.write_text(
+            "carrier: m:[0,w^(w^w)*2)\nalpha: w^5000\n"
+            "row 0: m -> monotone [0,w)\ntail: n >= 1: m -> monotone [0,w^n)\n"
+        )
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w^3")
+        assert status == 1
+        assert out.splitlines()[0] == "tail-limit-undecided"
+
     def test_refute_modes(self):
         for mode in ("pset", "infpset"):
             status, out = run(
@@ -295,6 +331,10 @@ class TestFileInput:
 
     @pytest.mark.parametrize("content", [b"0 x\n", b"0 1\n1 2.5\n", b"bits: 1,x\n"])
     def test_bad_well_order_number(self, tmp_path, content):
+        assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
+
+    @pytest.mark.parametrize("content", [b"0 1 2\n", b"0\n", b"0 1\n1, 2, 3\n"])
+    def test_well_order_line_not_a_pair(self, tmp_path, content):
         assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
 
 

@@ -98,7 +98,12 @@ class TestSequenceLimit:
         assert ordinal_sequence_limit(lambda n: o("w^2")) == (o("w^2"), True)
 
     def test_naturals(self):
-        assert ordinal_sequence_limit(lambda n: Ordinal(n)) == (OMEGA, False)
+        assert ordinal_sequence_limit(lambda n: Ordinal(n), start=1) == (OMEGA, False)
+
+    def test_unsettled_start_rejected(self):
+        # 0 has no terms and 1 has one: the shape is not settled at 0
+        with pytest.raises(TailLimitUndecided):
+            ordinal_sequence_limit(lambda n: Ordinal(n))
 
     def test_towers(self):
         limit, attained = ordinal_sequence_limit(lambda n: omega_power(Ordinal(n + 1)))
@@ -112,11 +117,11 @@ class TestSequenceLimit:
 
     def test_compound_prefix(self):
         seq = lambda n: add(o("w^3"), multiply(OMEGA, Ordinal(n)))
-        assert ordinal_sequence_limit(seq) == (o("w^3+w^2"), False)
+        assert ordinal_sequence_limit(seq, start=1) == (o("w^3+w^2"), False)
 
     def test_eventually_constant(self):
         seq = lambda n: o("w*5") if n > 10 else multiply(OMEGA, Ordinal(min(n, 5)))
-        assert ordinal_sequence_limit(seq) == (o("w*5"), True)
+        assert ordinal_sequence_limit(seq, start=11) == (o("w*5"), True)
 
     def test_not_monotone_rejected(self):
         with pytest.raises(TailLimitUndecided):
@@ -128,11 +133,85 @@ class TestSequenceLimit:
             add(multiply(o("w^2"), Ordinal(n + 1)), multiply(OMEGA, Ordinal(n))),
             Ordinal(3),
         )
-        assert ordinal_sequence_limit(seq) == (o("w^3"), False)
+        assert ordinal_sequence_limit(seq, start=1) == (o("w^3"), False)
 
     def test_growing_exponent_with_coefficients(self):
         seq = lambda n: multiply(omega_power(Ordinal(n)), Ordinal(n + 2))
-        assert ordinal_sequence_limit(seq) == (o("w^w"), False)
+        assert ordinal_sequence_limit(seq, start=1) == (o("w^w"), False)
+
+
+# block shapes of the drawn tail instances: large, capped by a small order
+# type, and one whose order type is split over two intervals
+_TAIL_BLOCKS = ("[0,w^(w^w)*2)", "[0,w^9)", "[0,w^3*5),[w^4,w^4+w^3*5)", "[0,w^2*7)", "[0,w)")
+
+
+@st.composite
+def _tail_template(draw, depth=1):
+    """A sum of 1-3 terms: naturals, ``n``, and ``w^e*c`` with ``e`` a
+    natural, ``n``, ``w`` or (at depth 1) a nested sum, and ``c`` absent, a
+    natural, ``n`` or ``(n+k)``."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["power", "power", "n", "nat"]))
+        if kind == "n":
+            terms.append("n")
+        elif kind == "nat":
+            terms.append(str(draw(st.integers(1, 9))))
+        else:
+            exponents = ["n", str(draw(st.integers(1, 6))), "w"]
+            if depth:
+                exponents.append(f"({draw(_tail_template(depth - 1))})")
+            exponent = draw(st.sampled_from(exponents))
+            k = draw(st.integers(1, 12))
+            coeff = draw(st.sampled_from(["", f"*{k}", "*n", f"*(n+{k})"]))
+            terms.append(f"w^{exponent}{coeff}")
+    return "+".join(terms)
+
+
+@st.composite
+def _tail_instances(draw):
+    """Instance texts with a random tail over 1-3 blocks; alpha is past
+    every drawn value, and row 0 maps every block onto [0, w)."""
+    labels = "abc"[: draw(st.integers(1, 3))]
+    blocks = [f"{label}:{draw(st.sampled_from(_TAIL_BLOCKS))}" for label in labels]
+    explicit = draw(st.integers(1, 2))
+
+    def piece(label):
+        if draw(st.integers(0, 3)) == 0:
+            return f"{label} -> constant {draw(st.sampled_from(['3', 'n', 'n+2', 'w*n']))}"
+        bounds = [f"[{draw(st.sampled_from(['0', '0', '5', 'w', 'w^n']))},{draw(_tail_template())})"]
+        if draw(st.booleans()):
+            bounds.append(f"[{draw(_tail_template())},{draw(_tail_template())})")
+        return f"{label} -> monotone {','.join(bounds)}"
+
+    lines = ["carrier: " + "; ".join(blocks), "alpha: w^(w^(w^w))"]
+    lines += [
+        f"row {i}: " + " ; ".join(f"{label} -> monotone [0,w)" for label in labels)
+        for i in range(explicit)
+    ]
+    lines.append(f"tail: n >= {explicit}: " + " ; ".join(piece(label) for label in labels))
+    return "\n".join(lines) + "\n", explicit
+
+
+class TestTailSupremum:
+    """The tail's supremum from its settle point, against rows far past it."""
+
+    @settings(max_examples=100)
+    @given(_tail_instances())
+    def test_supremum_matches_late_rows(self, drawn):
+        text, start = drawn
+        fam = parse_instance(text)
+        late = fam.tail_start + 500
+        assert ordinal_sequence_limit(fam.delta, fam.tail_start) == ordinal_sequence_limit(
+            fam.delta, late
+        )
+        kept = _KeptRows(fam)
+        delta, attained_at = _compute_delta(fam, kept)
+        for n in range(start, late + 1):
+            assert fam.delta(n) <= delta if attained_at is not None else fam.delta(n) < delta
+        if attained_at is not None:
+            first = next(n for n in itertools.count() if fam.delta(n) == delta)
+            assert kept.original(attained_at) == first
 
 
 class TestReduceCase1:
