@@ -83,10 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fiber_listing(fam):
-    """phi(n, x) = the row-n fiber of x, as an exactly certified set."""
+    """phi(n, x) = the row-n fiber of x, as an exactly certified set; x
+    enters only through its row-n value, so each fiber is built once."""
+    fibers: dict = {}
 
     def phi(n: int, x) -> QueryableSet:
         value = fam.row(n)(fam.carrier, x)
+        if (n, value) in fibers:
+            return fibers[n, value]
         restriction = preimage_of(fam.row(n), fam.carrier, OrdinalSet.point(value))
 
         def membership(y) -> bool:
@@ -113,7 +117,9 @@ def _fiber_listing(fam):
                 "infinite",
                 lambda k, label=infinite_label, part=part: (label, part.enumerate(Ordinal(k))),
             )
-        return QueryableSet(membership, certificate)
+        # the set, not its answers: membership reads the restriction each time
+        fibers[n, value] = QueryableSet(membership, certificate)
+        return fibers[n, value]
 
     return phi
 

@@ -281,10 +281,14 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
         return None
     digits = dict(z.terms)
     arity, d0 = cantor_unpair(digits.pop(ZERO, 0))
-    if arity < 1:
-        return None
     if d0:
         digits[ZERO] = d0
+    # members are distinct and only the last can be 0, so the member before
+    # it has a nonzero digit at position arity - 2 of some column; each
+    # pairing step left of a nonzero tail at least doubles it, so that
+    # column's code is at least 2**(arity - 2)
+    if arity < 1 or arity > 2 + max(digits.values(), default=0).bit_length():
+        return None
     per_member: list = [dict() for _ in range(arity)]
     for e, code in digits.items():
         column = _tuple_decode(code, arity)
@@ -482,26 +486,25 @@ def pset_to_infpset(alpha: Ordinal, qset: QueryableSet, samples: int = 32) -> Qu
         lambda x: compare(x, alpha) < 0, map(Ordinal, range(samples)), samples
     )
     kind, payload = qset.certificate
+    keep_members = kind == "infinite"
+    member_tag = ZERO if keep_members else ONE
+    decode_cache: dict = {}  # pair_decode is pure: each code is decoded once per set
 
-    if kind == "infinite":
-        def membership(y: Ordinal) -> bool:
-            decoded = pair_decode(alpha, y)
-            if decoded is None:
-                return False
-            z, tag = decoded
-            return tag == ZERO and qset.contains(z)
+    def membership(y: Ordinal) -> bool:
+        if y not in decode_cache:
+            decode_cache[y] = pair_decode(alpha, y)
+        decoded = decode_cache[y]
+        return (
+            decoded is not None
+            and decoded[1] == member_tag
+            and qset.contains(decoded[0]) == keep_members
+        )
 
+    if keep_members:
         def enumerate_member(k: int) -> Ordinal:
             return pair_encode(alpha, payload(k), ZERO)
     else:
         listed = set(payload)
-
-        def membership(y: Ordinal) -> bool:
-            decoded = pair_decode(alpha, y)
-            if decoded is None:
-                return False
-            z, tag = decoded
-            return tag == ONE and not qset.contains(z)
 
         def enumerate_member(k: int) -> Ordinal:
             # complement members among the naturals, skipping the listed set

@@ -921,9 +921,21 @@ def refute_infinite_powerset(
         g_cache[x] = value
         return value
 
+    # the coding steps below are pure: each is computed once per call
+    witness_cache: dict = {}
+    lane_cache: dict = {}
+
     def g_witness(v: Ordinal):
         """An element with g_value == v, via the padding lane."""
-        return carrier.element_at(pair_encode(theta, ONE, v))
+        if v not in witness_cache:
+            witness_cache[v] = carrier.element_at(pair_encode(theta, ONE, v))
+        return witness_cache[v]
+
+    def lane_point(zeta: Ordinal, tag: Ordinal):
+        """The element that g sends to the code of (zeta, tag) below omega."""
+        if (zeta, tag) not in lane_cache:
+            lane_cache[zeta, tag] = g_witness(pair_encode(OMEGA, zeta, tag))
+        return lane_cache[zeta, tag]
 
     def carry(ordinal_set: QueryableSet) -> QueryableSet:
         """t: subsets of omega -> infinite subsets of M."""
@@ -945,10 +957,10 @@ def refute_infinite_powerset(
         entry = table[z]
 
         def zero_read(zeta: Ordinal) -> bool:
-            return entry.contains(g_witness(pair_encode(OMEGA, zeta, ZERO)))
+            return entry.contains(lane_point(zeta, ZERO))
 
         def one_read(zeta: Ordinal) -> bool:
-            return not entry.contains(g_witness(pair_encode(OMEGA, zeta, ONE)))
+            return not entry.contains(lane_point(zeta, ONE))
 
         for probe in range(_REFUTER_SAMPLES):
             if zero_read(Ordinal(probe)):
@@ -971,10 +983,7 @@ def refute_infinite_powerset(
 
     # padding-lane elements of the diagonal's indices beyond the table, and
     # the search points for listed sets: built once, read in this order
-    lane = [
-        g_witness(pair_encode(OMEGA, Ordinal(probe + size), ZERO))
-        for probe in range(_REFUTER_SAMPLES)
-    ]
+    lane = [lane_point(Ordinal(probe + size), ZERO) for probe in range(_REFUTER_SAMPLES)]
     search_points = list(points)
     for probe in range(_REFUTER_SAMPLES):
         search_points.append(g_witness(Ordinal(probe)))

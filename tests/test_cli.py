@@ -1,11 +1,16 @@
 import io
 import shlex
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from ordkit.cli import main
+from ordkit import errors
+from ordkit.carriers import load_instance
+from ordkit.cli import _fiber_listing, main
+from ordkit.core import Ordinal
 
 INSTANCES = Path(__file__).parent / "instances"
 ROOT = Path(__file__).parent.parent
@@ -61,6 +66,13 @@ class TestCodingCommands:
         status, out = run("fincode", "--alpha", "w", "2,5")
         assert status == 0 and out.strip().isdigit()
         assert run("fincode", "--alpha", "w", "") == (0, "0\n")
+
+    def test_cnfbij_up_on_a_long_natural(self):
+        # on the way up, the finite-set decoding reads a header that claims
+        # about 4 * 10**9 members; one dict each would exhaust memory
+        assert run("cnfbij", "--alpha", "w", "--dir", "up", "12345678901234567890") == (
+            0, "w^12345678901234567890\n"
+        )
 
     def test_cnfbij_roundtrip(self):
         status, down = run("cnfbij", "--alpha", "w", "--dir", "down", "w^3+w")
@@ -281,6 +293,15 @@ class TestEngineCommands:
         assert lines[0] == "mode=pset table=2"
         assert lines[1] == f"distinguishers={int(check) + 2} recheck=ok"
 
+    def test_fiber_listing_builds_each_fiber_once(self):
+        # refute_demo.txt: row 0 sends everything to 0, row 1 sends a to 1, b to 0
+        fam = load_instance(INSTANCES / "refute_demo.txt")
+        phi = _fiber_listing(fam)
+        a0, b5 = ("a", Ordinal(0)), ("b", Ordinal(5))
+        assert phi(0, a0) is phi(0, b5)
+        assert phi(1, a0) is not phi(1, b5)
+        assert phi(1, b5).contains(a0) is False and phi(1, b5).contains(b5) is True
+
     def test_decode_wo(self, tmp_path):
         path = tmp_path / "rel.txt"
         path.write_text("0 1\n0 2\n1 2\n")
@@ -336,6 +357,93 @@ class TestFileInput:
     @pytest.mark.parametrize("content", [b"0 1 2\n", b"0\n", b"0 1\n1, 2, 3\n"])
     def test_well_order_line_not_a_pair(self, tmp_path, content):
         assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
+
+
+_TOOLKIT_ERROR_NAMES = {
+    cls.name for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.ToolkitError)
+}
+_EXPRESSIONS = st.one_of(
+    st.sampled_from(
+        ["0", "1", "5", "w", "w+1", "1+w", "w*2+1", "w^2", "w^w", "w^(w+1)*3 + w^2 + 5",
+         "w*(2+1)", "w^(w^w)", "", " ", "w*0", "-1", "n", "w^", "(w", "12345678901234567890"]
+    ),
+    st.text(alphabet="w0123456789^*+() ,n", max_size=12),
+)
+_INSTANCE_LINES = st.one_of(
+    st.sampled_from(
+        ["carrier: m:[0,w^2)", "carrier: m:[0,w)", "carrier: a:[0,w); b:[0,w^2)",
+         "carrier: m:[0,w^(w^w)*2)", "alpha: w", "alpha: w^2", "alpha: w^w", "alpha: 3",
+         "row 0: m -> monotone [0,w^2)", "row 0: m -> constant 0", "row 1: m -> constant 1",
+         "row 0: m -> monotone [0,w)", "row 0: a -> constant 0 ; b -> constant 0",
+         "row 1: a -> constant 1 ; b -> monotone [0,w)", "tail: n >= 1: m -> constant n",
+         "tail: n >= 1: m -> monotone [0,w^(n+1))", "tail: n >= 2: a -> constant n ; b -> constant 0",
+         "tail: n >= x: m -> constant n", "# comment", "", "row 0: m -> monotone [0,w) ; m -> constant 0"]
+    ),
+    st.text(max_size=30),
+)
+_WELL_ORDER_LINES = st.one_of(
+    st.sampled_from(["0 1", "1 2", "0 2", "2, 3", "bits:", "bits: 1,0,7", "0", "x y", "# c"]),
+    st.text(alphabet="0123456789 ,bits:x-\n", max_size=20),
+)
+_NUMBERS = st.integers(-3, 40).map(str)
+
+
+@st.composite
+def _argv(draw):
+    """Argv for one subcommand; "{instance}" and "{well_order}" stand for
+    the files that the test writes."""
+    e = _EXPRESSIONS
+    command = draw(st.sampled_from(
+        ["eval", "cmp", "pair", "unpair", "fincode", "cnfbij", "reduce", "refute",
+         "decode-wo", "selftest"]
+    ))
+    args = {
+        "eval": lambda: [draw(e)],
+        "cmp": lambda: [draw(e), draw(e)],
+        "pair": lambda: ["--alpha", draw(e), draw(e), draw(e)],
+        "unpair": lambda: ["--alpha", draw(e), draw(e)],
+        "fincode": lambda: ["--alpha", draw(e), ",".join(draw(st.lists(e, max_size=3)))],
+        "cnfbij": lambda: ["--alpha", draw(e), "--dir", draw(st.sampled_from(["down", "up", "x"])),
+                           draw(e), "--fuel", draw(_NUMBERS)],
+        "reduce": lambda: ["--instance", "{instance}", "--verify-below", draw(e)],
+        "refute": lambda: ["--instance", "{instance}", "--mode",
+                           draw(st.sampled_from(["pset", "infpset", "x"])), "--check", draw(_NUMBERS)],
+        "decode-wo": lambda: ["{well_order}"],
+        # sizes past 3 hit the oracle's caps: the same checks, seconds each
+        "selftest": lambda: ["--size", str(draw(st.integers(-3, 3)))],
+    }[command]()
+    if draw(st.integers(0, 9)) == 0:  # now and then a usage error
+        args = draw(st.sampled_from([args[1:], args + ["--bogus"]]))
+    return [command, *args]
+
+
+class TestErrorContract:
+    """Every run ends in exit 0, a named error (exit 1) or a usage error (exit 2)."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        argv=_argv(),
+        instance=st.lists(_INSTANCE_LINES, max_size=6).map("\n".join),
+        well_order=st.lists(_WELL_ORDER_LINES, max_size=5).map("\n".join),
+        missing=st.booleans(),
+    )
+    def test_exit_status_and_error_name(self, tmp_path, argv, instance, well_order, missing):
+        paths = {"instance": tmp_path / "instance.txt", "well_order": tmp_path / "wo.txt"}
+        paths["instance"].write_bytes(instance.encode("utf-8", "surrogatepass"))
+        paths["well_order"].write_text(well_order)
+        if missing:
+            paths["instance"].unlink()
+        argv = [arg.format(**paths) if arg.startswith("{") else arg for arg in argv]
+        buffer = io.StringIO()
+        try:
+            with redirect_stdout(buffer), redirect_stderr(io.StringIO()):
+                status = main(argv)
+        except SystemExit as exit_:
+            status = exit_.code
+        assert status in (0, 1, 2)
+        if status == 1:
+            assert buffer.getvalue().splitlines()[0] in _TOOLKIT_ERROR_NAMES
 
 
 def _readme_commands() -> list:

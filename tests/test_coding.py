@@ -294,6 +294,15 @@ class TestFinEncode:
         assert fin_decode(OMEGA, Ordinal(2)) in (None, [ZERO], [ONE])  # decoded or rejected
         assert fin_decode(OMEGA, fin_encode(OMEGA, [Ordinal(3)])) == [Ordinal(3)]
 
+    def test_decode_rejects_an_impossible_arity(self):
+        # this code's header claims about 4 * 10**9 members: it must be
+        # rejected before any per-member work, which would exhaust memory
+        assert fin_decode(OMEGA, Ordinal(12345678901234567890)) is None
+        for n in range(2, 12):
+            # valid codes of growing arity: n members take over 2**(n - 2) bits
+            members = [Ordinal(i) for i in reversed(range(n))]
+            assert fin_decode(OMEGA, fin_encode(OMEGA, members)) == members
+
 
 class TestCsb:
     def test_singletons(self):

@@ -14,6 +14,7 @@ repository root::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -22,7 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from ordkit.cli import main
+from ordkit.carriers import load_instance
+from ordkit.cli import _distinct_table, _fiber_listing, main
+from ordkit.core import fmt
+from ordkit.reduction import refute_infinite_powerset, refute_powerset
 
 INSTANCES = Path(__file__).parent / "instances"
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
@@ -99,6 +103,34 @@ def test_usage_error_leaves_the_parser_intact():
     argv = ("reduce", "--instance", "case2_tower.txt", "--verify-below", "w^3")
     expected = _load()[argv]
     assert _run(argv) == (expected["status"], expected["stdout"])
+
+
+# sha256 of every distinguisher (not only the ten the CLI prints) at
+# --check 400, one "tag index label:point in_missed in_listed" line each;
+# recorded before the refuters memoised their coding steps
+DISTINGUISHER_DIGESTS = {
+    ("refute_demo.txt", "pset"):
+        "afac9244e7bc364a96ee683771802065ddc6d79a9769e8d4c900a0852da3a193",
+    ("refute_demo.txt", "infpset"):
+        "3ee8f5f1ff71ed870c12abf3e8f91db504bdba2b80ae94de25695f3ea2bb1cbf",
+    ("refute_split_row0.txt", "pset"):
+        "918d585e8b1cafdf1e3b20212e640fa93abc40c72eed61a94b99e0188557f75c",
+    ("refute_split_row0.txt", "infpset"):
+        "b61ade43833b2aebfb3dc52b7eaf402153fc31a8fa182d0f7c87600e05bfafa3",
+}
+
+
+@pytest.mark.parametrize("name, mode", DISTINGUISHER_DIGESTS, ids="-".join)
+def test_full_distinguisher_list(name, mode):
+    fam = load_instance(INSTANCES / name)
+    phi = _fiber_listing(fam)
+    refuter = refute_powerset if mode == "pset" else refute_infinite_powerset
+    witness = refuter(phi, fam.carrier, _distinct_table(fam, phi), check_bound=400)
+    text = "".join(
+        f"{tag!r} {index!r} {label}:{fmt(pos)} {in_missed} {in_listed}\n"
+        for tag, index, (label, pos), in_missed, in_listed, _ in witness.distinguishers
+    )
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == DISTINGUISHER_DIGESTS[name, mode]
 
 
 def record():

@@ -1,10 +1,13 @@
+import io
 import itertools
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from ordkit import coding, reduction
 from ordkit.carriers import (
     BlockwiseMap,
     Carrier,
@@ -16,6 +19,7 @@ from ordkit.carriers import (
     load_instance,
     parse_instance,
 )
+from ordkit.cli import main
 from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, multiply, omega_power, parse
 from ordkit.errors import (
     CoverageBroken,
@@ -731,6 +735,62 @@ class TestRefuters:
             refute_infinite_powerset(
                 lambda n, x: finite_set, carrier, [full], check_bound=8
             )
+
+    @pytest.mark.parametrize("refuter", [refute_powerset, refute_infinite_powerset])
+    def test_recheck_reevaluates_membership(self, carrier, refuter):
+        # every set answers through a mutable flag, so a recheck that read
+        # remembered answers would miss the flip; the listed sets have
+        # flags of their own, so flipping one leaves the missed set alone
+        table_flips, listed_flips = [False] * 5, [False] * 5
+
+        def cofinite(i, flips):
+            return QueryableSet(
+                lambda y: flips[i] != (not (y[1].is_nat() and y[1].nat_value() <= i)),
+                ("infinite", lambda k: ("m", Ordinal(i + 1 + k))),
+            )
+
+        table = [cofinite(i, table_flips) for i in range(5)]
+        witness = refuter(
+            lambda n, x: cofinite(n % 5, listed_flips), carrier, table, check_bound=32
+        )
+        assert witness.recheck()
+        listed_flips[2] = True
+        assert not witness.recheck()
+        listed_flips[2] = False
+        assert witness.recheck()
+
+
+class TestRefuterCaches:
+    def test_infpset_coding_calls(self, monkeypatch):
+        # the refuters compute each pure coding step once per call
+        calls = {"encode": 0, "decode": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        encode = counting("encode", coding.pair_encode)
+        decode = counting("decode", coding.pair_decode)
+        for module in (coding, reduction):
+            monkeypatch.setattr(module, "pair_encode", encode)
+            monkeypatch.setattr(module, "pair_decode", decode)
+        argv = ["refute", "--instance", str(INSTANCES / "refute_demo.txt"),
+                "--mode", "infpset", "--check", "100"]
+        counts = []
+        for _ in range(2):
+            calls.update(encode=0, decode=0)
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            counts.append((calls["encode"], calls["decode"]))
+        # without the caches: 1,420 encodes of 259 distinct argument tuples
+        # and 783 decodes of 203
+        assert counts[0][0] <= 400
+        assert counts[0][1] <= 210
+        # nothing outlives a call: the second call repeats every step
+        assert counts[1] == counts[0]
 
 
 class TestKuratowski:
