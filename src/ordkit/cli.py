@@ -97,26 +97,17 @@ def _fiber_listing(fam):
             label, pos = y
             return restriction[label].contains(pos)
 
-        total_finite = True
-        infinite_label = None
-        for label in fam.carrier.labels:
-            if not restriction[label].order_type().is_nat():
-                total_finite = False
-                infinite_label = label
-                break
-        if total_finite:
+        labels = fam.carrier.labels
+        infinite = [label for label in labels if not restriction[label].order_type().is_nat()]
+        if not infinite:
             members = []
-            for label in fam.carrier.labels:
+            for label in labels:
                 part = restriction[label]
-                size = part.order_type().nat_value()
-                members.extend((label, p) for p in part.iter_prefix(size))
+                members.extend((label, p) for p in part.iter_prefix(part.order_type().nat_value()))
             certificate = ("finite", tuple(members))
         else:
-            part = restriction[infinite_label]
-            certificate = (
-                "infinite",
-                lambda k, label=infinite_label, part=part: (label, part.enumerate(Ordinal(k))),
-            )
+            label, part = infinite[0], restriction[infinite[0]]
+            certificate = ("infinite", lambda k: (label, part.enumerate(Ordinal(k))))
         # the set, not its answers: membership reads the restriction each time
         fibers[n, value] = QueryableSet(membership, certificate)
         return fibers[n, value]

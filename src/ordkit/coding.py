@@ -125,13 +125,20 @@ def cantor_unpair(z: int) -> tuple:
     return s - b, b
 
 
+# Longest code one pairing step may make.  {0..15} below w codes in 41,594
+# bits and each further member about doubles the code, so {0..16} is refused.
+_MAX_CODE_BITS = 1 << 16
+
+
 def _tuple_code(digits: tuple) -> int:
-    """Right-nested Cantor coding of a fixed-arity tuple of naturals."""
-    if not digits:
-        return 0
+    """Right-nested Cantor coding of a fixed-arity tuple of naturals.  Each
+    pairing step about doubles the code's length, so a step that takes it
+    past _MAX_CODE_BITS raises rather than growing without end."""
     code = digits[-1]
     for d in reversed(digits[:-1]):
         code = cantor_pair(d, code)
+        if code.bit_length() > _MAX_CODE_BITS:
+            raise BoundViolation(f"finite-set code passes {_MAX_CODE_BITS} bits")
     return code
 
 
@@ -246,7 +253,8 @@ def fin_encode(alpha: Ordinal, elements: Iterable) -> Ordinal:
     """Injective coding of finite subsets of [0, alpha) into [0, alpha).
 
     Per exponent column the member digits are tuple-coded; the arity is
-    prefixed into the constant slot.  The empty set maps to 0.
+    prefixed into the constant slot.  The empty set maps to 0.  A set whose
+    code passes _MAX_CODE_BITS raises BoundViolation.
     """
     _require_infinite(alpha)
     members = sorted(elements, key=attrgetter("key"), reverse=True)
@@ -262,10 +270,10 @@ def fin_encode(alpha: Ordinal, elements: Iterable) -> Ordinal:
     for u in embedded:
         support.update(dict(u.terms))
     digits = {}
-    for e in support:
+    for e in support | {ZERO}:
         column = tuple(dict(u.terms).get(e, 0) for u in embedded)
-        digits[e] = _tuple_code(column)
-    digits[ZERO] = cantor_pair(arity, digits.get(ZERO, 0))
+        # the constant slot's tuple starts with the arity
+        digits[e] = _tuple_code((arity, *column) if e == ZERO else column)
     return from_digits(DigitMap(digits))
 
 

@@ -20,6 +20,7 @@ power Dedekind infiniteness, and the well-order code surrogate decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .carriers import (
@@ -132,7 +133,12 @@ def ordinal_sequence_limit(seq: Callable[[int], Ordinal], start: int = 0) -> tup
 
 @dataclass
 class Stage:
-    """One step of the peeling recursion."""
+    """One step of the peeling recursion.
+
+    The recursion decides the stored fields: ``k``, ``beta``, the chunk
+    bounds and ``b_restriction``.  ``q_map`` and ``coverage`` decide
+    nothing, so they are derived on first read, from the chunk bounds and
+    from B_(n+1) and the kept rows, which the stage shares with its result."""
 
     index: int
     k: int  # qualifying row (kept numbering)
@@ -140,8 +146,37 @@ class Stage:
     chunk_lo: Ordinal  # global positions [chunk_lo, chunk_hi) feed q_n
     chunk_hi: Ordinal
     b_restriction: dict  # B_n as per-block position sets
-    q_map: BlockwiseMap  # the iso from the chunk onto [0, beta_n)
-    coverage: list  # [(kept row m, delta_m, qualifies)]
+    b_next: dict = field(repr=False, compare=False)  # B_(n+1)
+    kept: _KeptRows = field(repr=False, compare=False)
+
+    @cached_property
+    def q_map(self) -> BlockwiseMap:
+        """The iso from the chunk onto [0, beta_n)."""
+        return _chunk_iso(self.kept.fam.carrier, self.chunk_lo, self.chunk_hi)
+
+    @cached_property
+    def coverage(self) -> list:
+        """[(kept row m, delta_m, qualifies)] for every window row on B_(n+1)."""
+        kept, window = self.kept, range(_COVERAGE_WINDOW)
+        return [(m, kept.delta(m), kept.strong(m, self.b_next)) for m in window]
+
+
+def _chunk_iso(carrier: Carrier, chunk_lo: Ordinal, chunk_hi: Ordinal) -> BlockwiseMap:
+    """The unique order isomorphism from the global positions
+    [chunk_lo, chunk_hi) onto [0, chunk_hi - chunk_lo), as block-wise
+    monotone pieces."""
+    chunk = carrier.global_range_restriction(chunk_lo, chunk_hi)
+    pieces = []
+    acc = ZERO
+    for label in carrier.labels:
+        dom = chunk[label]
+        if dom.is_empty():
+            continue
+        length = dom.order_type()
+        target = OrdinalSet.interval(acc, add(acc, length))
+        pieces.append(Piece(label, "monotone", target=target, dom=dom))
+        acc = add(acc, length)
+    return BlockwiseMap(pieces)
 
 
 def _top_rows(deltas: list) -> list:
@@ -175,85 +210,60 @@ class ReductionResult:
                     "carrier order type must reach w**delta * 2 "
                     f"(need {fmt(multiply(self.beta, Ordinal(2)))}, have {fmt(theta)})"
                 )
-            self._peeled = [ZERO]  # cumulative chunk lengths
             self._b = [self.carrier.full_restriction()]  # B_n per stage n
 
     # -- case 2 stages --------------------------------------------------
 
-    def _strong(self, m: int, restriction: dict) -> bool:
-        """Kept row m keeps full strength on the restriction: its restricted
-        image (a subset of its full image) still has order type delta_m."""
-        image = image_of(self._kept.row(m), self.carrier, restriction)
-        return compare(image.order_type(), self._kept.delta(m)) == 0
+    @cached_property
+    def _top(self) -> list:
+        # the coverage condition holds on a restriction exactly when a
+        # window row of the largest delta_m keeps full strength there
+        return _top_rows([self._kept.delta(m) for m in range(_COVERAGE_WINDOW)])
 
     def ensure_stage(self, n: int):
+        """Build the stages up to n, running only the checks that can fail."""
         if self.case_taken[0] != "case2":
             raise PreconditionViolated("stages exist only in case 2")
         while len(self.stages) <= n:
             index = len(self.stages)
-            beta_n = omega_power(self._kept.delta(index))
+            delta_n = self._kept.delta(index)
+            beta_n = omega_power(delta_n)
             b_restriction = self._b[index]
             # least k with beta_index < beta_k and full row strength on B_n
+            search = max(_STAGE_SEARCH, index + 8)
             k = None
-            for cand in range(max(_STAGE_SEARCH, index + 8)):
-                above = compare(self._kept.delta(index), self._kept.delta(cand)) < 0
-                if above and self._strong(cand, b_restriction):
+            for cand in range(search):
+                above = compare(delta_n, self._kept.delta(cand)) < 0
+                if above and self._kept.strong(cand, b_restriction):
                     k = cand
                     break
             if k is None:
                 raise CoverageBroken(
-                    f"no qualifying row above beta_{index} within {_STAGE_SEARCH} rows"
+                    f"no qualifying row above beta_{index} within {search} rows"
                 )
             beta_k = omega_power(self._kept.delta(k))
             if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
                 raise CoverageBroken(f"beta_{index}*2 < beta_k fails at stage {index}")
-            chunk_lo = add(self.beta, self._peeled[index])
+            # the chunks are adjacent, from the start of the reserve zone on
+            chunk_lo = self.stages[index - 1].chunk_hi if index else self.beta
             chunk_hi = add(chunk_lo, beta_n)
             chunk = self.carrier.global_range_restriction(chunk_lo, chunk_hi)
-            # the coverage condition holds on a restriction exactly when a
-            # window row of the largest delta_m keeps full strength there
-            top = _top_rows([self._kept.delta(m) for m in range(_COVERAGE_WINDOW)])
             # Branch order: first ask whether coverage survives keeping only
             # the candidate chunk.  Reserve-zone chunks never carry row
             # strength, so the complement branch is always the one taken; a
             # pass here means the instance left the structured class.
-            if any(self._strong(m, chunk) for m in top):
+            if any(self._kept.strong(m, chunk) for m in self._top):
                 raise CoverageBroken(
                     "reserve chunk unexpectedly carries full row strength"
                 )
-            # the chunks are adjacent, so B_n minus this one is B_(n+1)
+            # B_n minus this chunk is B_(n+1)
             b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
-            after = [
-                (m, self._kept.delta(m), self._strong(m, b_next))
-                for m in range(_COVERAGE_WINDOW)
-            ]
-            if not any(after[m][2] for m in top):
+            if not any(self._kept.strong(m, b_next) for m in self._top):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
-            q_map = self._chunk_iso(chunk)
             self.stages.append(
-                Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, q_map, after)
+                Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, b_next, self._kept)
             )
-            self._peeled.append(add(self._peeled[index], beta_n))
             self._b.append(b_next)
-
-    def _b_restriction(self, n: int) -> dict:
-        """B_n: the carrier minus the chunks of stages below n."""
-        return self._b[n]
-
-    def _chunk_iso(self, chunk: dict) -> BlockwiseMap:
-        """The unique order isomorphism from the chunk's global positions
-        [lo, hi) onto [0, hi - lo), as block-wise monotone pieces."""
-        pieces = []
-        acc = ZERO
-        for label in self.carrier.labels:
-            dom = chunk[label]
-            if dom.is_empty():
-                continue
-            length = dom.order_type()
-            target = OrdinalSet.interval(acc, add(acc, length))
-            pieces.append(Piece(label, "monotone", target=target, dom=dom))
-            acc = add(acc, length)
-        return BlockwiseMap(pieces)
 
     # -- evaluation -------------------------------------------------------
 
@@ -265,16 +275,15 @@ class ReductionResult:
             value = self._kept.row(k)(self.carrier, element)
             return self._kept.image(k).locate(value)
         p = self.carrier.global_position(element)
-        if compare(p, self.beta) < 0:
-            # provably inside every B_n: the glued map sends it to zero
-            return self._bij.down(ZERO)
-        offset = left_subtract(self.beta, p)
-        if compare(offset, self.beta) >= 0:
+        if compare(p, self.beta) < 0 or compare(left_subtract(self.beta, p), self.beta) >= 0:
+            # outside the reserve zone [beta, beta*2), so inside every B_n:
+            # the glued map sends it to zero
             return self._bij.down(ZERO)
         for n in range(fuel):
             self.ensure_stage(n)
-            if compare(offset, self._peeled[n + 1]) < 0:
-                return self._bij.down(left_subtract(self._peeled[n], offset))
+            stage = self.stages[n]
+            if compare(p, stage.chunk_hi) < 0:
+                return self._bij.down(left_subtract(stage.chunk_lo, p))
         return None
 
     def evaluate_point(self, element, fuel: Optional[int] = None) -> tuple:
@@ -322,8 +331,7 @@ class ReductionResult:
         for n in range(self.fuel):
             self.ensure_stage(n)
             if compare(w, self.stages[n].beta) < 0:
-                p = add(add(self.beta, self._peeled[n]), w)
-                return self.carrier.element_at(p)
+                return self.carrier.element_at(add(self.stages[n].chunk_lo, w))
         raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {self.fuel}")
 
     def witness_for(self, gamma: Ordinal):
@@ -407,6 +415,12 @@ class _KeptRows:
 
     def delta(self, j: int) -> Ordinal:
         return self.fam.delta(self.original(j))
+
+    def strong(self, j: int, restriction: dict) -> bool:
+        """Kept row j keeps full strength on the restriction: its restricted
+        image (a subset of its full image) still has order type delta_j."""
+        image = image_of(self.row(j), self.fam.carrier, restriction)
+        return compare(image.order_type(), self.delta(j)) == 0
 
 
 def _compute_delta(fam: SurjectionFamily, kept: _KeptRows) -> tuple:
@@ -589,34 +603,18 @@ def fiber_family_values(n_size: int, m_size: int, f_vals, g_vals) -> list:
     """
     n_carrier = Carrier([("n", OrdinalSet.interval(ZERO, Ordinal(n_size)))])
     m_carrier = Carrier([("m", OrdinalSet.interval(ZERO, Ordinal(m_size)))])
-    f_pieces = [
-        Piece(
-            "n",
-            "constant",
-            value=Ordinal(f_vals[i]),
-            dom=OrdinalSet.point(Ordinal(i)),
-            target_label="m",
-        )
-        for i in range(n_size)
-    ]
-    g_pieces = [
-        Piece("n", "constant", value=Ordinal(g_vals[i]), dom=OrdinalSet.point(Ordinal(i)))
-        for i in range(n_size)
-    ]
-    f_map = CarrierMap(n_carrier, m_carrier, f_pieces)
-    g_map = BlockwiseMap(g_pieces)
-    rows = _fiber_rows(f_map, g_map)
-    out = []
-    for row in rows:
-        out.append(
-            [
-                (lambda v: v.nat_value() if v is not None else None)(
-                    row.evaluate(m_carrier, ("m", Ordinal(i)))
-                )
-                for i in range(m_size)
-            ]
-        )
-    return out
+    def point_map(values, target_label=None) -> list:
+        """One constant piece per point i of block n, with value values[i]."""
+        return [
+            Piece("n", "constant", value=Ordinal(values[i]),
+                  dom=OrdinalSet.point(Ordinal(i)), target_label=target_label)
+            for i in range(n_size)
+        ]
+
+    f_map = CarrierMap(n_carrier, m_carrier, point_map(f_vals, "m"))
+    rows = _fiber_rows(f_map, BlockwiseMap(point_map(g_vals)))
+    values = [[row.evaluate(m_carrier, ("m", Ordinal(i))) for i in range(m_size)] for row in rows]
+    return [[None if v is None else v.nat_value() for v in row] for row in values]
 
 
 @dataclass

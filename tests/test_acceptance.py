@@ -294,7 +294,7 @@ def test_criterion_7_reduction_engine_suite():
             continue
         result.ensure_stage(2)
         for stage in result.stages[:3]:
-            nxt = result._b_restriction(stage.index + 1)
+            nxt = result._b[stage.index + 1]
             if not all(
                 nxt[label].is_subset(stage.b_restriction[label]) for label in nxt
             ):
@@ -308,7 +308,7 @@ def test_criterion_7_reduction_engine_suite():
                 target = o(text)
                 if compare(target, stage.beta) >= 0:
                     continue
-                position = add(add(result.beta, result._peeled[stage.index]), target)
+                position = add(stage.chunk_lo, target)
                 if stage.q_map(result.carrier, result.carrier.element_at(position)) != target:
                     ok = False
             beta_k = omega_power(result._kept.delta(stage.k))

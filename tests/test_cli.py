@@ -1,5 +1,6 @@
 import io
 import shlex
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -86,6 +87,14 @@ class TestCodingCommands:
         status, out = run("fincode", "--alpha", INT_STR_LIMIT_ALPHA, ",".join(INT_STR_LIMIT_SET))
         assert status == 0
         assert len(out) > 4300
+
+    def test_fincode_past_the_code_size_limit(self):
+        # each member about doubles the code: 60 members would never finish
+        start = time.perf_counter()
+        status, out = run("fincode", "--alpha", "w", ",".join(map(str, range(60))))
+        assert time.perf_counter() - start < 1.0
+        assert status == 1
+        assert out.splitlines()[0] == "bound-violation"
 
     def test_domain_error_status(self):
         status, out = run("pair", "--alpha", "5", "1", "1")
@@ -403,7 +412,7 @@ def _argv(draw):
         "cmp": lambda: [draw(e), draw(e)],
         "pair": lambda: ["--alpha", draw(e), draw(e), draw(e)],
         "unpair": lambda: ["--alpha", draw(e), draw(e)],
-        "fincode": lambda: ["--alpha", draw(e), ",".join(draw(st.lists(e, max_size=3)))],
+        "fincode": lambda: ["--alpha", draw(e), ",".join(draw(st.lists(e, max_size=64)))],
         "cnfbij": lambda: ["--alpha", draw(e), "--dir", draw(st.sampled_from(["down", "up", "x"])),
                            draw(e), "--fuel", draw(_NUMBERS)],
         "reduce": lambda: ["--instance", "{instance}", "--verify-below", draw(e)],

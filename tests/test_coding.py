@@ -303,6 +303,17 @@ class TestFinEncode:
             members = [Ordinal(i) for i in reversed(range(n))]
             assert fin_decode(OMEGA, fin_encode(OMEGA, members)) == members
 
+    def test_encode_refuses_a_code_past_the_size_limit(self):
+        # the code at least doubles per member: {0..15} takes 41,594 bits
+        # and codes, {0..16} would take 83,187 and is refused
+        members = [Ordinal(i) for i in reversed(range(16))]
+        code = fin_encode(OMEGA, members)
+        assert code.terms[0][1].bit_length() == 41_594
+        assert fin_decode(OMEGA, code) == members
+        for n in (17, 60):
+            with pytest.raises(BoundViolation, match="passes 65536 bits"):
+                fin_encode(OMEGA, [Ordinal(i) for i in range(n)])
+
 
 class TestCsb:
     def test_singletons(self):

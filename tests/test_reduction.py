@@ -271,7 +271,7 @@ class TestReduceCase2:
     def test_stage_invariants(self, tower):
         tower.ensure_stage(2)
         for stage in tower.stages[:3]:
-            nxt = tower._b_restriction(stage.index + 1)
+            nxt = tower._b[stage.index + 1]
             for label, positions in nxt.items():
                 assert positions.is_subset(stage.b_restriction[label])
             dom = OrdinalSet()
@@ -289,7 +289,7 @@ class TestReduceCase2:
             target = o(text)
             if compare(target, stage.beta) >= 0:
                 continue
-            position = add(add(tower.beta, tower._peeled[stage.index]), target)
+            position = add(stage.chunk_lo, target)
             element = tower.carrier.element_at(position)
             assert stage.q_map(tower.carrier, element) == target
 
@@ -382,10 +382,15 @@ def _ref_coverage_ok(report: list) -> bool:
 
 
 class _ReferenceStages(ReductionResult):
-    """The stage construction as it was before row strength had one test:
-    every window row is imaged on the chunk and on B_(n+1), and the
-    coverage condition compares the window's largest delta_m with its
-    largest qualifying one."""
+    """The stage construction as it was before row strength had one test
+    and before the record was derived on demand: every window row is
+    imaged on the chunk and on B_(n+1), the coverage condition compares
+    the window's largest delta_m with its largest qualifying one, and each
+    stage's q_map and coverage are built eagerly."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._peeled = [ZERO]  # cumulative chunk lengths
 
     def _stage_coverage(self, restriction: dict) -> list:
         report = []
@@ -395,14 +400,28 @@ class _ReferenceStages(ReductionResult):
             report.append((m, delta_m, compare(image.order_type(), delta_m) == 0))
         return report
 
+    def _ref_chunk_iso(self, chunk: dict) -> BlockwiseMap:
+        pieces = []
+        acc = ZERO
+        for label in self.carrier.labels:
+            dom = chunk[label]
+            if dom.is_empty():
+                continue
+            length = dom.order_type()
+            target = OrdinalSet.interval(acc, add(acc, length))
+            pieces.append(Piece(label, "monotone", target=target, dom=dom))
+            acc = add(acc, length)
+        return BlockwiseMap(pieces)
+
     def ensure_stage(self, n: int):
         while len(self.stages) <= n:
             index = len(self.stages)
             beta_n = omega_power(self._kept.delta(index))
             b_lo = add(self.beta, self._peeled[index])
             b_restriction = self._b[index]
+            search = max(_STAGE_SEARCH, index + 8)
             k = None
-            for cand in range(max(_STAGE_SEARCH, index + 8)):
+            for cand in range(search):
                 delta_c = self._kept.delta(cand)
                 if compare(self._kept.delta(index), delta_c) >= 0:
                     continue
@@ -412,7 +431,7 @@ class _ReferenceStages(ReductionResult):
                     break
             if k is None:
                 raise CoverageBroken(
-                    f"no qualifying row above beta_{index} within {_STAGE_SEARCH} rows"
+                    f"no qualifying row above beta_{index} within {search} rows"
                 )
             beta_k = omega_power(self._kept.delta(k))
             if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
@@ -426,10 +445,11 @@ class _ReferenceStages(ReductionResult):
             after = self._stage_coverage(b_next)
             if not _ref_coverage_ok(after):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
-            q_map = self._chunk_iso(chunk)
-            self.stages.append(
-                Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, q_map, after)
-            )
+            q_map = self._ref_chunk_iso(chunk)
+            stage = Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, b_next, self._kept)
+            # hand over the eagerly computed record in place of the derived one
+            stage.q_map, stage.coverage = q_map, after
+            self.stages.append(stage)
             self._peeled.append(add(self._peeled[index], beta_n))
             self._b.append(b_next)
 
@@ -481,26 +501,55 @@ def _case2_instances(draw):
     return "\n".join(lines) + "\n"
 
 
-def _stage_records(cls, text: str) -> list:
-    """Stages 0-5 built one at a time, each as a tuple of its fields; an
-    error ends the list as its type and message."""
-    fam = parse_instance(text)
+def _stage_records(cls, fam: SurjectionFamily, late: bool = False) -> list:
+    """Stages 0-5 built one at a time, each as a tuple of its fields read
+    as soon as it is built, or, when ``late``, after the last one; an error
+    ends the list as its type and message."""
     kept = _KeptRows(fam)
     delta, attained_at = _compute_delta(fam, kept)
     assert attained_at is None
-    records = []
+    stages, records = [], []
     try:
         result = cls(fam, kept, delta, None, 10_000)
         for n in range(6):
             result.ensure_stage(n)
-            s = result.stages[n]
-            records.append(
-                (s.index, s.k, s.beta, s.chunk_lo, s.chunk_hi, s.b_restriction,
-                 s.q_map.pieces, s.coverage)
-            )
+            stages.append(result.stages[n])
+            if not late:
+                records.append(_stage_record(stages[-1]))
     except ToolkitError as error:
         records.append((type(error), str(error)))
+    if late:
+        records[:0] = [_stage_record(s) for s in stages]
     return records
+
+
+def _stage_record(s: Stage) -> tuple:
+    return (s.index, s.k, s.beta, s.chunk_lo, s.chunk_hi, s.b_restriction,
+            s.q_map.pieces, s.coverage)
+
+
+def _chunk_dependent_family(low_target, chunk_target: tuple, chunk_len: str):
+    """A case-2 family on m:[0, beta*2), beta = w^(w^w), whose tail rows
+    n >= 1 map onto [0, w^(n+1)).  Row 0 maps [0, beta) onto the interval
+    ``low_target`` (to 0 when None), the first chunk [beta, beta + chunk_len)
+    onto the interval ``chunk_target``, and the rest to 0."""
+    beta = o("w^(w^w)")
+    chunk_hi, zone_end = add(beta, o(chunk_len)), multiply(beta, Ordinal(2))
+    low = OrdinalSet.interval(ZERO, beta)
+    row0 = BlockwiseMap([
+        Piece("m", "constant", value=ZERO, dom=low) if low_target is None
+        else Piece("m", "monotone", target=iv(*low_target), dom=low),
+        Piece("m", "monotone", target=iv(*chunk_target), dom=OrdinalSet.interval(beta, chunk_hi)),
+        Piece("m", "constant", value=ZERO, dom=OrdinalSet.interval(chunk_hi, zone_end)),
+    ])
+
+    def tail(n):
+        return BlockwiseMap(
+            [Piece("m", "monotone", target=iv("0", omega_power(Ordinal(n + 1))))]
+        )
+
+    carrier = Carrier([("m", OrdinalSet.interval(ZERO, zone_end))])
+    return SurjectionFamily(carrier, o("w^w"), [row0], tail=(1, tail))
 
 
 class TestStageReference:
@@ -516,7 +565,27 @@ class TestStageReference:
         "tail: n >= 1: a -> monotone [0,w^(w^n)) ; b -> monotone [0,w^(w^n))\n"
     )
     def test_stage_records(self, text):
-        assert _stage_records(ReductionResult, text) == _stage_records(_ReferenceStages, text)
+        reference = _stage_records(_ReferenceStages, parse_instance(text))
+        assert _stage_records(ReductionResult, parse_instance(text)) == reference
+        # the derived fields read the same once later stages exist
+        assert _stage_records(ReductionResult, parse_instance(text), late=True) == reference
+
+    def test_window_row_weakened_by_its_chunk(self):
+        # row 0 (delta w) takes its values only on the first chunk: strong
+        # on B_0, weak on B_1, so stage 0's record shows it weak
+        fam = lambda: _chunk_dependent_family(None, ("0", "w"), "w^w")
+        reference = _stage_records(_ReferenceStages, fam())
+        assert [q for _, _, q in reference[0][-1]] == [False] + [True] * 5
+        assert _stage_records(ReductionResult, fam()) == reference
+        assert _stage_records(ReductionResult, fam(), late=True) == reference
+
+    def test_top_row_weakened_by_its_chunk(self):
+        # row 0 (delta w^6*2, the top row) needs the first chunk for its
+        # second half, so the coverage condition fails after stage 0
+        fam = lambda: _chunk_dependent_family(("0", "w^6"), ("w^6", "w^6*2"), "w^(w^6*2)")
+        reference = _stage_records(_ReferenceStages, fam())
+        assert reference == [(CoverageBroken, "coverage condition fails after stage 0")]
+        assert _stage_records(ReductionResult, fam()) == reference
 
     def test_coverage_condition_is_a_top_row_keeping_strength(self):
         for deltas in itertools.product([o("w"), o("w^2"), o("w^3")], repeat=6):
@@ -524,6 +593,56 @@ class TestStageReference:
             for qualifies in itertools.product((False, True), repeat=6):
                 report = [(m, d, q) for m, d, q in zip(range(6), deltas, qualifies)]
                 assert _ref_coverage_ok(report) == any(qualifies[m] for m in top)
+
+
+_CASE2_INSTANCES = ["case2_tower.txt", "case2_blocks.txt", "case2_slow.txt", "case2_filtered.txt"]
+
+
+class TestStageCost:
+    """Building a stage images only the rows that decide it; the derived
+    record is built only when read."""
+
+    @pytest.mark.parametrize("name", _CASE2_INSTANCES)
+    def test_stage_images_the_candidates_and_the_top_rows(self, name, monkeypatch):
+        calls = []
+
+        def counting_image_of(*args):
+            calls.append(args)
+            return image_of(*args)
+
+        monkeypatch.setattr(reduction, "image_of", counting_image_of)
+        fam = load(name)
+        kept = _KeptRows(fam)
+        delta, _ = _compute_delta(fam, kept)
+        result = ReductionResult(fam, kept, delta, None, 10_000)
+        for n in range(6):
+            calls.clear()
+            result.ensure_stage(n)
+            stage = result.stages[n]
+            # the k search images the rows up to k above delta_n; then each
+            # top row is imaged at most on the chunk and on B_(n+1)
+            delta_n = kept.delta(n)
+            candidates = [c for c in range(stage.k + 1) if compare(delta_n, kept.delta(c)) < 0]
+            assert len(calls) <= len(candidates) + 2 * len(result._top)
+            assert "coverage" not in vars(stage) and "q_map" not in vars(stage)
+
+    def test_entry_points_build_no_record(self, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("the stage record was built")
+
+        monkeypatch.setattr(reduction, "_chunk_iso", unexpected)
+        monkeypatch.setattr(Stage, "coverage", property(unexpected))
+        path = str(INSTANCES / "case2_tower.txt")
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["reduce", "--instance", path, "--verify-below", "w^3"]) == 0
+        assert "MISMATCH" not in out.getvalue()
+        for name in _CASE2_INSTANCES:
+            result = reduce_omega_product(load(name))
+            zone = result.carrier.element_at(add(result.beta, o("w^(w^3)")))
+            assert result.evaluate_point(zone)[0] == "determined"
+            for text in ("0", "w", "w^2+3"):
+                assert result.m_to_delta(result.delta_witness(o(text))) == o(text)
+            assert verify_surjective(result, o("w^3")).ok()
 
 
 class TestTransfer:
