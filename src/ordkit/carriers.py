@@ -392,7 +392,7 @@ class SurjectionFamily:
         self.rows = tuple(rows)
         if tail is not None:
             start, rule = tail
-            if start > len(self.rows):
+            if start != len(self.rows):
                 raise BoundViolation("tail must start right after the explicit rows")
             self.tail_start = start
             self.tail_rule = rule

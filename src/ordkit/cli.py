@@ -115,12 +115,17 @@ def _fiber_listing(fam):
     return phi
 
 
-def _distinct_table(fam, phi, limit: int = 8, scan: int = 24):
+# the refuters' table: at most _TABLE_SIZE sets from the first _TABLE_SCAN listings
+_TABLE_SIZE = 8
+_TABLE_SCAN = 24
+
+
+def _distinct_table(fam, phi):
     """The first pairwise sample-distinct listed sets, in listing order."""
     points = fam.carrier.sample_elements(16)
     table = []
     index = 0
-    while len(table) < limit and index < scan:
+    while len(table) < _TABLE_SIZE and index < _TABLE_SCAN:
         n, i = index % 4, index // 4
         if i < len(points):
             candidate = phi(n, points[i])

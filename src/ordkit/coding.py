@@ -1,7 +1,9 @@
 """Explicit codings below epsilon-0.
 
-Digit maps (the finite-support view of CNF), a digit-wise Cantor pairing
-injection alpha x alpha -> alpha, a finite-set coding fin(alpha) -> alpha,
+An ordinal's digit map, the finite-support map from exponents to digits
+that the codings work on, is ``dict(x.terms)``; :func:`from_digits` is the
+one way back.  Built on it: a digit-wise Cantor pairing injection
+alpha x alpha -> alpha, a finite-set coding fin(alpha) -> alpha,
 a constructive bijection combinator from two opposing injections, the
 omega-power bijection w**alpha <-> alpha built from those pieces, and the
 injection P(alpha) -> P_inf(alpha) on queryable sets.
@@ -16,15 +18,11 @@ from typing import Callable, Iterable, Optional
 
 from .carriers import QueryableSet
 from .core import (
-    OMEGA, ONE, ZERO, Ordinal, _coerce, add, compare, left_subtract, multiply, omega_power,
+    OMEGA, ONE, ZERO, Ordinal, add, compare, left_subtract, multiply, omega_power,
 )
 from .errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
 __all__ = [
-    "DigitMap",
-    "to_digits",
-    "from_digits",
-    "digitmap_rightlex_cmp",
     "cantor_pair",
     "cantor_unpair",
     "pair_encode",
@@ -41,73 +39,13 @@ __all__ = [
 # -- digit maps --------------------------------------------------------------
 
 
-class DigitMap:
-    """A finite-support function from exponents (ordinals) to digits >= 1.
-
-    Integer exponents are coerced to ordinals; exponents of any other type
-    and digits that are not naturals are rejected, so every map reads back
-    as a valid Cantor normal form.
-    """
-
-    __slots__ = ("_digits",)
-
-    def __init__(self, digits: Optional[dict] = None):
-        cleaned = {}
-        for exp, digit in (digits or {}).items():
-            exp = _coerce(exp)
-            if exp is NotImplemented or not isinstance(digit, int):
-                raise BoundViolation("bad term component types")
-            if digit < 0:
-                raise BoundViolation("digits must be naturals")
-            if exp in cleaned:
-                raise BoundViolation(f"exponent {exp} is given twice")
-            if digit:
-                cleaned[exp] = digit
-        self._digits = cleaned
-
-    def digit(self, exp: Ordinal) -> int:
-        return self._digits.get(_coerce(exp), 0)
-
-    @property
-    def support(self) -> list:
-        return sorted(self._digits, key=attrgetter("key"), reverse=True)
-
-    def items_desc(self) -> list:
-        return [(e, self._digits[e]) for e in self.support]
-
-    def __eq__(self, other):
-        if not isinstance(other, DigitMap):
-            return NotImplemented
-        return self._digits == other._digits
-
-    def __hash__(self):
-        return hash(frozenset(self._digits.items()))
-
-    def __len__(self):
-        return len(self._digits)
-
-    def __repr__(self):
-        body = ", ".join(f"{e}:{d}" for e, d in self.items_desc())
-        return f"DigitMap({{{body}}})"
-
-
-def to_digits(x: Ordinal) -> DigitMap:
-    return DigitMap(dict(x.terms))
-
-
-def from_digits(d: DigitMap) -> Ordinal:
-    # distinct ordinal exponents, sorted descending, digits >= 1: valid CNF
-    return Ordinal._raw(tuple(d.items_desc()))
-
-
-def digitmap_rightlex_cmp(a: DigitMap, b: DigitMap) -> int:
-    """Compare at the largest exponent where the digit maps differ."""
-    exps = set(a._digits) | set(b._digits)
-    for e in sorted(exps, key=attrgetter("key"), reverse=True):
-        da, db = a.digit(e), b.digit(e)
-        if da != db:
-            return -1 if da < db else 1
-    return 0
+def from_digits(digits: dict) -> Ordinal:
+    """The ordinal whose digit map is ``digits``, so that
+    ``from_digits(dict(x.terms)) == x``.  Zero digits are dropped; the rest
+    is trusted: ordinal exponents and natural digits make a valid CNF."""
+    terms = [(e, d) for e, d in digits.items() if d]
+    terms.sort(key=lambda term: term[0].key, reverse=True)
+    return Ordinal._raw(tuple(terms))
 
 
 # -- natural-number pairing ---------------------------------------------------
@@ -186,7 +124,7 @@ def _embed(alpha: Ordinal, x: Ordinal) -> Ordinal:
     digits = dict(r.terms)
     d0 = digits.pop(ZERO, 0)
     digits[ZERO] = cantor_pair(q, d0)
-    return from_digits(DigitMap(digits))
+    return from_digits(digits)
 
 
 def _unembed(alpha: Ordinal, u: Ordinal) -> Optional[Ordinal]:
@@ -200,7 +138,7 @@ def _unembed(alpha: Ordinal, u: Ordinal) -> Optional[Ordinal]:
     q, d0 = cantor_unpair(digits.pop(ZERO, 0))
     if d0:
         digits[ZERO] = d0
-    r = from_digits(DigitMap(digits))
+    r = from_digits(digits)
     x = add(multiply(omega_power(mu), Ordinal(q)), r)
     if compare(x, alpha) >= 0:
         return None
@@ -221,7 +159,7 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
         raise BoundViolation("pair components must lie below alpha")
     u, v = dict(_embed(alpha, x).terms), dict(_embed(alpha, y).terms)
     digits = {e: cantor_pair(u.get(e, 0), v.get(e, 0)) for e in u.keys() | v.keys()}
-    return from_digits(DigitMap(digits))
+    return from_digits(digits)
 
 
 def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
@@ -239,8 +177,8 @@ def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
             u_digits[e] = du
         if dv:
             v_digits[e] = dv
-    x = _unembed(alpha, from_digits(DigitMap(u_digits)))
-    y = _unembed(alpha, from_digits(DigitMap(v_digits)))
+    x = _unembed(alpha, from_digits(u_digits))
+    y = _unembed(alpha, from_digits(v_digits))
     if x is None or y is None:
         return None
     return x, y
@@ -266,15 +204,14 @@ def fin_encode(alpha: Ordinal, elements: Iterable) -> Ordinal:
     embedded = [_embed(alpha, x) for x in members]
     embedded.sort(key=attrgetter("key"), reverse=True)
     arity = len(embedded)
-    support = set()
-    for u in embedded:
-        support.update(dict(u.terms))
+    member_digits = [dict(u.terms) for u in embedded]
+    support = {ZERO}.union(*member_digits)
     digits = {}
-    for e in support | {ZERO}:
-        column = tuple(dict(u.terms).get(e, 0) for u in embedded)
+    for e in support:
+        column = tuple(u.get(e, 0) for u in member_digits)
         # the constant slot's tuple starts with the arity
         digits[e] = _tuple_code((arity, *column) if e == ZERO else column)
-    return from_digits(DigitMap(digits))
+    return from_digits(digits)
 
 
 def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
@@ -305,7 +242,7 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
                 u_digits[e] = d
     members = []
     for u_digits in per_member:
-        x = _unembed(alpha, from_digits(DigitMap(u_digits)))
+        x = _unembed(alpha, from_digits(u_digits))
         if x is None:
             return None
         members.append(x)
@@ -428,9 +365,6 @@ class OmegaPowerBijection:
                 raise InconsistentMapSpec(f"{z} is not an encoded digit map")
             return v
 
-        def power(g: Ordinal) -> Ordinal:
-            return omega_power(g)
-
         def in_power_range(v: Ordinal) -> bool:
             return (
                 len(v.terms) == 1
@@ -438,12 +372,9 @@ class OmegaPowerBijection:
                 and compare(v.terms[0][0], alpha) < 0
             )
 
-        def log(v: Ordinal) -> Ordinal:
-            return v.degree
-
         self._csb = CsbBijection(
             MapSpec(encode, in_encode_range, decode, "digit-code"),
-            MapSpec(power, in_power_range, log, "omega-power"),
+            MapSpec(omega_power, in_power_range, attrgetter("degree"), "omega-power"),
             fuel=fuel,
         )
 
@@ -460,7 +391,7 @@ class OmegaPowerBijection:
             if not c.is_nat() or c.nat_value() < 1 or e in digits:
                 return None
             digits[e] = c.nat_value()
-        v = from_digits(DigitMap(digits))
+        v = from_digits(digits)
         if compare(v, self.bound) >= 0:
             return None
         return v
@@ -479,7 +410,11 @@ class OmegaPowerBijection:
 # -- P(alpha) -> P_inf(alpha) -----------------------------------------------------
 
 
-def pset_to_infpset(alpha: Ordinal, qset: QueryableSet, samples: int = 32) -> QueryableSet:
+# leading naturals a certificate must agree with before pset_to_infpset trusts it
+_CERTIFICATE_SAMPLES = 32
+
+
+def pset_to_infpset(alpha: Ordinal, qset: QueryableSet) -> QueryableSet:
     """Injective map from subsets of [0, alpha) to infinite subsets.
 
     An infinite input A becomes the set of pair codes (z, 0) with z in A;
@@ -490,9 +425,8 @@ def pset_to_infpset(alpha: Ordinal, qset: QueryableSet, samples: int = 32) -> Qu
     if qset.certificate is None:
         raise CertificateError("a finiteness certificate is required")
     # alpha is infinite, so the first naturals all lie below it
-    qset.validate_certificate(
-        lambda x: compare(x, alpha) < 0, map(Ordinal, range(samples)), samples
-    )
+    probes = map(Ordinal, range(_CERTIFICATE_SAMPLES))
+    qset.validate_certificate(lambda x: compare(x, alpha) < 0, probes, _CERTIFICATE_SAMPLES)
     kind, payload = qset.certificate
     keep_members = kind == "infinite"
     member_tag = ZERO if keep_members else ONE

@@ -464,6 +464,24 @@ class TestSurjectionFamily:
         with pytest.raises(CoverageBroken, match="row 21 maps outside"):
             fam.row_image(21)
 
+    def test_tail_must_start_right_after_the_rows(self):
+        # a tail from row 1 under three explicit rows would have the supremum
+        # read off rows 1 and 2 (w^2), though row n >= 3 has type w^(n+1)
+        carrier = Carrier([("m", iv("0", "w^(w^w)*2"))])
+
+        def row(hi):
+            return BlockwiseMap([Piece("m", "monotone", target=iv("0", hi))])
+
+        def tail(n):
+            return row(f"w^{n + 1}")
+
+        rows = [row("w"), row("w^2"), row("w^2")]
+        for start in (1, 4):
+            with pytest.raises(BoundViolation, match="right after the explicit rows"):
+                SurjectionFamily(carrier, o("w^w"), rows, tail=(start, tail))
+        fam = SurjectionFamily(carrier, o("w^w"), rows, tail=(3, tail))
+        assert fam.delta(9) == o("w^10")
+
 
 class TestInstanceFiles:
     def test_parse_roundtrip_structure(self):
