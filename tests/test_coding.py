@@ -53,13 +53,58 @@ INT_STR_LIMIT_SET = (
 
 
 class TestDigits:
+    """An ordinal's digit map is ``dict(x.terms)``; ``Ordinal`` validates the
+    digit maps that come from outside, ``from_digits`` trusts its own."""
+
+    def test_zero(self):
+        assert dict(ZERO.terms) == {} and from_digits({}) == ZERO
+
+    def test_reading(self):
+        d = dict(o("w^2*3+5").terms)
+        assert d[Ordinal(2)] == 3 and d[ZERO] == 5
+
     def test_from_digits(self):
         # zero digits are dropped and exponents put in CNF order
         assert from_digits({ZERO: 5, ONE: 0, OMEGA: 1}) == o("w^w+5")
 
+    def test_int_exponents_are_coerced(self):
+        x = Ordinal.from_terms([(1, 2), (0, 5)])
+        assert x.terms == ((ONE, 2), (ZERO, 5))
+        assert from_digits(dict(x.terms)) == o("w*2+5")
+
+    @pytest.mark.parametrize(
+        "digits",
+        [{ONE: -1}, {1: -3}, {ONE: 1.5}, {ONE: "2"}, {ONE: None}, {"w": 1}, {1.0: 1}],
+    )
+    def test_bad_digits_and_exponents_rejected(self, digits):
+        with pytest.raises(BoundViolation):
+            Ordinal.from_terms(digits.items())
+
+    def test_digit_lookup_coerces_int_exponents(self):
+        # a natural hashes and compares like the int it equals
+        d = dict(Ordinal.from_terms([(1, 2), (ZERO, 5)]).terms)
+        assert d.get(1) == d.get(ONE) == 2
+        assert d.get(0) == 5 and d.get(7, 0) == 0
+
+    def test_exponent_given_twice_rejected(self):
+        # 1 and Ordinal(1) are one dict key, so only a term list can repeat it
+        with pytest.raises(BoundViolation):
+            Ordinal.from_terms([(1, 2), (Ordinal(1), 3)])
+
     @given(nested_ordinals())
     def test_roundtrip(self, x):
         assert from_digits(dict(x.terms)) == x
+
+    @given(nested_ordinals(), nested_ordinals())
+    def test_rightlex_matches_ordinal_order(self, a, b):
+        # the highest exponent whose digits differ decides the order
+        da, db = dict(a.terms), dict(b.terms)
+        differ = [e for e in da.keys() | db.keys() if da.get(e, 0) != db.get(e, 0)]
+        expected = 0
+        if differ:
+            top = max(differ, key=lambda e: e.key)
+            expected = 1 if da.get(top, 0) > db.get(top, 0) else -1
+        assert compare(a, b) == expected
 
 
 class TestCantorPairing:
