@@ -21,6 +21,7 @@ from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
 from .oracle import _CHECKS, exhaustive_check
 from .reduction import (
+    _signature,
     reduce_omega_product,
     refute_infinite_powerset,
     refute_powerset,
@@ -124,15 +125,15 @@ def _distinct_table(fam, phi):
     """The first pairwise sample-distinct listed sets, in listing order."""
     points = fam.carrier.sample_elements(16)
     table = []
+    signatures = set()
     index = 0
     while len(table) < _TABLE_SIZE and index < _TABLE_SCAN:
         n, i = index % 4, index // 4
         if i < len(points):
             candidate = phi(n, points[i])
-            if all(
-                any(candidate.contains(w) != entry.contains(w) for w in points)
-                for entry in table
-            ):
+            signature = _signature(candidate, points)
+            if signature not in signatures:
+                signatures.add(signature)
                 table.append(candidate)
         index += 1
     return table

@@ -700,7 +700,9 @@ def finite_to_one_transfer(f: CarrierMap, g: BlockwiseMap, alpha: Ordinal) -> Tr
 @dataclass
 class RefutationWitness:
     missed_set: QueryableSet
-    distinguishers: list  # (tag, index, point, in_missed, in_listed, listed)
+    # (tag, index, point, in_missed, in_listed, listed): the two answers the
+    # refuter's search read; recheck asks both sets again
+    distinguishers: list
 
     def recheck(self) -> bool:
         for _, _, point, in_missed, in_listed, set_ref in self.distinguishers:
@@ -713,11 +715,12 @@ class RefutationWitness:
         return True
 
 
-def _distinct_point(a: QueryableSet, b: QueryableSet, points: Iterable):
-    for w in points:
-        if a.contains(w) != b.contains(w):
-            return w
-    return None
+def _signature(s: QueryableSet, points: list) -> int:
+    """The answers of ``s`` on ``points``, bit k for ``points[k]``: two sets
+    differ on the points exactly when their signatures differ.  An int, as
+    a tuple of 64 answers is too large for Python's small-object allocator
+    and raised the refuters' peak memory."""
+    return sum(1 << k for k, w in enumerate(points) if s.contains(w))
 
 
 def _listing_pairs(bound: int):
@@ -733,44 +736,37 @@ def _listing_pairs(bound: int):
     return out
 
 
-def _check_table(carrier: Carrier, table: list, points: list, check_bound: int):
+def _check_table(carrier: Carrier, table: list, points: list, check_bound: int) -> dict:
     """What both refuters need: a nonempty table whose entries differ on the
     sample points, an infinite carrier, and at least one listed set to
-    check."""
+    check.  Returns each entry's index keyed by its signature."""
     if check_bound < 1:
         raise BoundViolation(f"check bound must be at least 1, not {check_bound}")
     if not table:
         raise PreconditionViolated("table must be nonempty")
-    for i in range(len(table)):
-        for j in range(i + 1, len(table)):
-            if _distinct_point(table[i], table[j], points) is None:
-                raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
+    signatures = [_signature(entry, points) for entry in table]
+    for i, signature in enumerate(signatures):
+        if signature in signatures[i + 1:]:
+            j = signatures.index(signature, i + 1)
+            raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
     if not carrier.order_type.is_infinite():
         raise PreconditionViolated("carrier must be infinite")
+    return {signature: i for i, signature in enumerate(signatures)}
 
 
-def _induced_index(phi: Callable, table: list, points: list) -> Callable:
-    """The cached map (n, x) -> the first table index whose entry agrees
-    with phi(n, x) on the sample points, 0 when none does."""
+def _induced_index(phi: Callable, signatures: dict, points: list) -> Callable:
+    """The cached map (n, x) -> the table index whose entry agrees with
+    phi(n, x) on the sample points, 0 when none does."""
     cache: dict = {}
 
     def induced(n: int, x) -> int:
         key = (n, x)
         if key not in cache:
-            candidate = phi(n, x)
-            index = 0  # extended by zero
-            for i, entry in enumerate(table):
-                if _distinct_point(candidate, entry, points) is None:
-                    index = i
-                    break
-            cache[key] = index
+            # extended by zero
+            cache[key] = signatures.get(_signature(phi(n, x), points), 0)
         return cache[key]
 
     return induced
-
-
-def _distinguisher(tag, index, point, missed: QueryableSet, listed: QueryableSet) -> tuple:
-    return (tag, index, point, missed.contains(point), listed.contains(point), listed)
 
 
 def _refutation(
@@ -787,23 +783,35 @@ def _refutation(
     first point of ``table_search(i)`` where it differs from ``missed``,
     then one against each listed set phi(n, sample i) for the first
     ``check_bound`` pairs (n, i), at the first point of ``search(n, i)``;
-    every distinguisher is rechecked."""
+    every distinguisher is rechecked.  The missed set is asked once per
+    point in this call."""
+    in_missed: dict = {}
+
+    def separate(listed: QueryableSet, candidates: Iterable):
+        for w in candidates:
+            if w not in in_missed:
+                in_missed[w] = missed.contains(w)
+            in_listed = listed.contains(w)
+            if in_missed[w] != in_listed:
+                return w, in_missed[w], in_listed
+        return None
+
     distinguishers = []
     for i, entry in enumerate(table):
-        w = _distinct_point(missed, entry, table_search(i))
-        if w is None:
+        found = separate(entry, table_search(i))
+        if found is None:
             raise WitnessNotFound(f"cannot separate the {missed_name} from table entry {i}")
-        distinguishers.append(_distinguisher("table", i, w, missed, entry))
+        distinguishers.append(("table", i, *found, entry))
     for n, q_idx in _listing_pairs(check_bound):
         if q_idx >= len(points):
             continue
         listed = phi(n, points[q_idx])
-        w = _distinct_point(missed, listed, search(n, q_idx))
-        if w is None:
+        found = separate(listed, search(n, q_idx))
+        if found is None:
             raise WitnessNotFound(
                 f"cannot separate the {missed_name} from phi({n}, sample {q_idx})"
             )
-        distinguishers.append(_distinguisher((n, q_idx), None, w, missed, listed))
+        distinguishers.append(((n, q_idx), None, *found, listed))
     witness = RefutationWitness(missed, distinguishers)
     if not witness.recheck():
         raise WitnessNotFound("a recorded distinguisher failed re-evaluation")
@@ -828,9 +836,9 @@ def refute_powerset(
     that collapses to (n, y).
     """
     points = carrier.sample_elements(_REFUTER_SAMPLES)
-    _check_table(carrier, table, points, check_bound)
+    signatures = _check_table(carrier, table, points, check_bound)
     theta = carrier.order_type
-    induced = _induced_index(phi, table, points)
+    induced = _induced_index(phi, signatures, points)
 
     collapse_cache: dict = {}
 
@@ -888,7 +896,7 @@ def refute_infinite_powerset(
         if entry.certificate is None or entry.certificate[0] != "infinite":
             raise CertificateError(f"table entry {i} lacks an infinite certificate")
         entry.validate_certificate(carrier.is_element, samples=8)
-    _check_table(carrier, table, points, check_bound)
+    signatures = _check_table(carrier, table, points, check_bound)
     theta = carrier.order_type
     size = len(table)
 
@@ -898,7 +906,7 @@ def refute_infinite_powerset(
             raise CertificateError("listed sets must be infinite")
         return listed
 
-    induced = _induced_index(infinite_phi, table, points)
+    induced = _induced_index(infinite_phi, signatures, points)
 
     g_cache: dict = {}
 

@@ -9,6 +9,7 @@ import random
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from families import CARRIER, infinite_powerset_families, powerset_families
 from ordkit.carriers import Carrier, QueryableSet, load_instance
 from ordkit.cli import main as cli_main
 from ordkit.coding import OmegaPowerBijection, fin_decode, fin_encode, pair_decode, pair_encode
@@ -349,53 +350,18 @@ def test_criterion_8_diagonal():
 
 
 def test_criterion_9_refuters():
-    carrier = Carrier([("m", OrdinalSet.interval(ZERO, o("w^2")))])
-    empty = QueryableSet(lambda x: False)
-    families = {
-        "empty": (lambda n, x: empty, [empty]),
-        "singletons": (
-            lambda n, x: QueryableSet(lambda y, x=x: y == x),
-            [QueryableSet(lambda y, i=i: y == ("m", Ordinal(i))) for i in range(10)],
-        ),
-        "x-only": (
-            lambda n, x: QueryableSet(
-                lambda y, cut=carrier.global_position(x): compare(
-                    carrier.global_position(y), cut
-                )
-                < 0
-            ),
-            [
-                QueryableSet(
-                    lambda y, i=i: compare(carrier.global_position(y), Ordinal(i)) < 0
-                )
-                for i in range(1, 6)
-            ],
-        ),
-    }
     ok = True
     checked = 0
-    for name, (phi, table) in families.items():
-        witness = refute_powerset(phi, carrier, table, check_bound=1000)
+    for phi, table in powerset_families().values():
+        witness = refute_powerset(phi, CARRIER, table, check_bound=1000)
         if not witness.recheck():
             ok = False
         checked += len(witness.distinguishers)
 
-    full = QueryableSet(lambda x: True, ("infinite", lambda k: ("m", Ordinal(k))))
-
-    def cofinite(i):
-        return QueryableSet(
-            lambda y, i=i: not (y[1].is_nat() and y[1].nat_value() <= i),
-            ("infinite", lambda k, i=i: ("m", Ordinal(i + 1 + k))),
-        )
-
-    infinite_families = {
-        "full": (lambda n, x: full, [full]),
-        "cofinite": (lambda n, x: cofinite(n), [cofinite(i) for i in range(5)]),
-    }
     members_ok = True
-    for name, (phi, table) in infinite_families.items():
+    for phi, table in infinite_powerset_families().values():
         witness = refute_infinite_powerset(
-            phi, carrier, table, check_bound=1000, certificate_members=100
+            phi, CARRIER, table, check_bound=1000, certificate_members=100
         )
         if not witness.recheck():
             ok = False

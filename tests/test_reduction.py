@@ -820,6 +820,14 @@ class TestRefuters:
         with pytest.raises(TableNotInjective):
             refute_powerset(lambda n, x: dupe, carrier, [dupe, dupe], check_bound=16)
 
+    def test_table_injectivity_names_the_first_pair(self, carrier):
+        # pairs are tried i, then j: (0, 3) comes before (1, 2), the first
+        # collision a left-to-right scan meets
+        a, b = QueryableSet(lambda x: True), QueryableSet(lambda x: False)
+        a2, b2 = QueryableSet(lambda x: True), QueryableSet(lambda x: False)
+        with pytest.raises(TableNotInjective, match="table entries 0 and 3 agree"):
+            refute_powerset(lambda n, x: a, carrier, [a, b, b2, a2], check_bound=16)
+
     def test_infinite_full_listing(self, carrier):
         full = QueryableSet(lambda x: True, ("infinite", lambda k: ("m", Ordinal(k))))
         witness = refute_infinite_powerset(
@@ -873,10 +881,11 @@ class TestRefuters:
             lambda n, x: cofinite(n % 5, listed_flips), carrier, table, check_bound=32
         )
         assert witness.recheck()
-        listed_flips[2] = True
-        assert not witness.recheck()
-        listed_flips[2] = False
-        assert witness.recheck()
+        for flips in (listed_flips, table_flips):
+            flips[2] = True
+            assert not witness.recheck()
+            flips[2] = False
+            assert witness.recheck()
 
 
 class TestRefuterCaches:
@@ -909,6 +918,30 @@ class TestRefuterCaches:
         assert counts[0][0] <= 400
         assert counts[0][1] <= 210
         # nothing outlives a call: the second call repeats every step
+        assert counts[1] == counts[0]
+
+    def test_pset_membership_queries(self, monkeypatch):
+        # a call reads each table entry's signature once, each candidate's
+        # once per (n, x), and the missed set's answer once per point
+        calls = [0]
+        contains = QueryableSet.contains
+
+        def counting(self, x):
+            calls[0] += 1
+            return contains(self, x)
+
+        monkeypatch.setattr(QueryableSet, "contains", counting)
+        argv = ["refute", "--instance", str(INSTANCES / "refute_split_row0.txt"),
+                "--mode", "pset", "--check", "100"]
+        counts = []
+        for _ in range(2):
+            calls[0] = 0
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            counts.append(calls[0])
+        # asking every question again: 21,184 queries
+        assert counts[0] <= 12_000
+        # nothing outlives a call: the second call asks every question again
         assert counts[1] == counts[0]
 
 
