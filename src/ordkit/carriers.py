@@ -343,9 +343,11 @@ class QueryableSet:
     def validate_certificate(self, in_domain: Callable, probes: Iterable = (), samples: int = 16):
         """Spot-check the certificate, if any: a finite one must list only
         members and miss none of ``probes``; the first ``samples`` points of
-        an infinite one must be distinct members inside ``in_domain``."""
+        an infinite one must be distinct members inside ``in_domain``.
+        Returns the list of members it checked, in order: the listed points
+        or the enumerated ones; none without a certificate."""
         if self.certificate is None:
-            return
+            return []
         kind, payload = self.certificate
         if kind == "finite":
             for x in payload:
@@ -355,17 +357,18 @@ class QueryableSet:
             for x in probes:
                 if x not in listed and self.contains(x):
                     raise CertificateError(f"unlisted member {x} found for a finite certificate")
-        elif kind == "infinite":
-            seen = set()
-            for k in range(samples):
-                x = payload(k)
-                if not in_domain(x) or not self.contains(x):
-                    raise CertificateError(f"enumerated point {x} is not a member")
-                if x in seen:
-                    raise CertificateError("enumerator repeated a point")
-                seen.add(x)
-        else:
+            return list(payload)
+        if kind != "infinite":
             raise CertificateError(f"unknown certificate kind {kind!r}")
+        seen: dict = {}
+        for k in range(samples):
+            x = payload(k)
+            if not in_domain(x) or not self.contains(x):
+                raise CertificateError(f"enumerated point {x} is not a member")
+            if x in seen:
+                raise CertificateError("enumerator repeated a point")
+            seen[x] = True
+        return list(seen)
 
 
 # -- surjection families --------------------------------------------------------

@@ -1,12 +1,13 @@
 """Explicit codings below epsilon-0.
 
-An ordinal's digit map, the finite-support map from exponents to digits
-that the codings work on, is ``dict(x.terms)``; :func:`from_digits` is the
-one way back.  Built on it: a digit-wise Cantor pairing injection
-alpha x alpha -> alpha, a finite-set coding fin(alpha) -> alpha,
-a constructive bijection combinator from two opposing injections, the
-omega-power bijection w**alpha <-> alpha built from those pieces, and the
-injection P(alpha) -> P_inf(alpha) on queryable sets.
+They read an ordinal's terms as its digit map, exponents to digits.  The
+digit-wise Cantor pairing injection alpha x alpha -> alpha works on the
+term tuple ``x.terms`` itself, already sorted by descending exponent; the
+finite-set coding fin(alpha) -> alpha and the omega-power bijection
+w**alpha <-> alpha use ``dict(x.terms)``, with :func:`from_digits` the way
+back from a dict.  Also: a constructive bijection combinator from two
+opposing injections, and the injection P(alpha) -> P_inf(alpha) on
+queryable sets.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .carriers import QueryableSet
-from .core import (
-    OMEGA, ONE, ZERO, Ordinal, add, compare, left_subtract, multiply, omega_power,
-)
+from .core import OMEGA, ONE, ZERO, Ordinal, add, compare, omega_power
 from .errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
 __all__ = [
@@ -109,22 +108,17 @@ def _embed(alpha: Ordinal, x: Ordinal) -> Ordinal:
         raise BoundViolation(f"{x} is not below {alpha}")
     if _is_omega_power(alpha):
         return x
-    mu = alpha.degree
-    power = omega_power(mu)
-    # x = w**mu * q + r with q a natural (alpha < w**(mu+1) forces q < w)
-    q = 0
-    r = x
-    for e, c in x.terms:
-        if compare(e, mu) == 0:
-            q = c
-            r = left_subtract(multiply(power, Ordinal(c)), x)
-            break
-        if compare(e, mu) < 0:
-            break
-    digits = dict(r.terms)
-    d0 = digits.pop(ZERO, 0)
-    digits[ZERO] = cantor_pair(q, d0)
-    return from_digits(digits)
+    # x = w**mu * q + r with q a natural (alpha < w**(mu+1) forces q < w):
+    # only the first term can sit at mu, only the last can be the constant
+    terms = x.terms
+    q = d0 = 0
+    if terms and compare(terms[0][0], alpha.degree) == 0:
+        q, terms = terms[0][1], terms[1:]
+    if terms and terms[-1][0].is_zero():
+        d0, terms = terms[-1][1], terms[:-1]
+    if q or d0:
+        terms += ((ZERO, cantor_pair(q, d0)),)
+    return Ordinal._raw(terms)
 
 
 def _unembed(alpha: Ordinal, u: Ordinal) -> Optional[Ordinal]:
@@ -132,17 +126,19 @@ def _unembed(alpha: Ordinal, u: Ordinal) -> Optional[Ordinal]:
     if _is_omega_power(alpha):
         return u if compare(u, alpha) < 0 else None
     mu = alpha.degree
-    if u.terms and compare(u.degree, mu) >= 0:
+    terms = u.terms
+    if terms and compare(terms[0][0], mu) >= 0:
         return None
-    digits = dict(u.terms)
-    q, d0 = cantor_unpair(digits.pop(ZERO, 0))
+    code = 0
+    if terms and terms[-1][0].is_zero():
+        code, terms = terms[-1][1], terms[:-1]
+    q, d0 = cantor_unpair(code)
     if d0:
-        digits[ZERO] = d0
-    r = from_digits(digits)
-    x = add(multiply(omega_power(mu), Ordinal(q)), r)
-    if compare(x, alpha) >= 0:
-        return None
-    return x
+        terms += ((ZERO, d0),)
+    if q:
+        terms = ((mu, q),) + terms
+    x = Ordinal._raw(terms)
+    return x if compare(x, alpha) < 0 else None
 
 
 # -- pairing on ordinals -------------------------------------------------------
@@ -152,14 +148,24 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
     """Injective pairing: [0, alpha) x [0, alpha) -> [0, alpha), alpha infinite.
 
     Both components are embedded into w**degree(alpha) and paired
-    digit-wise with the Cantor pairing.
+    digit-wise with the Cantor pairing, a missing digit counting as 0: one
+    merge of the two term tuples by exponent.
     """
     _require_infinite(alpha)
     if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
         raise BoundViolation("pair components must lie below alpha")
-    u, v = dict(_embed(alpha, x).terms), dict(_embed(alpha, y).terms)
-    digits = {e: cantor_pair(u.get(e, 0), v.get(e, 0)) for e in u.keys() | v.keys()}
-    return from_digits(digits)
+    u, v = _embed(alpha, x).terms, _embed(alpha, y).terms
+    terms = []
+    i = j = 0
+    while i < len(u) or j < len(v):
+        # the larger exponent first; where both have it, both digits go in
+        in_u = j == len(v) or (i < len(u) and u[i][0].key >= v[j][0].key)
+        in_v = i == len(u) or (j < len(v) and v[j][0].key >= u[i][0].key)
+        e = u[i][0] if in_u else v[j][0]
+        terms.append((e, cantor_pair(u[i][1] if in_u else 0, v[j][1] if in_v else 0)))
+        i += in_u
+        j += in_v
+    return Ordinal._raw(tuple(terms))
 
 
 def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
@@ -167,18 +173,18 @@ def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
     _require_infinite(alpha)
     if compare(z, alpha) >= 0:
         return None
-    mu = alpha.degree
-    if z.terms and compare(z.degree, mu) >= 0:
+    if z.terms and compare(z.degree, alpha.degree) >= 0:
         return None  # pair codes live strictly below w**mu
-    u_digits, v_digits = {}, {}
+    # each half keeps z's descending exponent order
+    u_terms, v_terms = [], []
     for e, c in z.terms:
         du, dv = cantor_unpair(c)
         if du:
-            u_digits[e] = du
+            u_terms.append((e, du))
         if dv:
-            v_digits[e] = dv
-    x = _unembed(alpha, from_digits(u_digits))
-    y = _unembed(alpha, from_digits(v_digits))
+            v_terms.append((e, dv))
+    x = _unembed(alpha, Ordinal._raw(tuple(u_terms)))
+    y = _unembed(alpha, Ordinal._raw(tuple(v_terms)))
     if x is None or y is None:
         return None
     return x, y

@@ -778,14 +778,16 @@ def _refutation(
     check_bound: int,
     search: Callable,
     missed_name: str,
+    known_members: Iterable = (),
 ) -> RefutationWitness:
     """The witness: one distinguisher against each table entry i, at the
     first point of ``table_search(i)`` where it differs from ``missed``,
     then one against each listed set phi(n, sample i) for the first
     ``check_bound`` pairs (n, i), at the first point of ``search(n, i)``;
     every distinguisher is rechecked.  The missed set is asked once per
-    point in this call."""
-    in_missed: dict = {}
+    point in this call, and not at all at ``known_members``, points the
+    caller has already confirmed in it."""
+    in_missed = dict.fromkeys(known_members, True)
 
     def separate(listed: QueryableSet, candidates: Iterable):
         for w in candidates:
@@ -985,11 +987,13 @@ def refute_infinite_powerset(
 
     diagonal = QueryableSet(diag_membership, ("infinite", lambda k: Ordinal(size + k)))
     missed = carry(diagonal)
-    missed.validate_certificate(carrier.is_element, samples=certificate_members)
+    members = missed.validate_certificate(carrier.is_element, samples=certificate_members)
 
-    # padding-lane elements of the diagonal's indices beyond the table, and
-    # the search points for listed sets: built once, read in this order
-    lane = [lane_point(Ordinal(probe + size), ZERO) for probe in range(_REFUTER_SAMPLES)]
+    # padding-lane elements of the diagonal's indices beyond the table (the
+    # missed set's first members, so the checked ones are reused), and the
+    # search points for listed sets: built once, read in this order
+    lane = members[:_REFUTER_SAMPLES]
+    lane += [lane_point(Ordinal(p + size), ZERO) for p in range(len(lane), _REFUTER_SAMPLES)]
     search_points = list(points)
     for probe in range(_REFUTER_SAMPLES):
         search_points.append(g_witness(Ordinal(probe)))
@@ -1004,6 +1008,7 @@ def refute_infinite_powerset(
         check_bound,
         lambda n, q_idx: search_points,
         "missed set",
+        members,
     )
 
 

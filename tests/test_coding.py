@@ -186,9 +186,35 @@ def _quadratic_pair_encode(alpha, x, y):
     return _validating_from_digits(digits)
 
 
+def _dict_unembed(alpha, u):
+    """_unembed as it was: through the digit dict, rebuilt by arithmetic."""
+    if len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
+        return u if compare(u, alpha) < 0 else None
+    mu = alpha.degree
+    if u.terms and compare(u.degree, mu) >= 0:
+        return None
+    digits = dict(u.terms)
+    q, d0 = cantor_unpair(digits.pop(ZERO, 0))
+    digits[ZERO] = d0
+    x = add(multiply(omega_power(mu), Ordinal(q)), _validating_from_digits(digits))
+    return x if compare(x, alpha) < 0 else None
+
+
+def _dict_pair_decode(alpha, z):
+    """pair_decode as it was: each half gathered in a digit dict."""
+    if compare(z, alpha) >= 0 or (z.terms and compare(z.degree, alpha.degree) >= 0):
+        return None
+    halves = ({}, {})
+    for e, c in z.terms:
+        for half, d in zip(halves, cantor_unpair(c)):
+            half[e] = d
+    x, y = (_dict_unembed(alpha, _validating_from_digits(half)) for half in halves)
+    return None if x is None or y is None else (x, y)
+
+
 class TestCodecReference:
-    """The linear pair_encode and the trusting from_digits against the old
-    quadratic, validating versions."""
+    """The term-tuple pairing and the trusting from_digits against the old
+    dict-based, validating versions."""
 
     @given(nested_ordinals())
     def test_from_digits(self, x):
@@ -216,6 +242,33 @@ class TestCodecReference:
         z = pair_encode(alpha, x, y)
         assert z.terms == _quadratic_pair_encode(alpha, x, y).terms
         assert pair_decode(alpha, z) == (x, y)
+
+    @given(
+        nested_ordinals(),
+        nested_ordinals(),
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.booleans(),
+    )
+    def test_pair_decode(self, top, z, qz, q, power_of_omega):
+        # z is drawn on and off the code range: a digit at w^mu or above, a
+        # value past alpha, or a constant digit whose embedded w^mu digit q
+        # passes alpha = w^mu*3 + 1
+        constant = cantor_pair(cantor_pair(q, 0), 0)
+        top = top if compare(top, z) >= 0 else z
+        mu = add(top.degree, ONE) if top else ONE
+        if power_of_omega:
+            alpha = omega_power(mu)
+        else:
+            alpha = add(multiply(omega_power(mu), Ordinal(3)), ONE)
+        z = add(add(multiply(omega_power(mu), Ordinal(qz)), z), Ordinal(constant))
+        decoded = pair_decode(alpha, z)
+        assert decoded == _dict_pair_decode(alpha, z)
+        if decoded is not None:
+            assert pair_encode(alpha, *decoded) == z
+        if compare(z, alpha) >= 0:
+            with pytest.raises(BoundViolation, match=re.escape(f"{z} is not below {alpha}")):
+                _embed(alpha, z)
 
 
 def _sample_below(alpha, rng, count):

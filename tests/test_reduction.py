@@ -51,6 +51,8 @@ from ordkit.reduction import (
     wellorder_decode,
 )
 
+from families import CARRIER, infinite_powerset_families
+
 INSTANCES = Path(__file__).parent / "instances"
 
 
@@ -920,9 +922,9 @@ class TestRefuterCaches:
         # nothing outlives a call: the second call repeats every step
         assert counts[1] == counts[0]
 
-    def test_pset_membership_queries(self, monkeypatch):
-        # a call reads each table entry's signature once, each candidate's
-        # once per (n, x), and the missed set's answer once per point
+    @staticmethod
+    def _membership_queries(monkeypatch, instance, mode):
+        """QueryableSet.contains calls of two identical refute commands."""
         calls = [0]
         contains = QueryableSet.contains
 
@@ -931,18 +933,45 @@ class TestRefuterCaches:
             return contains(self, x)
 
         monkeypatch.setattr(QueryableSet, "contains", counting)
-        argv = ["refute", "--instance", str(INSTANCES / "refute_split_row0.txt"),
-                "--mode", "pset", "--check", "100"]
+        argv = ["refute", "--instance", str(INSTANCES / instance),
+                "--mode", mode, "--check", "100"]
         counts = []
         for _ in range(2):
             calls[0] = 0
             with redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
             counts.append(calls[0])
+        return counts
+
+    def test_pset_membership_queries(self, monkeypatch):
+        # a call reads each table entry's signature once, each candidate's
+        # once per (n, x), and the missed set's answer once per point
+        counts = self._membership_queries(monkeypatch, "refute_split_row0.txt", "pset")
         # asking every question again: 21,184 queries
         assert counts[0] <= 12_000
         # nothing outlives a call: the second call asks every question again
         assert counts[1] == counts[0]
+
+    def test_infpset_membership_queries(self, monkeypatch):
+        # the missed set's checked certificate points are its lane points:
+        # the refuter neither asks it there again nor rebuilds them
+        counts = self._membership_queries(monkeypatch, "refute_demo.txt", "infpset")
+        # asking the missed set again at the 64 lane points: 2,767 queries
+        assert counts[0] <= 2_600
+        assert counts[1] == counts[0]
+
+    def test_few_certificate_members_complete_the_lane(self):
+        # with fewer checked members than lane points, the rest of the lane
+        # is built, and the distinguishers stay the same
+        phi, table = infinite_powerset_families()["full"]
+
+        def distinguishers(members):
+            witness = refute_infinite_powerset(
+                phi, CARRIER, table, check_bound=100, certificate_members=members
+            )
+            return [d[:-1] for d in witness.distinguishers]
+
+        assert distinguishers(8) == distinguishers(100)
 
 
 class TestKuratowski:
