@@ -20,11 +20,23 @@ the ordinals below some alpha).
 
 from __future__ import annotations
 
-import re
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import ZERO, Ordinal, add, compare, fmt, left_subtract, parse, parse_template
+from .core import (
+    ZERO,
+    Ordinal,
+    _eval_ast,
+    _eval_bounds,
+    _parse_bounds,
+    _parse_to_ast,
+    add,
+    compare,
+    fmt,
+    left_subtract,
+    parse,
+)
 from .errors import (
     BoundViolation,
     CertificateError,
@@ -35,6 +47,7 @@ from .errors import (
     RowUndefined,
     TailLimitUndecided,
 )
+from .eventual import settle_point
 from .intervals import OrdinalSet, parse_interval_set
 
 __all__ = [
@@ -449,26 +462,34 @@ class SurjectionFamily:
 # -- instance files --------------------------------------------------------------
 
 
-def _parse_piece(text: str):
-    """A piece as a function of ``n`` (None outside a tail)."""
+def _parse_piece(text: str) -> tuple:
+    """A piece as ``(label, kind, ast)``: the ``(lo, hi)`` bound ASTs of a
+    monotone piece's target, or the AST of a constant piece's value."""
     head, sep, rest = text.partition("->")
     if not sep:
         raise ParseError(f"piece needs 'label -> kind ...': {text!r}")
     label = head.strip()
     rest = rest.strip()
     if rest.startswith("monotone"):
-        target = parse_interval_set(rest[len("monotone"):].strip(), template=True)
-        return lambda n: Piece(label, "monotone", target=target(n))
+        return label, "monotone", _parse_bounds(rest[len("monotone"):].strip())
     if rest.startswith("constant"):
-        value = parse_template(rest[len("constant"):].strip())
-        return lambda n: Piece(label, "constant", value=value(n))
+        return label, "constant", _parse_to_ast(rest[len("constant"):].strip())
     raise ParseError(f"unknown piece kind in {text!r}")
 
 
-def _parse_row(text: str):
-    """A row as a function of ``n`` (None outside a tail)."""
-    pieces = [_parse_piece(p) for p in (s.strip() for s in text.split(";")) if p]
-    return lambda n: BlockwiseMap(p(n) for p in pieces)
+def _parse_row(text: str) -> list:
+    return [_parse_piece(p) for p in (s.strip() for s in text.split(";")) if p]
+
+
+def _build_row(pieces: list, n: Optional[int]) -> BlockwiseMap:
+    """The row at ``n`` (None outside a tail)."""
+    out = []
+    for label, kind, ast in pieces:
+        if kind == "monotone":
+            out.append(Piece(label, kind, target=OrdinalSet(_eval_bounds(ast, n))))
+        else:
+            out.append(Piece(label, kind, value=_eval_ast(ast, n)))
+    return BlockwiseMap(out)
 
 
 def _nat(text: str, context: str) -> int:
@@ -479,17 +500,8 @@ def _nat(text: str, context: str) -> int:
     return int(text)
 
 
-# Settle point of a tail.  A tail row's order type comes from its bounds,
-# the block order types and alpha through sums, left differences, cuts and
-# comparisons.  Each coefficient met, in a value or in an exponent, is a*n + b
-# with b a signed sum of literals, and a comparison with c*n + d meets each
-# literal at most once in b - d.  So with L the sum of the decimal literals
-# of the tail row, alpha (whose bound check is one such comparison) and the
-# block order types, every outcome is fixed for n > L: a == c, or
-# |(a-c)*n| > L >= |b-d|.  From there a row's order type keeps one CNF shape
-# with coefficients linear in n.  Each row before it is read as an explicit
-# row, so L is capped.
-_DIGIT_RUN = re.compile("[0-9]+")
+# Rows a tail may take before it settles (see eventual.settle_point); each
+# of them is read as an explicit row.
 _MAX_SETTLE = 4096
 
 
@@ -531,7 +543,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         elif key == "alpha":
             alpha = parse(value.strip())
         elif key.startswith("row"):
-            rows[_nat(key[len("row"):], key)] = _parse_row(value)(None)
+            rows[_nat(key[len("row"):], key)] = _build_row(_parse_row(value), None)
         elif key == "tail":
             spec, tsep, row_text = value.partition(":")
             if not tsep:
@@ -540,7 +552,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             if not spec.startswith("n>="):
                 raise ParseError(f"tail condition must be 'n >= N': {spec!r}")
             start = _nat(spec[len("n>="):], spec)
-            tail = (start, _parse_row(row_text), row_text)
+            tail = (start, _parse_row(row_text))
         else:
             raise ParseError(f"unknown instance key {key!r}")
     if carrier is None or alpha is None:
@@ -551,18 +563,17 @@ def parse_instance(text: str) -> SurjectionFamily:
             raise ParseError(f"row {i} is missing (rows must be consecutive from 0)")
         row_maps.append(rows[i])
     if tail is not None:
-        start, rule, row_text = tail
+        start, pieces = tail
         if start != len(row_maps):
             raise ParseError(
                 f"tail starts at {start} but explicit rows end at {len(row_maps) - 1}"
             )
-        texts = [row_text, fmt(alpha), *map(fmt, carrier._ot.values())]
-        # a literal of six or more digits passes the cap alone, unread by int()
-        literals = (d.lstrip("0") for d in _DIGIT_RUN.findall(" ".join(texts)))
-        length = sum(int(d or 0) if len(d) < 6 else _MAX_SETTLE + 1 for d in literals)
-        if length > _MAX_SETTLE:
-            raise TailLimitUndecided(f"tail literals sum to more than {_MAX_SETTLE}")
-        settle = start + length + 1
+        settle = settle_point(start, pieces, carrier._ot, alpha)
+        if settle - start > _MAX_SETTLE + 1:
+            raise TailLimitUndecided(
+                f"tail settles at row {settle - 1}, more than {_MAX_SETTLE} rows past its start"
+            )
+        rule = functools.partial(_build_row, pieces)
         row_maps += [rule(n) for n in range(start, settle)]
         tail = (settle, rule)
     for n, row in enumerate(row_maps):

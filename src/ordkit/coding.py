@@ -1,13 +1,14 @@
 """Explicit codings below epsilon-0.
 
 They read an ordinal's terms as its digit map, exponents to digits.  The
-digit-wise Cantor pairing injection alpha x alpha -> alpha works on the
-term tuple ``x.terms`` itself, already sorted by descending exponent; the
-finite-set coding fin(alpha) -> alpha and the omega-power bijection
-w**alpha <-> alpha use ``dict(x.terms)``, with :func:`from_digits` the way
-back from a dict.  Also: a constructive bijection combinator from two
-opposing injections, and the injection P(alpha) -> P_inf(alpha) on
-queryable sets.
+digit-wise Cantor pairing injection alpha x alpha -> alpha and the
+decoding of the finite-set coding fin(alpha) -> alpha work on term tuples
+``x.terms`` themselves, already sorted by descending exponent.  Where
+digits from several ordinals meet in a dict -- the column codes of
+:func:`fin_encode` and the decoded digit map of the omega-power bijection
+w**alpha <-> alpha -- :func:`from_digits` sorts them back.  Also: a
+constructive bijection combinator from two opposing injections, and the
+injection P(alpha) -> P_inf(alpha) on queryable sets.
 """
 
 from __future__ import annotations
@@ -230,25 +231,26 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
         return []
     if compare(z, alpha) >= 0:
         return None
-    digits = dict(z.terms)
-    arity, d0 = cantor_unpair(digits.pop(ZERO, 0))
+    # the constant column comes last and starts with the arity
+    columns = list(z.terms)
+    arity, d0 = cantor_unpair(columns.pop()[1] if columns[-1][0].is_zero() else 0)
     if d0:
-        digits[ZERO] = d0
+        columns.append((ZERO, d0))
     # members are distinct and only the last can be 0, so the member before
     # it has a nonzero digit at position arity - 2 of some column; each
     # pairing step left of a nonzero tail at least doubles it, so that
     # column's code is at least 2**(arity - 2)
-    if arity < 1 or arity > 2 + max(digits.values(), default=0).bit_length():
+    if arity < 1 or arity > 2 + max((code for _, code in columns), default=0).bit_length():
         return None
-    per_member: list = [dict() for _ in range(arity)]
-    for e, code in digits.items():
-        column = _tuple_decode(code, arity)
-        for u_digits, d in zip(per_member, column):
+    # each member's terms come out in z's descending exponent order
+    per_member: list = [[] for _ in range(arity)]
+    for e, code in columns:
+        for terms, d in zip(per_member, _tuple_decode(code, arity)):
             if d:
-                u_digits[e] = d
+                terms.append((e, d))
     members = []
-    for u_digits in per_member:
-        x = _unembed(alpha, from_digits(u_digits))
+    for terms in per_member:
+        x = _unembed(alpha, Ordinal._raw(tuple(terms)))
         if x is None:
             return None
         members.append(x)

@@ -23,6 +23,7 @@ parser (``_parse_bounds``).
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Callable, Iterable, Optional
 
 from .errors import BoundViolation, OutOfRangeError, ParseError
@@ -43,6 +44,27 @@ __all__ = [
     "left_subtract",
     "classify",
 ]
+
+
+# An ordinal built in code can nest deeper than the parser allows
+# (MAX_NESTING).  Its key then passes Python's recursion limit, in the key
+# build or in the C comparison of two keys.
+_TOO_DEEP = "ordinal nested too deep to compare"
+
+
+def _by_key(op: Callable) -> Callable:
+    """A rich comparison of ordinals (or ints) by their keys."""
+
+    def method(self, other):
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        try:
+            return op(self.key, other.key)
+        except RecursionError:
+            raise BoundViolation(_TOO_DEEP) from None
+
+    return method
 
 
 class Ordinal:
@@ -111,38 +133,17 @@ class Ordinal:
         these keys is exactly the CNF order."""
         k = self._key
         if k is None:
-            k = self._key = tuple([(e.key, c) for e, c in self._terms])
+            try:
+                k = self._key = tuple([(e.key, c) for e, c in self._terms])
+            except RecursionError:
+                raise BoundViolation(_TOO_DEEP) from None
         return k
 
-    def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.key == other.key
-
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.key < other.key
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.key <= other.key
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.key > other.key
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.key >= other.key
+    __eq__ = _by_key(operator.eq)
+    __lt__ = _by_key(operator.lt)
+    __le__ = _by_key(operator.le)
+    __gt__ = _by_key(operator.gt)
+    __ge__ = _by_key(operator.ge)
 
     def __hash__(self):
         # a natural hashes like the int it equals
@@ -226,7 +227,10 @@ def compare(a: Ordinal, b: Ordinal) -> int:
     """Standard ordinal order: -1, 0, or 1."""
     ka = a._key or a.key  # the slot skips the property call; zero's () takes it
     kb = b._key or b.key
-    return (ka > kb) - (ka < kb)
+    try:
+        return (ka > kb) - (ka < kb)
+    except RecursionError:
+        raise BoundViolation(_TOO_DEEP) from None
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
@@ -480,9 +484,9 @@ def _parse_to_ast(text: str):
     return ast
 
 
-def _parse_bounds(text: str) -> Callable[[Optional[int]], list]:
-    """Parse ``[lo,hi),[lo,hi)`` (a trailing comma allowed) into a function
-    of ``n`` that evaluates the ``(lo, hi)`` bound pairs."""
+def _parse_bounds(text: str) -> list:
+    """Parse ``[lo,hi),[lo,hi)`` (a trailing comma allowed) into the list of
+    ``(lo, hi)`` bound ASTs."""
     lx = _Lexer(text)
     asts = []
     while lx.peek() is not None:
@@ -494,7 +498,12 @@ def _parse_bounds(text: str) -> Callable[[Optional[int]], list]:
         asts.append((lo, hi))
         if lx.peek() is not None:
             lx.expect(",")
-    return lambda n: [(_eval_ast(lo, n), _eval_ast(hi, n)) for lo, hi in asts]
+    return asts
+
+
+def _eval_bounds(asts: list, n: Optional[int]) -> list:
+    """The ``(lo, hi)`` bound pairs of :func:`_parse_bounds` ASTs at ``n``."""
+    return [(_eval_ast(lo, n), _eval_ast(hi, n)) for lo, hi in asts]
 
 
 def parse(text: str) -> Ordinal:

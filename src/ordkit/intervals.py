@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .core import ONE, ZERO, Ordinal, _parse_bounds, add, fmt, left_subtract
+from .core import ONE, ZERO, Ordinal, _eval_bounds, _parse_bounds, add, fmt, left_subtract
 from .errors import OutOfRangeError, PartitionError
 
 __all__ = [
@@ -311,7 +311,7 @@ def parse_interval_set(text: str, template: bool = False):
     bounds = _parse_bounds(text.strip())
 
     def build(n):
-        return OrdinalSet(bounds(n))
+        return OrdinalSet(_eval_bounds(bounds, n))
 
     return build if template else build(None)
 

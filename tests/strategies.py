@@ -53,3 +53,26 @@ def paired_off(bounds):
     intervals (random pairs of bounds mostly merge into one interval)."""
     bounds = sorted(bounds, key=attrgetter("key"))
     return list(zip(bounds[::2], bounds[1::2]))
+
+
+@st.composite
+def tail_templates(draw, depth=1):
+    """A sum of 1-3 terms: naturals, ``n``, and ``w^e*c`` with ``e`` a
+    natural, ``n``, ``w`` or (at depth 1) a nested sum, and ``c`` absent, a
+    natural, ``n`` or ``(n+k)``."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["power", "power", "n", "nat"]))
+        if kind == "n":
+            terms.append("n")
+        elif kind == "nat":
+            terms.append(str(draw(st.integers(1, 9))))
+        else:
+            exponents = ["n", str(draw(st.integers(1, 6))), "w"]
+            if depth:
+                exponents.append(f"({draw(tail_templates(depth - 1))})")
+            exponent = draw(st.sampled_from(exponents))
+            k = draw(st.integers(1, 12))
+            coeff = draw(st.sampled_from(["", f"*{k}", "*n", f"*(n+{k})"]))
+            terms.append(f"w^{exponent}{coeff}")
+    return "+".join(terms)

@@ -226,6 +226,9 @@ class TestEngineCommands:
             ("tail_shrinking.txt", "w^3", "case=case1 k=1 delta=w^5"),
             # the carrier's order type caps the rows across its two intervals
             ("tail_split_cap.txt", "w^3", "case=case1 k=10 delta=w^3*10"),
+            # no comparison depends on the block's 5000, whose literal sum
+            # passed the 4096 cap
+            ("tail_large_block.txt", "w^3", "case=case2 delta=w^w"),
         ],
     )
     def test_reduce_tail_supremum(self, name, bound, head):

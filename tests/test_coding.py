@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from operator import attrgetter
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,8 @@ from ordkit.carriers import QueryableSet
 from ordkit.cli import main
 from ordkit.coding import (
     _embed,
+    _tuple_decode,
+    _unembed,
     MapSpec,
     CsbBijection,
     OmegaPowerBijection,
@@ -212,6 +215,38 @@ def _dict_pair_decode(alpha, z):
     return None if x is None or y is None else (x, y)
 
 
+def _dict_fin_decode(alpha, z):
+    """fin_decode as it was: a digit dict per member, sorted back into an
+    ordinal by from_digits."""
+    if z.is_zero():
+        return []
+    if compare(z, alpha) >= 0:
+        return None
+    digits = dict(z.terms)
+    arity, d0 = cantor_unpair(digits.pop(ZERO, 0))
+    if d0:
+        digits[ZERO] = d0
+    if arity < 1 or arity > 2 + max(digits.values(), default=0).bit_length():
+        return None
+    per_member = [dict() for _ in range(arity)]
+    for e, code in digits.items():
+        for u_digits, d in zip(per_member, _tuple_decode(code, arity)):
+            if d:
+                u_digits[e] = d
+    members = []
+    for u_digits in per_member:
+        x = _unembed(alpha, _validating_from_digits(u_digits))
+        if x is None:
+            return None
+        members.append(x)
+    if len(set(members)) != len(members):
+        return None
+    members.sort(key=attrgetter("key"), reverse=True)
+    if compare(fin_encode(alpha, members), z) != 0:
+        return None
+    return members
+
+
 class TestCodecReference:
     """The term-tuple pairing and the trusting from_digits against the old
     dict-based, validating versions."""
@@ -269,6 +304,32 @@ class TestCodecReference:
         if compare(z, alpha) >= 0:
             with pytest.raises(BoundViolation, match=re.escape(f"{z} is not below {alpha}")):
                 _embed(alpha, z)
+
+    @given(
+        st.lists(nested_ordinals(), max_size=4),
+        nested_ordinals(),
+        st.integers(0, 40),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_fin_decode(self, members, junk, constant, power_of_omega, encoded):
+        # z is a code of distinct members, or an ordinal on or off the code
+        # range whose constant digit is redrawn (it carries the arity)
+        top = max([*members, junk], key=attrgetter("key"))
+        mu = add(top.degree, ONE) if top else ONE
+        if power_of_omega:
+            alpha = omega_power(mu)
+        else:
+            alpha = add(multiply(omega_power(mu), Ordinal(3)), ONE)
+        members = sorted(set(members), key=attrgetter("key"), reverse=True)
+        if encoded:
+            z = fin_encode(alpha, members)
+        else:
+            z = add(Ordinal._raw(tuple(t for t in junk.terms if not t[0].is_zero())), Ordinal(constant))
+        decoded = fin_decode(alpha, z)
+        assert decoded == _dict_fin_decode(alpha, z)
+        if encoded:
+            assert decoded == members
 
 
 def _sample_below(alpha, rng, count):

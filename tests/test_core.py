@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,6 +91,39 @@ class TestNestingLimit:
         assert x == parse(_nested(MAX_NESTING)) and x != y
         assert hash(x) == hash(parse(_nested(MAX_NESTING)))
         assert parse(fmt(x)) == x
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    def test_deeper_ordinals_built_in_code(self, depth):
+        # the parser stops at MAX_NESTING; omega_power does not
+        x, y = ZERO, ONE
+        for _ in range(depth):
+            x, y = omega_power(x), omega_power(y)
+        for op in (
+            lambda: compare(x, y),
+            lambda: x == y,
+            lambda: x < y,
+            lambda: x >= y,
+            lambda: hash(x),
+        ):
+            with pytest.raises(BoundViolation, match="nested too deep"):
+                op()
+
+    def test_keys_compared_deep_in_the_stack(self):
+        # keys built near the top of the stack compare recursively in C, which
+        # counts against the same limit on CPython 3.10 and 3.11
+        x, y = ZERO, ONE
+        for _ in range(400):
+            x, y = omega_power(x), omega_power(y)
+        assert x.key and y.key
+
+        def nested(k, op):
+            return op() if k == 0 else nested(k - 1, op)
+
+        for op, expected in ((lambda: compare(x, y), -1), (lambda: x < y, True)):
+            try:
+                assert nested(sys.getrecursionlimit() - 500, op) == expected
+            except BoundViolation as error:
+                assert "nested too deep" in str(error)
 
     @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 5000])
     def test_deeper_input_is_a_syntax_error(self, depth):

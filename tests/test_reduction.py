@@ -1,13 +1,16 @@
 import io
 import itertools
+import re
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 
-from ordkit import coding, reduction
+from ordkit import carriers, coding, reduction
 from ordkit.carriers import (
     BlockwiseMap,
     Carrier,
@@ -20,7 +23,7 @@ from ordkit.carriers import (
     parse_instance,
 )
 from ordkit.cli import main
-from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, multiply, omega_power, parse
+from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, fmt, multiply, omega_power, parse
 from ordkit.errors import (
     CoverageBroken,
     EmptyFiber,
@@ -29,7 +32,8 @@ from ordkit.errors import (
     TailLimitUndecided,
     ToolkitError,
 )
-from ordkit.intervals import OrdinalSet
+from ordkit.eventual import settle_point
+from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import (
     _COVERAGE_WINDOW,
     _STAGE_SEARCH,
@@ -52,6 +56,7 @@ from ordkit.reduction import (
 )
 
 from families import CARRIER, infinite_powerset_families
+from strategies import tail_templates
 
 INSTANCES = Path(__file__).parent / "instances"
 
@@ -152,45 +157,23 @@ _TAIL_BLOCKS = ("[0,w^(w^w)*2)", "[0,w^9)", "[0,w^3*5),[w^4,w^4+w^3*5)", "[0,w^2
 
 
 @st.composite
-def _tail_template(draw, depth=1):
-    """A sum of 1-3 terms: naturals, ``n``, and ``w^e*c`` with ``e`` a
-    natural, ``n``, ``w`` or (at depth 1) a nested sum, and ``c`` absent, a
-    natural, ``n`` or ``(n+k)``."""
-    terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["power", "power", "n", "nat"]))
-        if kind == "n":
-            terms.append("n")
-        elif kind == "nat":
-            terms.append(str(draw(st.integers(1, 9))))
-        else:
-            exponents = ["n", str(draw(st.integers(1, 6))), "w"]
-            if depth:
-                exponents.append(f"({draw(_tail_template(depth - 1))})")
-            exponent = draw(st.sampled_from(exponents))
-            k = draw(st.integers(1, 12))
-            coeff = draw(st.sampled_from(["", f"*{k}", "*n", f"*(n+{k})"]))
-            terms.append(f"w^{exponent}{coeff}")
-    return "+".join(terms)
-
-
-@st.composite
-def _tail_instances(draw):
+def _tail_instances(draw, shapes=_TAIL_BLOCKS, alphas=("w^(w^(w^w))",)):
     """Instance texts with a random tail over 1-3 blocks; alpha is past
-    every drawn value, and row 0 maps every block onto [0, w)."""
+    every drawn value (unless drawn from ``alphas`` below it), and row 0
+    maps every block onto [0, w)."""
     labels = "abc"[: draw(st.integers(1, 3))]
-    blocks = [f"{label}:{draw(st.sampled_from(_TAIL_BLOCKS))}" for label in labels]
+    blocks = [f"{label}:{draw(st.sampled_from(shapes))}" for label in labels]
     explicit = draw(st.integers(1, 2))
 
     def piece(label):
         if draw(st.integers(0, 3)) == 0:
             return f"{label} -> constant {draw(st.sampled_from(['3', 'n', 'n+2', 'w*n']))}"
-        bounds = [f"[{draw(st.sampled_from(['0', '0', '5', 'w', 'w^n']))},{draw(_tail_template())})"]
+        bounds = [f"[{draw(st.sampled_from(['0', '0', '5', 'w', 'w^n']))},{draw(tail_templates())})"]
         if draw(st.booleans()):
-            bounds.append(f"[{draw(_tail_template())},{draw(_tail_template())})")
+            bounds.append(f"[{draw(tail_templates())},{draw(tail_templates())})")
         return f"{label} -> monotone {','.join(bounds)}"
 
-    lines = ["carrier: " + "; ".join(blocks), "alpha: w^(w^(w^w))"]
+    lines = ["carrier: " + "; ".join(blocks), f"alpha: {draw(st.sampled_from(alphas))}"]
     lines += [
         f"row {i}: " + " ; ".join(f"{label} -> monotone [0,w)" for label in labels)
         for i in range(explicit)
@@ -218,6 +201,119 @@ class TestTailSupremum:
         if attained_at is not None:
             first = next(n for n in itertools.count() if fam.delta(n) == delta)
             assert kept.original(attained_at) == first
+
+
+# The settle point that eventual.settle_point replaced, kept as the
+# reference: start + L + 1, where L sums every decimal literal in the tail
+# row, in alpha and in the block order types.  (The parser counted a
+# literal of six or more digits as past the 4096 cap, unread; the drawn
+# literals are short enough to read, and the sum refuses them all the same.)
+_DIGIT_RUN = re.compile("[0-9]+")
+
+
+def _literal_settle(text: str) -> int:
+    lines = dict(line.split(":", 1) for line in text.splitlines() if not line.startswith("#"))
+    spec, _, row_text = lines["tail"].partition(":")
+    start = int(spec.split(">=")[1])
+    shapes = [part.split(":", 1)[1] for part in lines["carrier"].split(";")]
+    texts = [
+        row_text,
+        fmt(parse(lines["alpha"])),
+        *(fmt(parse_interval_set(shape).order_type()) for shape in shapes),
+    ]
+    return start + sum(map(int, _DIGIT_RUN.findall(" ".join(texts)))) + 1
+
+
+# large literals in the blocks and in alpha: some pass 64 (more rows than
+# the row scan's 64), some the 4096 cap; alpha = w^70 is crossed by w^n
+_LARGE_BLOCKS = (
+    "[0,w^(w^w)*200)",
+    "[0,w^(w^w)*70)",
+    "[0,w^9*90)",
+    "[0,w^3*5),[w^4,w^4+w^3*80)",
+    "[0,w^(w^w)*5000)",
+    "[0,w*123456)",
+)
+_LARGE_ALPHAS = ("w^(w^(w^w))*300", "w^(w^(w^w)+70)", "w^(w^(w^w)) + 123456", "w^70", "w^w*70")
+
+
+def _settle_answers(path, bound):
+    """What a tail's settle point decides: ``(delta, attained_at)`` (or the
+    error name), and the exit status and stdout of reduce --verify-below."""
+    try:
+        fam = load_instance(path)
+        answer = _compute_delta(fam, _KeptRows(fam))
+    except ToolkitError as error:
+        answer = error.name
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        status = main(["reduce", "--instance", str(path), "--verify-below", bound])
+    return answer, status, buffer.getvalue()
+
+
+class TestLiteralSettleReference:
+    """The exact settle point against the literal-sum one it replaced: never
+    later, and the same answers wherever the literal sum gave one."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(_tail_instances(), st.sampled_from(["w", "w^2", "w^3"])),
+            # row 0 covers [0, w): a verification that fails scans every row
+            # up to the literal settle point, sampling each first cover
+            st.tuples(_tail_instances(_LARGE_BLOCKS, _LARGE_ALPHAS), st.just("w")),
+        )
+    )
+    # row 71 is the first to leave alpha
+    @example(
+        (
+            (
+                "carrier: m:[0,w^(w^w)*2)\nalpha: w^70\n"
+                "row 0: m -> monotone [0,w)\ntail: n >= 1: m -> monotone [0,w^n)\n",
+                1,
+            ),
+            "w^3",
+        )
+    )
+    def test_same_answers_as_the_literal_sum(self, drawn_bound):
+        (text, start), bound = drawn_bound
+        literal = _literal_settle(text)
+        exact = []
+
+        def literal_point(*args):
+            exact.append(settle_point(*args))
+            return literal
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tail.txt"
+            path.write_text(text)
+            with mock.patch.object(carriers, "settle_point", literal_point):
+                want = _settle_answers(path, bound)
+            # refused for its literals, the exact point may answer: only
+            # where the tail settles is compared then
+            refused = want[0] == "tail-limit-undecided"
+            got = _settle_answers(path, bound) if not refused else None
+        # every crossing lies at or below L + 1, so with start >= 1 the exact
+        # point, one past the last crossing, is at most start + L + 1
+        assert start >= 1 and all(point <= literal for point in exact)
+        event(f"literal sum: {want[0] if isinstance(want[0], str) else 'answers'}, exit {want[1]}")
+        if refused:
+            return
+        assert got[:2] == want[:2]
+        if got[1] == 0:
+            assert got[2] == want[2]
+        else:
+            # a message may name the rows scanned, which follow the settle point
+            assert got[2].splitlines()[0] == want[2].splitlines()[0]
+
+    def test_large_block_no_longer_refused(self):
+        path = INSTANCES / "tail_large_block.txt"
+        with mock.patch.object(carriers, "settle_point", lambda *args: _literal_settle(path.read_text())):
+            with pytest.raises(TailLimitUndecided):
+                load_instance(path)
+        fam = load_instance(path)
+        assert fam.tail_start == 2
+        assert _compute_delta(fam, _KeptRows(fam)) == (parse("w^w"), None)
 
 
 class TestReduceCase1:
