@@ -192,6 +192,7 @@ class Piece:
             return carrier.block_positions(self.label)
         return self.dom
 
+    # on a whole block, eventual._Row.monotone_image repeats these tests; keep in step
     def image(self, carrier: Carrier, part: OrdinalSet) -> OrdinalSet:
         """The values the piece takes on ``part``, a nonempty subset of its
         domain: a monotone piece's target elements at the positions of
@@ -269,6 +270,7 @@ class BlockwiseMap:
         return all(self.gap(carrier, label).is_empty() for label in carrier.labels)
 
 
+# eventual.settle_point repeats this union on tail forms; keep in step
 def image_of(
     map_: BlockwiseMap, carrier: Carrier, restriction: Optional[dict] = None
 ) -> OrdinalSet:
@@ -394,6 +396,8 @@ class SurjectionFamily:
     Its CNF shape must be settled from ``start`` on: rows ``start`` and
     ``start + 1`` decide the supremum of its order types.  Every tail that
     :func:`parse_instance` makes meets this; a tail built in code must.
+    A parsed tail also comes with its ``tail_image``, the
+    :class:`~ordkit.eventual.TailImage` that :meth:`first_reach` reads.
     """
 
     def __init__(
@@ -402,10 +406,12 @@ class SurjectionFamily:
         alpha: Ordinal,
         rows: Iterable,
         tail: Optional[tuple] = None,
+        tail_image=None,
     ):
         self.carrier = carrier
         self.alpha = alpha
         self.rows = tuple(rows)
+        self.tail_image = tail_image
         if tail is not None:
             start, rule = tail
             if start != len(self.rows):
@@ -430,6 +436,7 @@ class SurjectionFamily:
             self._row_cache[n] = self.tail_rule(n)
         return self._row_cache[n]
 
+    # eventual.settle_point repeats this bound test on tail forms; keep in step
     def row_image(self, n: int) -> OrdinalSet:
         """The image of row n; one that leaves [0, alpha) is an error."""
         image = self._image_cache.get(n)
@@ -442,6 +449,14 @@ class SurjectionFamily:
 
     def delta(self, n: int) -> Ordinal:
         return self.row_image(n).order_type()
+
+    def first_reach(self, s: Ordinal, n: int) -> Optional[int]:
+        """The least tail row ``m >= n`` whose image holds ``[x, s)`` for
+        some ``x < s`` (``s`` itself need not be below alpha); None if no
+        row does, or if the tail has no ``tail_image``."""
+        if self.tail_image is None:
+            return None
+        return self.tail_image.first_reach(s, n)
 
     def check_coverage(self):
         """Make every explicit row image (each must stay inside [0, alpha));
@@ -562,13 +577,14 @@ def parse_instance(text: str) -> SurjectionFamily:
         if i not in rows:
             raise ParseError(f"row {i} is missing (rows must be consecutive from 0)")
         row_maps.append(rows[i])
+    tail_image = None
     if tail is not None:
         start, pieces = tail
         if start != len(row_maps):
             raise ParseError(
                 f"tail starts at {start} but explicit rows end at {len(row_maps) - 1}"
             )
-        settle = settle_point(start, pieces, carrier._ot, alpha)
+        settle, tail_image = settle_point(start, pieces, carrier._ot, alpha)
         if settle - start > _MAX_SETTLE + 1:
             raise TailLimitUndecided(
                 f"tail settles at row {settle - 1}, more than {_MAX_SETTLE} rows past its start"
@@ -587,7 +603,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             seen.add(piece.label)
         if len(seen) != len(carrier.labels):
             raise ParseError(f"row {n} does not cover every block")
-    return SurjectionFamily(carrier, alpha, row_maps, tail)
+    return SurjectionFamily(carrier, alpha, row_maps, tail, tail_image)
 
 
 def read_ascii_file(path) -> str:

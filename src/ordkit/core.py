@@ -233,6 +233,7 @@ def compare(a: Ordinal, b: Ordinal) -> int:
         raise BoundViolation(_TOO_DEEP) from None
 
 
+# eventual._Row.add repeats these tests on tail forms; keep in step
 def add(a: Ordinal, b: Ordinal) -> Ordinal:
     """Ordinal sum; terms of ``a`` below the degree of ``b`` are absorbed."""
     if not b._terms:
@@ -285,6 +286,7 @@ def power_nat(a: Ordinal, n: int) -> Ordinal:
     return result
 
 
+# eventual._Row.subtract repeats these tests on tail forms; keep in step
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique g with a + g = b; requires a <= b."""
     c = compare(a, b)
@@ -448,6 +450,7 @@ def _parse_atom(lx: _Lexer, expected: str):
     return inner
 
 
+# eventual._Row.evaluate repeats these tests on tail forms; keep in step
 def _eval_ast(ast, n: Optional[int]) -> Ordinal:
     kind = ast[0]
     if kind == "nat":

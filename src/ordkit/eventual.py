@@ -12,7 +12,9 @@ different forms then differ for all large ``n``.
 ordinals -- the template evaluation of :mod:`core` with its "coefficient
 must be >= 1" check, ``OrdinalSet``'s canonical form, each piece's image,
 the union across blocks, the bound against alpha and the order type --
-and makes each of their comparisons on eventual forms.  A comparison
+and makes each of their comparisons on eventual forms.  Each of those
+concrete functions names its counterpart here: the two must make the
+same tests in the same order.  A comparison
 ``a < b`` (or ``<=``, ``==``, ...) returns its final outcome, the one it
 has for all large ``n``, and raises ``_Row.at`` to the least ``n`` from
 which it has that outcome.  From ``at`` on, every concrete row takes the
@@ -26,7 +28,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from operator import eq, ge, gt, le, lt
 
-__all__ = ["settle_point"]
+__all__ = ["settle_point", "TailImage"]
 
 _ZERO = ()
 _ONE = ((_ZERO, (0, 1)),)
@@ -246,16 +248,56 @@ class _Row:
         return values
 
 
-def settle_point(start: int, pieces: list, block_types: dict, alpha) -> int:
-    """The first row from which a tail may be left to its rule: one past the
-    least ``n >= start`` from which every comparison and every raising check
-    made while building and imaging row ``n`` has its final outcome.
+class TailImage:
+    """The image of every tail row from ``start`` on, as the eventual forms
+    of its intervals' bounds.
+
+    From the settle point on, each bound is a valid form at every row, so
+    each of its coefficients ``a*n + b`` has ``a >= 0``: a bound never
+    falls as ``n`` grows, and one that moves at all rises at every row.
+    """
+
+    def __init__(self, start: int, intervals: list):
+        self.start = start
+        self.intervals = intervals
+
+    def first_reach(self, s, n: int):
+        """The least row ``m >= n`` whose image holds ``[x, s)`` for some
+        ``x < s``; None if no row does.  Such a row covers every point of
+        a left neighbourhood of ``s`` (the point before it, if ``s`` is a
+        successor), and finitely many rows cover one only if some row
+        does."""
+        floor = max(n, self.start)
+        target, key = _lift(s), s.key
+        best = None
+        for lo, hi in self.intervals:
+            sign, since = _compare(hi, target, floor)
+            if sign < 0:
+                continue
+            # hi rises, so it first reaches s at ``since``, or one row
+            # before, where it may equal s
+            if since > floor and _key(hi, since - 1) == key:
+                since -= 1
+            # lo does not fall: past ``since`` it is no lower
+            if _key(lo, since) < key and (best is None or since < best):
+                best = since
+        return best
+
+
+def settle_point(start: int, pieces: list, block_types: dict, alpha) -> tuple:
+    """Where a tail may be left to its rule, and its image from there on.
+
+    Returns ``(point, image)``.  ``point`` is one past the least ``n >=
+    start`` from which every comparison and every raising check made while
+    building and imaging row ``n`` has its final outcome.  ``image`` is a
+    :class:`TailImage` valid from ``point`` on, or None when a check fails
+    for good, or when a piece names a block that ``block_types`` lacks.
 
     ``pieces`` are the row's ``(label, kind, ast)`` triples (see
     ``carriers._parse_piece``), ``block_types`` the carrier's block order
-    types by label.  The rows before the returned point are read as
-    explicit rows; a check that fails for good already fails on the last
-    of them.
+    types by label.  The rows before ``point`` are read as explicit rows;
+    a check that fails for good already fails on the last of them, and so
+    does an unknown block, on the first.
     """
     row = _Row(start)
     try:
@@ -268,6 +310,8 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> int:
                 built.append((label, kind, row.evaluate(ast)))
         image: list = []
         for label, kind, value in built:
+            if label not in block_types:
+                raise _Raises
             if kind == "monotone":
                 piece_image = row.monotone_image(value, _lift(block_types[label]))
             else:
@@ -277,5 +321,5 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> int:
             raise _Raises
         row.order_type(image)  # its comparisons fix the shape of the row's delta
     except _Raises:
-        pass
-    return row.at + 1
+        return row.at + 1, None
+    return row.at + 1, TailImage(row.at + 1, image)

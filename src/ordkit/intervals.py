@@ -38,6 +38,7 @@ def _check_bounds(lo, hi):
         raise OutOfRangeError("interval bounds must be ordinals")
 
 
+# eventual._Row._coalesce repeats these tests on tail forms; keep in step
 def _coalesce(pairs: list) -> tuple:
     """Merge nonempty intervals sorted by ``lo`` where they overlap or touch."""
     merged: list = []
@@ -54,6 +55,7 @@ def _lo_key(pair) -> tuple:
     return pair[0].key
 
 
+# eventual._Row.canonical repeats these tests on tail forms; keep in step
 def _canonical(intervals: Iterable) -> tuple:
     pairs = []
     for lo, hi in intervals:
@@ -117,6 +119,7 @@ class OrdinalSet:
 
     # -- set algebra ---------------------------------------------------
 
+    # eventual._Row.union repeats these tests on tail forms; keep in step
     def union(self, other: "OrdinalSet") -> "OrdinalSet":
         a, b = self._intervals, other._intervals
         if not a:
@@ -183,6 +186,7 @@ class OrdinalSet:
 
     # -- order structure -------------------------------------------------
 
+    # eventual._Row.order_type repeats these tests on tail forms; keep in step
     def order_type(self) -> Ordinal:
         total = self._order_type
         if total is None:
@@ -222,6 +226,7 @@ class OrdinalSet:
         """Elements whose positions lie in ``[p_lo, p_hi)``."""
         return self.select_positions(OrdinalSet.interval(p_lo, p_hi))
 
+    # eventual._Row.select_positions repeats these tests on tail forms; keep in step
     def select_positions(self, positions: "OrdinalSet") -> "OrdinalSet":
         """Elements at the given set of positions."""
         # enumeration is strictly increasing, so the images of disjoint

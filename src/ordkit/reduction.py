@@ -19,6 +19,7 @@ power Dedekind infiniteness, and the well-order code surrogate decoder.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional
@@ -339,14 +340,15 @@ class ReductionResult:
         if compare(gamma, self.alpha) >= 0:
             raise BoundViolation(f"target {fmt(gamma)} is not below alpha")
         scan = _row_scan(self.fam)
-        for n in range(scan):
-            if not self.fam.has_row(n):
-                break
-            image = self.fam.row_image(n)
-            if image.contains(gamma):
-                z = pair_encode(self.delta, Ordinal(n), image.locate(gamma))
-                return self.delta_witness(z)
-        raise WitnessNotFound(f"no row covers {fmt(gamma)} within {scan} rows")
+        rows = (n for n in range(scan) if self.fam.has_row(n))
+        n = next((n for n in rows if self.fam.row_image(n).contains(gamma)), None)
+        if n is None:
+            # past the scan, the tail's forms name the first row that holds gamma
+            n = self.fam.first_reach(add(gamma, ONE), scan)
+        if n is None:
+            raise WitnessNotFound(f"no row covers {fmt(gamma)} within {scan} rows")
+        z = pair_encode(self.delta, Ordinal(n), self.fam.row_image(n).locate(gamma))
+        return self.delta_witness(z)
 
 
 def _least_preimage(row: BlockwiseMap, carrier: Carrier, value: Ordinal):
@@ -380,8 +382,10 @@ def _code_point(carrier: Carrier, n: int, y):
 
 
 def _row_scan(fam: SurjectionFamily) -> int:
-    """Rows searched for a witness or a first cover: every explicit row (a
-    transfer family can have many), and at least _ROW_SCAN rows of a tail."""
+    """Rows searched one by one for a witness or a first cover: every
+    explicit row (a transfer family can have many), and at least _ROW_SCAN
+    rows of a tail.  Past them, a parsed tail's forms say which rows to
+    go on to (see :meth:`SurjectionFamily.first_reach`)."""
     return max(_ROW_SCAN, len(fam.rows))
 
 
@@ -500,6 +504,15 @@ def _interval_samples(lo: Ordinal, hi: Ordinal) -> list:
     return samples
 
 
+def _still_coverable(fam: SurjectionFamily, rest: OrdinalSet, n: int) -> bool:
+    """Whether rows from ``n`` on may still cover ``rest``: some row must
+    hold its least point, and some row a left neighbourhood of its least
+    upper bound.  Such a row lowers that bound, and ordinals do not fall
+    forever, so taking rows while this holds ends."""
+    least, top = rest.intervals[0][0], rest.intervals[-1][1]
+    return fam.first_reach(add(least, ONE), n) is not None and fam.first_reach(top, n) is not None
+
+
 def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     """Witness search over every first-cover target interval below bound.
 
@@ -508,6 +521,9 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     each interval gets a deterministic spread of sample targets, every
     sample is inverted through the construction and the resulting witness
     re-evaluated.
+
+    Past the row scan, rows are taken while later rows may still cover
+    what is left (see :func:`_still_coverable`).
     """
     if compare(bound, result.alpha) > 0:
         raise BoundViolation("bound must be at most alpha")
@@ -517,9 +533,12 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     want = OrdinalSet.interval(ZERO, bound)
     covered = OrdinalSet()
     scan = _row_scan(result.fam)
-    for n in range(scan):
-        if want.difference(covered).is_empty():
+    for n in itertools.count():
+        rest = want.difference(covered)
+        if rest.is_empty():
             break
+        if n >= scan and not _still_coverable(result.fam, rest, n):
+            raise WitnessNotFound(f"rows 0..{n - 1} do not cover [0, {fmt(bound)})")
         if not result.fam.has_row(n):
             raise WitnessNotFound(f"targets below {fmt(bound)} not covered by {scan} rows")
         fresh = result.fam.row_image(n).intersect(want).difference(covered)
@@ -531,8 +550,6 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
                 samples.append((target, witness, value, compare(value, target) == 0))
             report.entries.append(((lo, hi), n, samples))
         covered = covered.union(fresh)
-    if not want.difference(covered).is_empty():
-        raise WitnessNotFound(f"rows 0..{scan - 1} do not cover [0, {fmt(bound)})")
     if not report.ok():
         raise WitnessNotFound("a witness failed re-evaluation")
     return report

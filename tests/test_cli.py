@@ -237,6 +237,51 @@ class TestEngineCommands:
         assert out.splitlines()[0] == head
         assert "MISMATCH" not in out
 
+    @pytest.mark.parametrize("copies", ["100", "2"])
+    def test_reduce_tail_cover_past_the_row_scan(self, tmp_path, copies):
+        # row 70 first covers [0, w^70); the tail's forms say to scan on to it
+        path = tmp_path / "late_tail_cover.txt"
+        path.write_text(
+            f"carrier: m:[0,w^(w^w)*{copies})\nalpha: w^w\n"
+            "row 0: m -> monotone [0,w)\ntail: n >= 1: m -> monotone [0,w^n)\n"
+        )
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w^70")
+        assert status == 0
+        lines = out.splitlines()
+        assert lines[0] == "case=case2 delta=w^w"
+        assert "interval=[w^69,w^70) row=70" in lines
+        assert "MISMATCH" not in out
+
+    @pytest.mark.parametrize(
+        "tail,bound,scanned",
+        [
+            # rows past 63 go on covering [w^w + w^63, w^w + w^70) up to row
+            # 70; no row holds w^w or the points just below it
+            ("[0,w*n),[w^w+1,w^w+w^n)", "w^w+w^70", 70),
+            # no row holds w, so rows past 63 cannot finish the cover
+            ("[0,w),[w+1,w^n)", "w^70", 63),
+        ],
+    )
+    def test_reduce_tail_scan_stops_where_no_row_reaches(self, tmp_path, tail, bound, scanned):
+        path = tmp_path / "hole.txt"
+        path.write_text(
+            "carrier: m:[0,w^(w^w)*2)\nalpha: w^(w+1)\nrow 0: m -> monotone [1,w)\n"
+            f"tail: n >= 1: m -> monotone {tail}\n"
+        )
+        status, out = run("reduce", "--instance", str(path), "--verify-below", bound)
+        shown = bound.replace("+", " + ")
+        assert (status, out) == (1, f"witness-not-found\nrows 0..{scanned} do not cover [0, {shown})\n")
+
+    @pytest.mark.parametrize("explicit", [0, 1])
+    def test_reduce_tail_names_unknown_block(self, tmp_path, explicit):
+        path = tmp_path / "unknown.txt"
+        rows = "row 0: m -> monotone [0,w)\n" if explicit else ""
+        path.write_text(
+            f"carrier: m:[0,w)\nalpha: w\n{rows}tail: n >= {explicit}: zz -> monotone [0,w)\n"
+        )
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
+        assert (status, out) == (1, f"syntax-error\nrow {explicit} names unknown block 'zz'\n")
+
     def test_reduce_tail_leaves_alpha_late(self):
         # rows 1..10 stay inside alpha = w^10; the settle point counts alpha's
         # literals, so row 11 is read and rejected
