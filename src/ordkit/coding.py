@@ -281,7 +281,8 @@ class CsbBijection:
     Elements whose backward chain terminates on the A side (or never
     terminates, including cycles) map through f; the rest map through
     the inverse of g.  Chain chasing is fuel-bounded and memoized per
-    instance; instances are single-owner.
+    instance, one memo per side shared by both directions; instances are
+    single-owner.
     """
 
     def __init__(self, f: MapSpec, g: MapSpec, fuel: int = 10_000):
@@ -302,13 +303,19 @@ class CsbBijection:
             )
         return pre
 
-    def _classify(self, value, memo: dict, first: MapSpec, second: MapSpec, sides: str):
+    def _classify(self, value, memo: dict, other_memo: dict, first: MapSpec, second: MapSpec,
+                  sides: str):
         """Side ('A' or 'B') of the chain through ``value``, followed
         backwards: through ``first``, then ``second``, and so on.  The chain
         stops where the next inverse is missing, on ``sides[0]`` at
-        ``first`` and ``sides[1]`` at ``second``; a cycle counts as 'A'."""
+        ``first`` and ``sides[1]`` at ``second``; a cycle counts as 'A'.
+
+        The side is the chain's origin, the same from either direction, so
+        the opposite-side elements the walk meets go into ``other_memo``,
+        the memo of the other direction, and a walk ends at one found there."""
         seen = set()
         trail = []
+        others = []
         for _ in range(self.fuel):
             if value in memo:
                 side = memo[value]
@@ -322,6 +329,10 @@ class CsbBijection:
                 side = sides[0]
                 break
             other = self._checked_invert(first, value)
+            if other in other_memo:
+                side = other_memo[other]
+                break
+            others.append(other)
             if not second.in_range(other):
                 side = sides[1]
                 break
@@ -330,15 +341,17 @@ class CsbBijection:
             raise FuelExhausted(f"chain classification undecided after {self.fuel} steps")
         for visited in trail:
             memo[visited] = side
+        for visited in others:
+            other_memo[visited] = side
         return side
 
     def forward(self, a):
-        if self._classify(a, self._side_a, self.g, self.f, "AB") == "A":
+        if self._classify(a, self._side_a, self._side_b, self.g, self.f, "AB") == "A":
             return self.f.apply(a)
         return self._checked_invert(self.g, a)
 
     def backward(self, b):
-        if self._classify(b, self._side_b, self.f, self.g, "BA") == "B":
+        if self._classify(b, self._side_b, self._side_a, self.f, self.g, "BA") == "B":
             return self.g.apply(b)
         return self._checked_invert(self.f, b)
 
@@ -359,6 +372,7 @@ class OmegaPowerBijection:
         _require_infinite(alpha)
         self.alpha = alpha
         self.bound = omega_power(alpha)
+        self._decoded: dict = {}  # z -> _decode(z): the range test and the inverse both ask
 
         def encode(v: Ordinal) -> Ordinal:
             pairs = [pair_encode(alpha, e, Ordinal(c)) for e, c in v.terms]
@@ -387,6 +401,11 @@ class OmegaPowerBijection:
         )
 
     def _decode(self, z: Ordinal) -> Optional[Ordinal]:
+        if z not in self._decoded:
+            self._decoded[z] = self._decode_digits(z)
+        return self._decoded[z]
+
+    def _decode_digits(self, z: Ordinal) -> Optional[Ordinal]:
         codes = fin_decode(self.alpha, z)
         if codes is None:
             return None

@@ -211,7 +211,18 @@ class ReductionResult:
                     "carrier order type must reach w**delta * 2 "
                     f"(need {fmt(multiply(self.beta, Ordinal(2)))}, have {fmt(theta)})"
                 )
-            self._b = [self.carrier.full_restriction()]  # B_n per stage n
+            full = self.carrier.full_restriction()
+            self._b = [full]  # B_n per stage n
+            # every chunk lies in the reserve zone Z and every B_n contains
+            # M \ Z, and a row's image only grows with its restriction: a
+            # row strong on M \ Z is strong on every B_n, and a row weak on
+            # Z is weak on every chunk.  Both answers are kept per row.
+            self._zone = self.carrier.global_range_restriction(
+                self.beta, multiply(self.beta, Ordinal(2))
+            )
+            self._outside = {label: full[label].difference(self._zone[label]) for label in full}
+            self._strong_outside: dict = {}
+            self._strong_on_zone: dict = {}
 
     # -- case 2 stages --------------------------------------------------
 
@@ -220,6 +231,18 @@ class ReductionResult:
         # the coverage condition holds on a restriction exactly when a
         # window row of the largest delta_m keeps full strength there
         return _top_rows([self._kept.delta(m) for m in range(_COVERAGE_WINDOW)])
+
+    def _strong_on_b(self, j: int, b_restriction: dict) -> bool:
+        """Kept row j is strong on B_n: decided once by M \\ Z, else exactly."""
+        if j not in self._strong_outside:
+            self._strong_outside[j] = self._kept.strong(j, self._outside)
+        return self._strong_outside[j] or self._kept.strong(j, b_restriction)
+
+    def _strong_on_chunk(self, j: int, chunk: dict) -> bool:
+        """Kept row j is strong on a chunk: ruled out once by Z, else exactly."""
+        if j not in self._strong_on_zone:
+            self._strong_on_zone[j] = self._kept.strong(j, self._zone)
+        return self._strong_on_zone[j] and self._kept.strong(j, chunk)
 
     def ensure_stage(self, n: int):
         """Build the stages up to n, running only the checks that can fail."""
@@ -230,12 +253,18 @@ class ReductionResult:
             delta_n = self._kept.delta(index)
             beta_n = omega_power(delta_n)
             b_restriction = self._b[index]
-            # least k with beta_index < beta_k and full row strength on B_n
+            # least k with beta_index < beta_k and full row strength on B_n.
+            # B_n lies inside B_(n-1), so a row weak there is weak here, and
+            # when delta_n >= delta_(n-1) a row not above delta_(n-1) is not
+            # above delta_n: the search then resumes at the last stage's k
             search = max(_STAGE_SEARCH, index + 8)
+            start = 0
+            if index and compare(delta_n, self._kept.delta(index - 1)) >= 0:
+                start = self.stages[index - 1].k
             k = None
-            for cand in range(search):
+            for cand in range(start, search):
                 above = compare(delta_n, self._kept.delta(cand)) < 0
-                if above and self._kept.strong(cand, b_restriction):
+                if above and self._strong_on_b(cand, b_restriction):
                     k = cand
                     break
             if k is None:
@@ -253,13 +282,13 @@ class ReductionResult:
             # the candidate chunk.  Reserve-zone chunks never carry row
             # strength, so the complement branch is always the one taken; a
             # pass here means the instance left the structured class.
-            if any(self._kept.strong(m, chunk) for m in self._top):
+            if any(self._strong_on_chunk(m, chunk) for m in self._top):
                 raise CoverageBroken(
                     "reserve chunk unexpectedly carries full row strength"
                 )
             # B_n minus this chunk is B_(n+1)
             b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
-            if not any(self._kept.strong(m, b_next) for m in self._top):
+            if not any(self._strong_on_b(m, b_next) for m in self._top):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
             self.stages.append(
                 Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, b_next, self._kept)
@@ -523,16 +552,17 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     re-evaluated.
 
     Past the row scan, rows are taken while later rows may still cover
-    what is left (see :func:`_still_coverable`).
+    what is left (see :func:`_still_coverable`).  The rows settle the
+    coverage first, so a refusal samples nothing.
     """
     if compare(bound, result.alpha) > 0:
         raise BoundViolation("bound must be at most alpha")
     if bound.is_zero():
         raise BoundViolation("bound 0 leaves no target to verify")
-    report = VerificationReport(bound)
     want = OrdinalSet.interval(ZERO, bound)
     covered = OrdinalSet()
     scan = _row_scan(result.fam)
+    first_covers = []  # (row, the targets it covers first)
     for n in itertools.count():
         rest = want.difference(covered)
         if rest.is_empty():
@@ -542,6 +572,10 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
         if not result.fam.has_row(n):
             raise WitnessNotFound(f"targets below {fmt(bound)} not covered by {scan} rows")
         fresh = result.fam.row_image(n).intersect(want).difference(covered)
+        first_covers.append((n, fresh))
+        covered = covered.union(fresh)
+    report = VerificationReport(bound)
+    for n, fresh in first_covers:
         for lo, hi in fresh.intervals:
             samples = []
             for target in _interval_samples(lo, hi):
@@ -549,7 +583,6 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
                 value = result.surjection(witness)
                 samples.append((target, witness, value, compare(value, target) == 0))
             report.entries.append(((lo, hi), n, samples))
-        covered = covered.union(fresh)
     if not report.ok():
         raise WitnessNotFound("a witness failed re-evaluation")
     return report

@@ -454,6 +454,19 @@ class TestCsb:
         for a in range(10):
             assert h.backward(h.forward(a)) == a
 
+    def test_one_walk_serves_both_directions(self):
+        # backward(5) walks the chain 5 <- 5 <- 4 <- ... <- 0 and records
+        # the A-side elements it meets; forward(g(5)) steps once to 5, on
+        # that chain, and asks f no range question
+        f_range = []
+        f = MapSpec(lambda a: a, lambda b: f_range.append(b) or True, lambda b: b)
+        g = MapSpec(lambda b: b + 1, lambda a: a >= 1, lambda a: a - 1)
+        h = CsbBijection(f, g, fuel=100)
+        assert h.backward(5) == 5
+        f_range.clear()
+        assert h.forward(g.apply(5)) == 6
+        assert f_range == []
+
     def test_fuel_exhaustion(self):
         # backward chain never terminates: f, g shift in opposite directions
         f = MapSpec(lambda a: a - 1, lambda b: True, lambda b: b + 1)
@@ -508,6 +521,17 @@ class TestOmegaPowerBijection:
             bij.down(o("w^w"))
         with pytest.raises(BoundViolation):
             bij.up(OMEGA)
+
+    def test_round_trip_decodes_each_code_once(self, monkeypatch):
+        # up's range test and inverse, and down's walk, share the decode
+        calls = []
+        bij = OmegaPowerBijection(o("w^w"))
+        decode = bij._decode_digits
+        monkeypatch.setattr(bij, "_decode_digits", lambda z: calls.append(z) or decode(z))
+        for text in ("0", "5", "w*2", "w^5+w^2"):
+            z = o(text)
+            assert bij.down(bij.up(z)) == z
+        assert len(calls) == len(set(calls))
 
     def test_direction_dispatch(self, capsys):
         assert main(["cnfbij", "--alpha", "w", "--dir", "down", "w*2+1"]) == 0

@@ -512,6 +512,24 @@ class TestReduceCase2:
     def test_verified_below_w3(self, tower):
         assert verify_surjective(tower, o("w^3")).ok()
 
+    def test_refusal_samples_nothing(self, monkeypatch, tmp_path):
+        # no tail row reaches w^2, and the rows say so before any sample
+        path = tmp_path / "short_tail.txt"
+        path.write_text(
+            "carrier: a:[0,w^(w^w)*2)\nalpha: w^w\n"
+            "row 0: a -> monotone [0,w)\ntail: n >= 1: a -> monotone [0,w*n)\n"
+        )
+        searches = []
+        witness_for = ReductionResult.witness_for
+        monkeypatch.setattr(
+            ReductionResult, "witness_for",
+            lambda result, gamma: searches.append(gamma) or witness_for(result, gamma),
+        )
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["reduce", "--instance", str(path), "--verify-below", "w^3"]) == 1
+        assert out.getvalue() == "witness-not-found\nrows 0..63 do not cover [0, w^3)\n"
+        assert searches == []
+
     def test_delta_stage_inverse_exactness(self, tower):
         for text in ("0", "1", "w", "w*4+2", "w^2", "w^3+w^2+5"):
             z = o(text)
@@ -754,6 +772,29 @@ def _chunk_dependent_family(low_target, chunk_target: tuple, chunk_len: str):
     return SurjectionFamily(carrier, o("w^w"), [row0], tail=(1, tail))
 
 
+def _unpeeled_zone_family(zone_row: int):
+    """A case-2 family on m:[0, beta*2), beta = w^(w^w), whose rows n map
+    monotone onto [0, w^(n+1)), so that every row but one sends the reserve
+    zone Z = [beta, beta*2) to 0.  Row ``zone_row`` takes its values only on
+    [beta + w^(w^7), beta*2), the part of Z that six stages leave unpeeled,
+    and is 0 elsewhere: strong on B_0 to B_6 but not on M \\ Z."""
+    beta = o("w^(w^w)")
+    zone_lo, zone_end = add(beta, o("w^(w^7)")), multiply(beta, Ordinal(2))
+
+    def row(n):
+        target = iv("0", omega_power(Ordinal(n + 1)))
+        if n != zone_row:
+            return BlockwiseMap([Piece("m", "monotone", target=target)])
+        return BlockwiseMap([
+            Piece("m", "constant", value=ZERO, dom=OrdinalSet.interval(ZERO, zone_lo)),
+            Piece("m", "monotone", target=target, dom=OrdinalSet.interval(zone_lo, zone_end)),
+        ])
+
+    carrier = Carrier([("m", OrdinalSet.interval(ZERO, zone_end))])
+    explicit = [row(n) for n in range(zone_row + 1)]
+    return SurjectionFamily(carrier, o("w^w"), explicit, tail=(zone_row + 1, row))
+
+
 class TestStageReference:
     """ensure_stage against the from-scratch construction it replaced."""
 
@@ -787,6 +828,15 @@ class TestStageReference:
         fam = lambda: _chunk_dependent_family(("0", "w^6"), ("w^6", "w^6*2"), "w^(w^6*2)")
         reference = _stage_records(_ReferenceStages, fam())
         assert reference == [(CoverageBroken, "coverage condition fails after stage 0")]
+        assert _stage_records(ReductionResult, fam()) == reference
+
+    @pytest.mark.parametrize("zone_row", [1, 5])
+    def test_row_strong_only_on_the_unpeeled_zone(self, zone_row):
+        # weak on M \ Z, so the exact test on B_n decides: row 1 is stage
+        # 0's k, and row 5 the top row whose strength the coverage keeps
+        fam = lambda: _unpeeled_zone_family(zone_row)
+        reference = _stage_records(_ReferenceStages, fam())
+        assert [record[1] for record in reference] == [1, 2, 3, 4, 5, 6]
         assert _stage_records(ReductionResult, fam()) == reference
 
     def test_coverage_condition_is_a_top_row_keeping_strength(self):
@@ -827,6 +877,20 @@ class TestStageCost:
             candidates = [c for c in range(stage.k + 1) if compare(delta_n, kept.delta(c)) < 0]
             assert len(calls) <= len(candidates) + 2 * len(result._top)
             assert "coverage" not in vars(stage) and "q_map" not in vars(stage)
+
+    def test_k_search_resumes_at_the_last_k(self, monkeypatch):
+        # delta_n grows on the tower, so stage n's search starts at stage
+        # n-1's k: a bounded number of delta reads per stage, not one per
+        # earlier row
+        calls = []
+        delta = _KeptRows.delta
+        monkeypatch.setattr(_KeptRows, "delta", lambda kept, j: calls.append(j) or delta(kept, j))
+        result = reduce_omega_product(load("case2_tower.txt"))
+        for n in range(256):
+            calls.clear()
+            result.ensure_stage(n)
+            assert len(calls) <= 8
+        assert [stage.k for stage in result.stages] == list(range(1, 257))
 
     def test_entry_points_build_no_record(self, monkeypatch):
         def unexpected(*args):
