@@ -87,13 +87,15 @@ class Carrier:
             cum = add(cum, self._ot[label])
         self._offsets = offsets
         self.order_type = cum
+        # OrdinalSet is immutable, so each block's set is built once and shared
+        self._positions = {label: OrdinalSet.interval(ZERO, ot) for label, ot in self._ot.items()}
 
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.blocks)
 
     def block_positions(self, label: str) -> OrdinalSet:
-        return OrdinalSet.interval(ZERO, self._ot[label])
+        return self._positions[label]
 
     def full_restriction(self) -> dict:
         return {label: self.block_positions(label) for label in self.labels}
@@ -143,11 +145,8 @@ class Carrier:
         ladders = []
         for label, _ in self.blocks:
             theta = self._ot[label]
-            ladder = []
-            for k in range(count):
-                p = Ordinal(k)
-                if compare(p, theta) < 0:
-                    ladder.append((label, p))
+            naturals = min(count, theta.nat_value()) if theta.is_nat() else count
+            ladder = [(label, Ordinal(k)) for k in range(naturals)]
             for p in _LADDER:
                 if compare(p, theta) < 0:
                     ladder.append((label, p))

@@ -21,7 +21,6 @@ from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
 from .oracle import _CHECKS, exhaustive_check
 from .reduction import (
-    _signature,
     reduce_omega_product,
     refute_infinite_powerset,
     refute_powerset,
@@ -121,20 +120,31 @@ _TABLE_SIZE = 8
 _TABLE_SCAN = 24
 
 
+def _signature(s: QueryableSet, points: list) -> int:
+    """The answers of ``s`` on ``points``, bit k for ``points[k]``."""
+    return sum(1 << k for k, w in enumerate(points) if s.contains(w))
+
+
 def _distinct_table(fam, phi):
     """The first pairwise sample-distinct listed sets, in listing order."""
     points = fam.carrier.sample_elements(16)
     table = []
     signatures = set()
+    # phi hands back one object per fiber, and a fiber met again was already
+    # signed (kept or refused): each object is signed once, and held, so
+    # its id is not reused
+    seen: dict = {}
     index = 0
     while len(table) < _TABLE_SIZE and index < _TABLE_SCAN:
         n, i = index % 4, index // 4
         if i < len(points):
             candidate = phi(n, points[i])
-            signature = _signature(candidate, points)
-            if signature not in signatures:
-                signatures.add(signature)
-                table.append(candidate)
+            if id(candidate) not in seen:
+                seen[id(candidate)] = candidate
+                signature = _signature(candidate, points)
+                if signature not in signatures:
+                    signatures.add(signature)
+                    table.append(candidate)
         index += 1
     return table
 

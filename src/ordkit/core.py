@@ -53,14 +53,17 @@ _TOO_DEEP = "ordinal nested too deep to compare"
 
 
 def _by_key(op: Callable) -> Callable:
-    """A rich comparison of ordinals (or ints) by their keys."""
+    """A rich comparison of ordinals (or ints) by their keys; an ordinal
+    operand skips the coercion, and a built key is read from its slot."""
 
     def method(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ka, kb = self._key, other._key
         try:
-            return op(self.key, other.key)
+            return op(self.key if ka is None else ka, other.key if kb is None else kb)
         except RecursionError:
             raise BoundViolation(_TOO_DEEP) from None
 
@@ -225,8 +228,11 @@ OMEGA = Ordinal._raw(((ONE, 1),))
 
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Standard ordinal order: -1, 0, or 1."""
-    ka = a._key or a.key  # the slot skips the property call; zero's () takes it
-    kb = b._key or b.key
+    ka, kb = a._key, b._key  # the slot skips the property call once the key is built
+    if ka is None:
+        ka = a.key
+    if kb is None:
+        kb = b.key
     try:
         return (ka > kb) - (ka < kb)
     except RecursionError:

@@ -170,10 +170,15 @@ class OrdinalSet:
         return OrdinalSet._of(tuple(out))
 
     def contains(self, x: Ordinal) -> bool:
-        k = x.key
+        # built keys are read from their slots, skipping the property call
+        k = x._key
+        if k is None:
+            k = x.key
         for lo, hi in self._intervals:
-            if k < hi.key:
-                return lo.key <= k
+            h = hi._key
+            if k < (hi.key if h is None else h):
+                low = lo._key
+                return (lo.key if low is None else low) <= k
         return False
 
     def is_subset(self, other: "OrdinalSet") -> bool:

@@ -93,12 +93,16 @@ __all__ = [
 # -- Cantor's diagonal ---------------------------------------------------------
 
 
-def cantor_diagonal(listing: Callable, carrier: Carrier) -> QueryableSet:
-    """The set {x : x not in listing(x)}; never in the listing's range."""
+def cantor_diagonal(
+    listing: Callable, carrier: Carrier, ask: Optional[Callable] = None
+) -> QueryableSet:
+    """The set {x : x not in listing(x)}; never in the listing's range.
+    ``ask(s, x)``, when given, answers for ``s.contains(x)``."""
 
     def membership(x) -> bool:
         carrier.check_element(x)
-        return not listing(x).contains(x)
+        listed = listing(x)
+        return not (listed.contains(x) if ask is None else ask(listed, x))
 
     return QueryableSet(membership)
 
@@ -213,6 +217,7 @@ class ReductionResult:
                 )
             full = self.carrier.full_restriction()
             self._b = [full]  # B_n per stage n
+            self._reach: list = []  # per stage n, the largest beta_m over stages m <= n
             # every chunk lies in the reserve zone Z and every B_n contains
             # M \ Z, and a row's image only grows with its restriction: a
             # row strong on M \ Z is strong on every B_n, and a row weak on
@@ -294,6 +299,30 @@ class ReductionResult:
                 Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, b_next, self._kept)
             )
             self._b.append(b_next)
+            self._reach.append(max(self._reach[-1], beta_n) if index else beta_n)
+
+    def _first_stage(self, fuel: int, reaches: Callable) -> Optional[Stage]:
+        """The first stage n < ``fuel`` with ``reaches(n)``, a test that
+        stays true from the first such stage on: stage 0, where most points
+        lie, then a bisection over the other stages built, then the stages
+        after them, built and tested one at a time."""
+        built = min(fuel, len(self.stages))
+        if built and reaches(0):
+            return self.stages[0]
+        lo, hi = 1, built
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reaches(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo < built:
+            return self.stages[lo]
+        for n in range(built, fuel):
+            self.ensure_stage(n)
+            if reaches(n):
+                return self.stages[n]
+        return None
 
     # -- evaluation -------------------------------------------------------
 
@@ -309,12 +338,9 @@ class ReductionResult:
             # outside the reserve zone [beta, beta*2), so inside every B_n:
             # the glued map sends it to zero
             return self._bij.down(ZERO)
-        for n in range(fuel):
-            self.ensure_stage(n)
-            stage = self.stages[n]
-            if compare(p, stage.chunk_hi) < 0:
-                return self._bij.down(left_subtract(stage.chunk_lo, p))
-        return None
+        # the chunks are adjacent and increasing
+        stage = self._first_stage(fuel, lambda n: compare(p, self.stages[n].chunk_hi) < 0)
+        return None if stage is None else self._bij.down(left_subtract(stage.chunk_lo, p))
 
     def evaluate_point(self, element, fuel: Optional[int] = None) -> tuple:
         """('determined', value) or ('unresolved', None) under the fuel."""
@@ -358,11 +384,11 @@ class ReductionResult:
                 raise WitnessNotFound(f"row {k} has no preimage of {fmt(target_value)}")
             return found
         w = self._bij.up(z)
-        for n in range(self.fuel):
-            self.ensure_stage(n)
-            if compare(w, self.stages[n].beta) < 0:
-                return self.carrier.element_at(add(self.stages[n].chunk_lo, w))
-        raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {self.fuel}")
+        # the first stage with w < beta_n is the first whose running largest beta passes w
+        stage = self._first_stage(self.fuel, lambda n: compare(w, self._reach[n]) < 0)
+        if stage is None:
+            raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {self.fuel}")
+        return self.carrier.element_at(add(stage.chunk_lo, w))
 
     def witness_for(self, gamma: Ordinal):
         """A carrier element mapped to gamma by the surjection."""
@@ -765,12 +791,61 @@ class RefutationWitness:
         return True
 
 
-def _signature(s: QueryableSet, points: list) -> int:
-    """The answers of ``s`` on ``points``, bit k for ``points[k]``: two sets
-    differ on the points exactly when their signatures differ.  An int, as
-    a tuple of 64 answers is too large for Python's small-object allocator
-    and raised the refuters' peak memory."""
-    return sum(1 << k for k, w in enumerate(points) if s.contains(w))
+class _SampleAnswers:
+    """One refuter call's answers of sets on its sample points, each asked
+    once.  Per set ``[set, bits, asked]``: once bit k of ``asked`` is set,
+    bit k of ``bits`` is the answer at ``points[k]`` (ints, as tuples of 64
+    answers are too large for Python's small-object allocator and raised
+    the refuters' peak memory).  Keyed by the set's id: the memo holds each
+    set, so no id is reused while it lives.  :meth:`close` drops every
+    answer, so that the rechecks ask afresh."""
+
+    def __init__(self, points: list):
+        self.points = points
+        self._index = {w: q for q, w in enumerate(points)}
+        self._all = (1 << len(points)) - 1
+        self._memo: dict = {}
+
+    def _entry(self, s: QueryableSet) -> list:
+        entry = self._memo.get(id(s))
+        if entry is None:
+            entry = self._memo[id(s)] = [s, 0, 0]
+        return entry
+
+    def ask(self, s: QueryableSet, x) -> bool:
+        """``s.contains(x)``, asked once if ``x`` is a sample point."""
+        q = self._index.get(x)
+        if q is None:
+            return s.contains(x)
+        entry = self._entry(s)
+        if not entry[2] >> q & 1:
+            entry[2] |= 1 << q
+            if s.contains(x):
+                entry[1] |= 1 << q
+        return bool(entry[1] >> q & 1)
+
+    def signature(self, s: QueryableSet) -> int:
+        """The answers of ``s`` on all the points, bit k for ``points[k]``:
+        two sets differ on the points exactly when their signatures do."""
+        entry = self._entry(s)
+        missing = self._all & ~entry[2]
+        if missing:
+            numbered = enumerate(self.points)
+            entry[1] |= sum(1 << q for q, w in numbered if missing >> q & 1 and s.contains(w))
+            entry[2] = self._all
+        return entry[1]
+
+    def confirm(self, s: QueryableSet, members: Iterable):
+        """Record ``members``, points already confirmed in ``s``."""
+        entry = self._entry(s)
+        for x in members:
+            q = self._index.get(x)
+            if q is not None:
+                entry[1] |= 1 << q
+                entry[2] |= 1 << q
+
+    def close(self):
+        self._index, self._memo = {}, {}
 
 
 def _listing_pairs(bound: int):
@@ -786,7 +861,7 @@ def _listing_pairs(bound: int):
     return out
 
 
-def _check_table(carrier: Carrier, table: list, points: list, check_bound: int) -> dict:
+def _check_table(carrier: Carrier, table: list, answers: _SampleAnswers, check_bound: int) -> dict:
     """What both refuters need: a nonempty table whose entries differ on the
     sample points, an infinite carrier, and at least one listed set to
     check.  Returns each entry's index keyed by its signature."""
@@ -794,7 +869,7 @@ def _check_table(carrier: Carrier, table: list, points: list, check_bound: int) 
         raise BoundViolation(f"check bound must be at least 1, not {check_bound}")
     if not table:
         raise PreconditionViolated("table must be nonempty")
-    signatures = [_signature(entry, points) for entry in table]
+    signatures = [answers.signature(entry) for entry in table]
     for i, signature in enumerate(signatures):
         if signature in signatures[i + 1:]:
             j = signatures.index(signature, i + 1)
@@ -804,27 +879,34 @@ def _check_table(carrier: Carrier, table: list, points: list, check_bound: int) 
     return {signature: i for i, signature in enumerate(signatures)}
 
 
-def _induced_index(phi: Callable, signatures: dict, points: list) -> Callable:
-    """The cached map (n, x) -> the table index whose entry agrees with
-    phi(n, x) on the sample points, 0 when none does."""
-    cache: dict = {}
+def _induced_index(phi: Callable, signatures: dict, answers: _SampleAnswers) -> tuple:
+    """The cached maps (n, x) -> phi(n, x), and (n, x) -> the table index
+    whose entry agrees with phi(n, x) on the sample points, 0 when none
+    does."""
+    sets: dict = {}
+    indices: dict = {}
+
+    def listed(n: int, x) -> QueryableSet:
+        if (n, x) not in sets:
+            sets[n, x] = phi(n, x)
+        return sets[n, x]
 
     def induced(n: int, x) -> int:
         key = (n, x)
-        if key not in cache:
+        if key not in indices:
             # extended by zero
-            cache[key] = signatures.get(_signature(phi(n, x), points), 0)
-        return cache[key]
+            indices[key] = signatures.get(answers.signature(listed(n, x)), 0)
+        return indices[key]
 
-    return induced
+    return listed, induced
 
 
 def _refutation(
     missed: QueryableSet,
     table: list,
     table_search: Callable,
-    phi: Callable,
-    points: list,
+    listed_at: Callable,
+    answers: _SampleAnswers,
     check_bound: int,
     search: Callable,
     missed_name: str,
@@ -836,16 +918,19 @@ def _refutation(
     ``check_bound`` pairs (n, i), at the first point of ``search(n, i)``;
     every distinguisher is rechecked.  The missed set is asked once per
     point in this call, and not at all at ``known_members``, points the
-    caller has already confirmed in it."""
+    caller has already confirmed in it.  Every other set is asked at most
+    once per sample point, through ``answers``, until the recheck."""
     in_missed = dict.fromkeys(known_members, True)
+    points = answers.points
 
     def separate(listed: QueryableSet, candidates: Iterable):
         for w in candidates:
-            if w not in in_missed:
-                in_missed[w] = missed.contains(w)
-            in_listed = listed.contains(w)
-            if in_missed[w] != in_listed:
-                return w, in_missed[w], in_listed
+            answer = in_missed.get(w)
+            if answer is None:
+                answer = in_missed[w] = missed.contains(w)
+            in_listed = answers.ask(listed, w)
+            if answer != in_listed:
+                return w, answer, in_listed
         return None
 
     distinguishers = []
@@ -857,7 +942,7 @@ def _refutation(
     for n, q_idx in _listing_pairs(check_bound):
         if q_idx >= len(points):
             continue
-        listed = phi(n, points[q_idx])
+        listed = listed_at(n, points[q_idx])
         found = separate(listed, search(n, q_idx))
         if found is None:
             raise WitnessNotFound(
@@ -865,6 +950,7 @@ def _refutation(
             )
         distinguishers.append(((n, q_idx), None, *found, listed))
     witness = RefutationWitness(missed, distinguishers)
+    answers.close()
     if not witness.recheck():
         raise WitnessNotFound("a recorded distinguisher failed re-evaluation")
     return witness
@@ -888,9 +974,10 @@ def refute_powerset(
     that collapses to (n, y).
     """
     points = carrier.sample_elements(_REFUTER_SAMPLES)
-    signatures = _check_table(carrier, table, points, check_bound)
+    answers = _SampleAnswers(points)
+    signatures = _check_table(carrier, table, answers, check_bound)
     theta = carrier.order_type
-    induced = _induced_index(phi, signatures, points)
+    listed, induced = _induced_index(phi, signatures, answers)
 
     collapse_cache: dict = {}
 
@@ -906,7 +993,7 @@ def refute_powerset(
     def listing(x) -> QueryableSet:
         return table[collapse(x)]
 
-    missed = cantor_diagonal(listing, carrier)
+    missed = cantor_diagonal(listing, carrier, answers.ask)
     pairs = _listing_pairs(check_bound)
 
     def table_search(i: int):
@@ -923,7 +1010,7 @@ def refute_powerset(
         yield _code_point(carrier, n, points[q_idx])  # built only when no sample separates
 
     return _refutation(
-        missed, table, table_search, phi, points, check_bound, search, "diagonal"
+        missed, table, table_search, listed, answers, check_bound, search, "diagonal"
     )
 
 
@@ -944,11 +1031,12 @@ def refute_infinite_powerset(
     and its image is returned with an infinite certificate.
     """
     points = carrier.sample_elements(_REFUTER_SAMPLES)
+    answers = _SampleAnswers(points)
     for i, entry in enumerate(table):
         if entry.certificate is None or entry.certificate[0] != "infinite":
             raise CertificateError(f"table entry {i} lacks an infinite certificate")
-        entry.validate_certificate(carrier.is_element, samples=8)
-    signatures = _check_table(carrier, table, points, check_bound)
+        answers.confirm(entry, entry.validate_certificate(carrier.is_element, samples=8))
+    signatures = _check_table(carrier, table, answers, check_bound)
     theta = carrier.order_type
     size = len(table)
 
@@ -958,7 +1046,7 @@ def refute_infinite_powerset(
             raise CertificateError("listed sets must be infinite")
         return listed
 
-    induced = _induced_index(infinite_phi, signatures, points)
+    listed, induced = _induced_index(infinite_phi, signatures, answers)
 
     g_cache: dict = {}
 
@@ -1015,10 +1103,10 @@ def refute_infinite_powerset(
         entry = table[z]
 
         def zero_read(zeta: Ordinal) -> bool:
-            return entry.contains(lane_point(zeta, ZERO))
+            return answers.ask(entry, lane_point(zeta, ZERO))
 
         def one_read(zeta: Ordinal) -> bool:
-            return not entry.contains(lane_point(zeta, ONE))
+            return not answers.ask(entry, lane_point(zeta, ONE))
 
         for probe in range(_REFUTER_SAMPLES):
             if zero_read(Ordinal(probe)):
@@ -1053,8 +1141,8 @@ def refute_infinite_powerset(
         missed,
         table,
         lambda i: lane + points,
-        infinite_phi,
-        points,
+        listed,
+        answers,
         check_bound,
         lambda n, q_idx: search_points,
         "missed set",

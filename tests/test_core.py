@@ -212,6 +212,16 @@ class TestCompareReference:
             assert hash(a) == hash(n)
             assert a in {n} and n in {a}
 
+    def test_rich_comparisons_coerce_ints_only(self):
+        # an ordinal operand skips the coercion; an int is still coerced,
+        # and any other type gets NotImplemented
+        assert Ordinal(3) == 3 and 3 == Ordinal(3)
+        assert Ordinal(1) < 2 and 2 > Ordinal(1) and not Ordinal(2) <= 1
+        assert (Ordinal(0) == "0") is False and Ordinal(0) != "0"
+        assert Ordinal(0).__eq__("0") is NotImplemented
+        with pytest.raises(TypeError):
+            Ordinal(1) < "2"
+
     @pytest.mark.parametrize("n", [0, 1, 5, 2**64, 2**61 - 1])
     def test_natural_hashes_like_its_int(self, n):
         assert hash(Ordinal(n)) == hash(n)

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import event, example, given, settings
 
-from ordkit import carriers, coding, reduction
+from ordkit import carriers, cli, coding, reduction
 from ordkit.carriers import (
     BlockwiseMap,
     Carrier,
@@ -38,6 +38,7 @@ from ordkit.reduction import (
     _COVERAGE_WINDOW,
     _STAGE_SEARCH,
     ReductionResult,
+    RefutationWitness,
     Stage,
     _compute_delta,
     _KeptRows,
@@ -373,6 +374,19 @@ class TestLiteralSettleReference:
             "w^70",
         )
     )
+    # exact settle point 3, literal sum 2: the zero-overflow point [0,1)
+    # coalesces with {n} = [n, n+1) only while n <= 1
+    @example(
+        (
+            (
+                "carrier: a:[0,w); b:[0,w)\nalpha: w^(w^(w^w))\n"
+                "row 0: a -> monotone [0,w) ; b -> monotone [0,w)\n"
+                "tail: n >= 1: a -> monotone [w,n) ; b -> constant n\n",
+                1,
+            ),
+            "w",
+        )
+    )
     def test_same_answers_as_the_literal_sum(self, drawn_bound):
         (text, start), bound = drawn_bound
         literal = _literal_settle(text)
@@ -391,9 +405,14 @@ class TestLiteralSettleReference:
             # where the tail settles is compared then
             refused = want[0] == "tail-limit-undecided"
             got = _settle_answers(path, bound) if not refused else None
-        # every crossing lies at or below L + 1, so with start >= 1 the exact
-        # point, one past the last crossing, is at most start + L + 1
-        assert start >= 1 and all(point <= literal for point in exact)
+        # the forms' constants are sums of the literals and of implicit 1s:
+        # the hi of a constant piece's point [v, v+1) and of a monotone
+        # piece's zero-overflow point [0,1), at most one per tail piece.
+        # Every crossing lies at or below L + P + 1 for P tail pieces, so
+        # with start >= 1 the exact point, one past the last crossing, is
+        # at most start + L + P + 1
+        pieces = text.split("tail:", 1)[1].count("->")
+        assert start >= 1 and all(point <= literal + pieces for point in exact)
         outcome = "accepts" if not want[1] else want[2].split("\n", 1)[0]
         event(f"literal sum: {want[0] if isinstance(want[0], str) else 'answers'}, {outcome}")
         if refused:
@@ -892,6 +911,48 @@ class TestStageCost:
             assert len(calls) <= 8
         assert [stage.k for stage in result.stages] == list(range(1, 257))
 
+    def test_point_lookup_bisects_the_built_stages(self, monkeypatch):
+        # with 1,024 stages built, a point in stage 1,000's chunk and the
+        # witness of its value are each found by a bisection over the
+        # built stages, not by one comparison per earlier stage (1,005
+        # for the two)
+        result = reduce_omega_product(load("case2_tower.txt"))
+        result.ensure_stage(1023)
+        stage = result.stages[1000]
+        point = result.carrier.element_at(add(stage.chunk_lo, o("w^(w^999)+3")))
+        calls = []
+        monkeypatch.setattr(reduction, "compare", lambda a, b: calls.append(1) or compare(a, b))
+        value = result.m_to_delta(point)
+        witness = result.delta_witness(value)
+        assert len(calls) <= 2 * 10 + 8
+        assert len(result.stages) == 1024
+        monkeypatch.undo()
+        assert value == result._bij.down(o("w^(w^999)+3"))
+        assert result.m_to_delta(witness) == value
+
+    def test_point_lookup_matches_the_stage_walk(self):
+        # stage betas that fall and rise again (kept deltas w^3, w^2, w^2,
+        # w^3, ...): the witness is still in the first stage whose beta
+        # passes w, and a point's stage is still the first whose chunk
+        # ends past it, as a walk from stage 0 finds them
+        result = reduce_omega_product(parse_instance(
+            "carrier: m:[0,w^(w^w)*2)\nalpha: w^w\n"
+            "row 0: m -> monotone [0,w^3)\nrow 1: m -> monotone [0,w^2)\n"
+            "tail: n >= 2: m -> monotone [0,w^n)\n"
+        ))
+        result.ensure_stage(7)
+        stages = result.stages
+        assert [s.beta for s in stages[:4]] == [o("w^(w^3)"), o("w^(w^2)"), o("w^(w^2)"), o("w^(w^3)")]
+        for text in ("0", "5", "w^(w^2)", "w^(w^2)*3+w", "w^(w^3)+1", "w^(w^5)"):
+            w = o(text)
+            z = result._bij.down(w)
+            first = next(s for s in stages if compare(w, s.beta) < 0)
+            assert result.delta_witness(z) == result.carrier.element_at(add(first.chunk_lo, w))
+        for s in stages:
+            for offset in (ZERO, o("w^2+1")):
+                point = result.carrier.element_at(add(s.chunk_lo, offset))
+                assert result.m_to_delta(point) == result._bij.down(offset)
+
     def test_entry_points_build_no_record(self, monkeypatch):
         def unexpected(*args):
             raise AssertionError("the stage record was built")
@@ -1208,11 +1269,13 @@ class TestRefuterCaches:
         return counts
 
     def test_pset_membership_queries(self, monkeypatch):
-        # a call reads each table entry's signature once, each candidate's
-        # once per (n, x), and the missed set's answer once per point
+        # a call asks each set once per sample point, the listed sets and
+        # the table entries that the diagonal reads alike, and asks the
+        # missed set once per point
         counts = self._membership_queries(monkeypatch, "refute_split_row0.txt", "pset")
-        # asking every question again: 21,184 queries
-        assert counts[0] <= 12_000
+        # asking every question again: 21,184 queries; signing once per
+        # (n, x) and asking each listed set again at the points: 9,512
+        assert counts[0] <= 2_300
         # nothing outlives a call: the second call asks every question again
         assert counts[1] == counts[0]
 
@@ -1220,9 +1283,59 @@ class TestRefuterCaches:
         # the missed set's checked certificate points are its lane points:
         # the refuter neither asks it there again nor rebuilds them
         counts = self._membership_queries(monkeypatch, "refute_demo.txt", "infpset")
-        # asking the missed set again at the 64 lane points: 2,767 queries
-        assert counts[0] <= 2_600
+        # asking the missed set again at the 64 lane points: 2,767 queries;
+        # asking each listed set again at the points: 2,575
+        assert counts[0] <= 2_150
         assert counts[1] == counts[0]
+
+    @pytest.mark.parametrize(
+        "instance, mode", [("refute_split_row0.txt", "pset"), ("refute_demo.txt", "infpset")]
+    )
+    def test_each_question_asked_once(self, monkeypatch, instance, mode):
+        # in the refuter call, until the rechecks, which ask every set
+        # afresh, no set is asked twice at a sample point, so none is
+        # signed twice; the CLI signs each fiber object once for its table
+        held, signed, asked = [], [], []  # held: no id is reused meanwhile
+        state = {"refuting": False, "rechecking": False}
+        contains, recheck, signature = QueryableSet.contains, RefutationWitness.recheck, cli._signature
+
+        def asking(s, x):
+            if state["refuting"] and not state["rechecking"]:
+                held.append(s)
+                asked.append((id(s), x))
+            return contains(s, x)
+
+        def rechecking(witness):
+            state["rechecking"] = True
+            return recheck(witness)
+
+        def signing(s, points):
+            held.append(s)
+            signed.append(id(s))
+            return signature(s, points)
+
+        def refuting(name):
+            refuter = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                state["refuting"] = True
+                return refuter(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        monkeypatch.setattr(QueryableSet, "contains", asking)
+        monkeypatch.setattr(RefutationWitness, "recheck", rechecking)
+        monkeypatch.setattr(cli, "_signature", signing)
+        refuting("refute_powerset")
+        refuting("refute_infinite_powerset")
+        path = INSTANCES / instance
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(["refute", "--instance", str(path), "--mode", mode, "--check", "100"]) == 0
+        assert "recheck=ok" in out.getvalue()
+        assert signed and len(set(signed)) == len(signed)
+        points = set(load_instance(path).carrier.sample_elements(reduction._REFUTER_SAMPLES))
+        at_points = [(i, x) for i, x in asked if x in points]
+        assert at_points and len(set(at_points)) == len(at_points)
 
     def test_few_certificate_members_complete_the_lane(self):
         # with fewer checked members than lane points, the rest of the lane
