@@ -21,6 +21,7 @@ the ordinals below some alpha).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -151,20 +152,8 @@ class Carrier:
                 if compare(p, theta) < 0:
                     ladder.append((label, p))
             ladders.append(ladder)
-        out = []
-        i = 0
-        while len(out) < count and any(ladders):
-            progressed = False
-            for ladder in ladders:
-                if i < len(ladder):
-                    out.append(ladder[i])
-                    progressed = True
-                    if len(out) >= count:
-                        break
-            if not progressed:
-                break
-            i += 1
-        return out
+        rounds = itertools.zip_longest(*ladders)
+        return list(itertools.islice((w for r in rounds for w in r if w is not None), count))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
 from .intervals import OrdinalSet
 from .oracle import _CHECKS, exhaustive_check
 from .reduction import (
+    _SampleAnswers,
     reduce_omega_product,
     refute_infinite_powerset,
     refute_powerset,
@@ -85,12 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _fiber_listing(fam):
     """phi(n, x) = the row-n fiber of x, as an exactly certified set; x
     enters only through its row-n value, so each fiber is built once."""
-    fibers: dict = {}
 
-    def phi(n: int, x) -> QueryableSet:
-        value = fam.row(n)(fam.carrier, x)
-        if (n, value) in fibers:
-            return fibers[n, value]
+    @functools.cache
+    def fiber(n: int, value) -> QueryableSet:
         restriction = preimage_of(fam.row(n), fam.carrier, OrdinalSet.point(value))
 
         def membership(y) -> bool:
@@ -109,8 +107,10 @@ def _fiber_listing(fam):
             label, part = infinite[0], restriction[infinite[0]]
             certificate = ("infinite", lambda k: (label, part.enumerate(Ordinal(k))))
         # the set, not its answers: membership reads the restriction each time
-        fibers[n, value] = QueryableSet(membership, certificate)
-        return fibers[n, value]
+        return QueryableSet(membership, certificate)
+
+    def phi(n: int, x) -> QueryableSet:
+        return fiber(n, fam.row(n)(fam.carrier, x))
 
     return phi
 
@@ -120,33 +120,21 @@ _TABLE_SIZE = 8
 _TABLE_SCAN = 24
 
 
-def _signature(s: QueryableSet, points: list) -> int:
-    """The answers of ``s`` on ``points``, bit k for ``points[k]``."""
-    return sum(1 << k for k, w in enumerate(points) if s.contains(w))
-
-
 def _distinct_table(fam, phi):
     """The first pairwise sample-distinct listed sets, in listing order."""
-    points = fam.carrier.sample_elements(16)
-    table = []
-    signatures = set()
-    # phi hands back one object per fiber, and a fiber met again was already
-    # signed (kept or refused): each object is signed once, and held, so
-    # its id is not reused
-    seen: dict = {}
+    # phi hands back one object per fiber, and the memo holds each set it
+    # signs: a fiber met again is a memo hit, and no id is reused
+    answers = _SampleAnswers(fam.carrier.sample_elements(16))
+    points = answers.points
+    table: dict = {}  # signature -> the first listed set with it
     index = 0
     while len(table) < _TABLE_SIZE and index < _TABLE_SCAN:
         n, i = index % 4, index // 4
         if i < len(points):
             candidate = phi(n, points[i])
-            if id(candidate) not in seen:
-                seen[id(candidate)] = candidate
-                signature = _signature(candidate, points)
-                if signature not in signatures:
-                    signatures.add(signature)
-                    table.append(candidate)
+            table.setdefault(answers.signature(candidate), candidate)
         index += 1
-    return table
+    return list(table.values())
 
 
 def _run(args) -> int:

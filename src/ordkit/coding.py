@@ -13,6 +13,7 @@ injection P(alpha) -> P_inf(alpha) on queryable sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -457,12 +458,11 @@ def pset_to_infpset(alpha: Ordinal, qset: QueryableSet) -> QueryableSet:
     kind, payload = qset.certificate
     keep_members = kind == "infinite"
     member_tag = ZERO if keep_members else ONE
-    decode_cache: dict = {}  # pair_decode is pure: each code is decoded once per set
+    # pair_decode is pure: each code is decoded once per set
+    decode = functools.cache(functools.partial(pair_decode, alpha))
 
     def membership(y: Ordinal) -> bool:
-        if y not in decode_cache:
-            decode_cache[y] = pair_decode(alpha, y)
-        decoded = decode_cache[y]
+        decoded = decode(y)
         return (
             decoded is not None
             and decoded[1] == member_tag

@@ -70,6 +70,17 @@ def _by_key(op: Callable) -> Callable:
     return method
 
 
+def _arith(op: Callable) -> Callable:
+    """An arithmetic operator of an ordinal and an ordinal (or int): ``op``
+    of the ordinal and the coerced operand."""
+
+    def method(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    return method
+
+
 class Ordinal:
     """An ordinal below epsilon-0 in Cantor normal form."""
 
@@ -160,29 +171,11 @@ class Ordinal:
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(self, other)
-
-    def __radd__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return add(other, self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return multiply(other, self)
+    # add and multiply are read at call time: they are defined below
+    __add__ = _arith(lambda a, b: add(a, b))
+    __radd__ = _arith(lambda a, b: add(b, a))
+    __mul__ = _arith(lambda a, b: multiply(a, b))
+    __rmul__ = _arith(lambda a, b: multiply(b, a))
 
     def __int__(self):
         return self.nat_value()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Optional
 
 from .carriers import (
@@ -57,6 +57,7 @@ from .errors import (
     PreconditionViolated,
     TableNotInjective,
     TailLimitUndecided,
+    ToolkitError,
     WitnessNotFound,
 )
 from .intervals import OrdinalSet
@@ -221,13 +222,14 @@ class ReductionResult:
             # every chunk lies in the reserve zone Z and every B_n contains
             # M \ Z, and a row's image only grows with its restriction: a
             # row strong on M \ Z is strong on every B_n, and a row weak on
-            # Z is weak on every chunk.  Both answers are kept per row.
-            self._zone = self.carrier.global_range_restriction(
+            # Z is weak on every chunk.  Both answers are kept per row, by
+            # caches over locals: one over self would keep it in a cycle.
+            zone = self.carrier.global_range_restriction(
                 self.beta, multiply(self.beta, Ordinal(2))
             )
-            self._outside = {label: full[label].difference(self._zone[label]) for label in full}
-            self._strong_outside: dict = {}
-            self._strong_on_zone: dict = {}
+            outside = {label: full[label].difference(zone[label]) for label in full}
+            self._strong_outside = cache(lambda j: kept.strong(j, outside))
+            self._strong_on_zone = cache(lambda j: kept.strong(j, zone))
 
     # -- case 2 stages --------------------------------------------------
 
@@ -239,15 +241,11 @@ class ReductionResult:
 
     def _strong_on_b(self, j: int, b_restriction: dict) -> bool:
         """Kept row j is strong on B_n: decided once by M \\ Z, else exactly."""
-        if j not in self._strong_outside:
-            self._strong_outside[j] = self._kept.strong(j, self._outside)
-        return self._strong_outside[j] or self._kept.strong(j, b_restriction)
+        return self._strong_outside(j) or self._kept.strong(j, b_restriction)
 
     def _strong_on_chunk(self, j: int, chunk: dict) -> bool:
         """Kept row j is strong on a chunk: ruled out once by Z, else exactly."""
-        if j not in self._strong_on_zone:
-            self._strong_on_zone[j] = self._kept.strong(j, self._zone)
-        return self._strong_on_zone[j] and self._kept.strong(j, chunk)
+        return self._strong_on_zone(j) and self._kept.strong(j, chunk)
 
     def ensure_stage(self, n: int):
         """Build the stages up to n, running only the checks that can fail."""
@@ -850,15 +848,8 @@ class _SampleAnswers:
 
 def _listing_pairs(bound: int):
     """The first `bound` pairs (n, i) in diagonal order."""
-    out = []
-    level = 0
-    while len(out) < bound:
-        for n in range(level + 1):
-            out.append((n, level - n))
-            if len(out) >= bound:
-                break
-        level += 1
-    return out
+    diagonal = ((n, level - n) for level in itertools.count() for n in range(level + 1))
+    return itertools.islice(diagonal, bound)
 
 
 def _check_table(carrier: Carrier, table: list, answers: _SampleAnswers, check_bound: int) -> dict:
@@ -883,20 +874,11 @@ def _induced_index(phi: Callable, signatures: dict, answers: _SampleAnswers) -> 
     """The cached maps (n, x) -> phi(n, x), and (n, x) -> the table index
     whose entry agrees with phi(n, x) on the sample points, 0 when none
     does."""
-    sets: dict = {}
-    indices: dict = {}
+    listed = cache(phi)
 
-    def listed(n: int, x) -> QueryableSet:
-        if (n, x) not in sets:
-            sets[n, x] = phi(n, x)
-        return sets[n, x]
-
+    @cache
     def induced(n: int, x) -> int:
-        key = (n, x)
-        if key not in indices:
-            # extended by zero
-            indices[key] = signatures.get(answers.signature(listed(n, x)), 0)
-        return indices[key]
+        return signatures.get(answers.signature(listed(n, x)), 0)  # extended by zero
 
     return listed, induced
 
@@ -979,22 +961,16 @@ def refute_powerset(
     theta = carrier.order_type
     listed, induced = _induced_index(phi, signatures, answers)
 
-    collapse_cache: dict = {}
-
+    @cache
     def collapse(x) -> int:
-        if x not in collapse_cache:
-            decoded = _nat_pair(theta, carrier.global_position(x))
-            value = 0
-            if decoded is not None:
-                value = induced(decoded[0], carrier.element_at(decoded[1]))
-            collapse_cache[x] = value
-        return collapse_cache[x]
+        decoded = _nat_pair(theta, carrier.global_position(x))
+        return 0 if decoded is None else induced(decoded[0], carrier.element_at(decoded[1]))
 
     def listing(x) -> QueryableSet:
         return table[collapse(x)]
 
     missed = cantor_diagonal(listing, carrier, answers.ask)
-    pairs = _listing_pairs(check_bound)
+    pairs = list(_listing_pairs(check_bound))
 
     def table_search(i: int):
         # a code point whose collapsed index is i separates the diagonal
@@ -1048,40 +1024,30 @@ def refute_infinite_powerset(
 
     listed, induced = _induced_index(infinite_phi, signatures, answers)
 
-    g_cache: dict = {}
-
+    # g and the coding steps below are pure: each is computed once per call
+    @cache
     def g_value(x) -> Ordinal:
         """Padded sweep M -> omega: tag 0 routes through the listing,
         tag 1 enumerates omega directly."""
-        if x in g_cache:
-            return g_cache[x]
-        value = ZERO
         decoded = _nat_pair(theta, carrier.global_position(x))
         if decoded is not None:
             j, q = decoded
             inner = _nat_pair(theta, q) if j == 0 else None
             if inner is not None:
-                value = Ordinal(induced(inner[0], carrier.element_at(inner[1])))
-            elif j == 1 and q.is_nat():
-                value = q
-        g_cache[x] = value
-        return value
+                return Ordinal(induced(inner[0], carrier.element_at(inner[1])))
+            if j == 1 and q.is_nat():
+                return q
+        return ZERO
 
-    # the coding steps below are pure: each is computed once per call
-    witness_cache: dict = {}
-    lane_cache: dict = {}
-
+    @cache
     def g_witness(v: Ordinal):
         """An element with g_value == v, via the padding lane."""
-        if v not in witness_cache:
-            witness_cache[v] = carrier.element_at(pair_encode(theta, ONE, v))
-        return witness_cache[v]
+        return carrier.element_at(pair_encode(theta, ONE, v))
 
+    @cache
     def lane_point(zeta: Ordinal, tag: Ordinal):
         """The element that g sends to the code of (zeta, tag) below omega."""
-        if (zeta, tag) not in lane_cache:
-            lane_cache[zeta, tag] = g_witness(pair_encode(OMEGA, zeta, tag))
-        return lane_cache[zeta, tag]
+        return g_witness(pair_encode(OMEGA, zeta, tag))
 
     def carry(ordinal_set: QueryableSet) -> QueryableSet:
         """t: subsets of omega -> infinite subsets of M."""
@@ -1205,7 +1171,7 @@ def bits_to_ordinal(bits: Iterable) -> Ordinal:
     text = "".join(chars)
     try:
         value = parse(text)
-    except Exception:
+    except ToolkitError:
         return ZERO
     if fmt(value) != text:
         return ZERO  # only canonical renderings count as codes

@@ -68,6 +68,19 @@ class TestCarrier:
         assert len(samples) == 40
         assert all(carrier.is_element(x) for x in samples)
 
+    def test_sample_elements_round_robin(self):
+        # one ladder entry per block in turn; a finite block's ladder ends
+        # at its last element, and the other blocks go on
+        carrier = Carrier([("a", iv("0", "3")), ("b", iv("0", "w^2"))])
+        expected = [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2)]
+        expected += [("b", k) for k in range(2, 9)]
+        assert carrier.sample_elements(12) == expected
+
+    def test_sample_elements_end_with_the_carrier(self):
+        carrier = Carrier([("a", iv("0", "2")), ("b", iv("0", "3"))])
+        expected = [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("b", 2)]
+        assert carrier.sample_elements(30) == expected
+
 
 class TestMaps:
     def test_identity_image(self):

@@ -325,3 +325,12 @@ class TestConstruction:
         assert 2 * OMEGA == o("w")  # 2 * w absorbs the finite factor
         assert Ordinal(3) < OMEGA < o("w+1")
         assert int(Ordinal(7)) == 7
+
+    def test_arithmetic_rejects_other_types(self):
+        # an int operand is coerced; any other type gets NotImplemented
+        with pytest.raises(TypeError):
+            Ordinal(1) + "x"
+        with pytest.raises(TypeError):
+            "x" * OMEGA
+        assert Ordinal(1).__add__("x") is NotImplemented
+        assert OMEGA.__rmul__(1.5) is NotImplemented

@@ -1,7 +1,9 @@
+import gc
 import io
 import itertools
 import re
 import tempfile
+import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -43,6 +45,7 @@ from ordkit.reduction import (
     _compute_delta,
     _KeptRows,
     _top_rows,
+    bits_to_ordinal,
     cantor_diagonal,
     finite_to_one_transfer,
     fiber_family_values,
@@ -911,6 +914,21 @@ class TestStageCost:
             assert len(calls) <= 8
         assert [stage.k for stage in result.stages] == list(range(1, 257))
 
+    def test_result_freed_without_the_cyclic_gc(self):
+        # the per-row strength caches close over locals, not over the
+        # result: dropping the last reference frees it at once
+        result = reduce_omega_product(load("case2_tower.txt"))
+        result.ensure_stage(4)
+        stage = result.stages[3]
+        result.evaluate_point(result.carrier.element_at(add(stage.chunk_lo, ONE)))
+        ref = weakref.ref(result)
+        gc.disable()
+        try:
+            del result, stage
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_point_lookup_bisects_the_built_stages(self, monkeypatch):
         # with 1,024 stages built, a point in stage 1,000's chunk and the
         # witness of its value are each found by a bisection over the
@@ -1294,25 +1312,23 @@ class TestRefuterCaches:
     def test_each_question_asked_once(self, monkeypatch, instance, mode):
         # in the refuter call, until the rechecks, which ask every set
         # afresh, no set is asked twice at a sample point, so none is
-        # signed twice; the CLI signs each fiber object once for its table
-        held, signed, asked = [], [], []  # held: no id is reused meanwhile
+        # signed twice; while the CLI builds its table, no set is asked
+        # twice at any point, so each fiber object is signed once
+        held, tabled, asked = [], [], []  # held: no id is reused meanwhile
         state = {"refuting": False, "rechecking": False}
-        contains, recheck, signature = QueryableSet.contains, RefutationWitness.recheck, cli._signature
+        contains, recheck = QueryableSet.contains, RefutationWitness.recheck
 
         def asking(s, x):
-            if state["refuting"] and not state["rechecking"]:
-                held.append(s)
+            held.append(s)
+            if not state["refuting"]:
+                tabled.append((id(s), x))
+            elif not state["rechecking"]:
                 asked.append((id(s), x))
             return contains(s, x)
 
         def rechecking(witness):
             state["rechecking"] = True
             return recheck(witness)
-
-        def signing(s, points):
-            held.append(s)
-            signed.append(id(s))
-            return signature(s, points)
 
         def refuting(name):
             refuter = getattr(cli, name)
@@ -1325,14 +1341,13 @@ class TestRefuterCaches:
 
         monkeypatch.setattr(QueryableSet, "contains", asking)
         monkeypatch.setattr(RefutationWitness, "recheck", rechecking)
-        monkeypatch.setattr(cli, "_signature", signing)
         refuting("refute_powerset")
         refuting("refute_infinite_powerset")
         path = INSTANCES / instance
         with redirect_stdout(io.StringIO()) as out:
             assert main(["refute", "--instance", str(path), "--mode", mode, "--check", "100"]) == 0
         assert "recheck=ok" in out.getvalue()
-        assert signed and len(set(signed)) == len(signed)
+        assert tabled and len(set(tabled)) == len(tabled)
         points = set(load_instance(path).carrier.sample_elements(reduction._REFUTER_SAMPLES))
         at_points = [(i, x) for i, x in asked if x in points]
         assert at_points and len(set(at_points)) == len(at_points)
@@ -1387,6 +1402,16 @@ class TestWellorderDecode:
 
     def test_garbage_bits(self):
         assert wellorder_decode([2, 3, 5, 700]) == ZERO
+
+    def test_parser_fault_is_not_a_non_code(self, monkeypatch):
+        # only a parse error makes the bits a non-code; any other error is
+        # a fault, and propagates instead of decoding to 0
+        def broken(text):
+            raise RuntimeError("parser fault")
+
+        monkeypatch.setattr(reduction, "parse", broken)
+        with pytest.raises(RuntimeError, match="parser fault"):
+            bits_to_ordinal(ordinal_to_bits(o("w+1")))
 
     def test_injective_on_canonical_codes(self):
         codes = {ordinal_to_bits(o(t)) for t in ("0", "1", "w", "w+1", "w^2", "w^w")}
