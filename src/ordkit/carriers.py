@@ -518,12 +518,13 @@ def parse_instance(text: str) -> SurjectionFamily:
         row 0: a -> monotone [0,w) ; b -> constant 5
         tail: n >= 1: a -> monotone [0,w*(n+1)) ; b -> constant n
 
-    Lines starting with ``#`` are comments.
+    Lines starting with ``#`` are comments.  Each key may appear once.
     """
     carrier = None
     alpha = None
     rows: dict = {}
     tail = None
+    seen = set()
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -532,6 +533,12 @@ def parse_instance(text: str) -> SurjectionFamily:
         if not sep:
             raise ParseError(f"expected 'key: value' line, got {line!r}")
         key = key.strip()
+        if key.startswith("row"):
+            n = _nat(key[len("row"):], key)
+            key = f"row {n}"
+        if key in seen:
+            raise ParseError(f"instance key {key!r} appears more than once")
+        seen.add(key)
         if key == "carrier":
             blocks = []
             for part in value.split(";"):
@@ -546,7 +553,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         elif key == "alpha":
             alpha = parse(value.strip())
         elif key.startswith("row"):
-            rows[_nat(key[len("row"):], key)] = _build_row(_parse_row(value), None)
+            rows[n] = _build_row(_parse_row(value), None)
         elif key == "tail":
             spec, tsep, row_text = value.partition(":")
             if not tsep:

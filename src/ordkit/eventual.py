@@ -8,32 +8,34 @@ tuple is 0.  A form stands for one ordinal per ``n``, a valid CNF (every
 coefficient >= 1, exponents strictly decreasing) from some ``n`` on; two
 different forms then differ for all large ``n``.
 
-:class:`_Row` repeats what building and imaging a row does with concrete
-ordinals -- the template evaluation of :mod:`core` with its "coefficient
-must be >= 1" check, ``OrdinalSet``'s canonical form, each piece's image,
-the union across blocks, the bound against alpha and the order type --
-and makes each of their comparisons on eventual forms.  Each of those
-concrete functions names its counterpart here: the two must make the
-same tests in the same order.  A comparison
-``a < b`` (or ``<=``, ``==``, ...) returns its final outcome, the one it
-has for all large ``n``, and raises ``_Row.at`` to the least ``n`` from
-which it has that outcome.  From ``at`` on, every concrete row takes the
-same steps, so its image and its order type keep one CNF shape with
-coefficients affine in ``n``, and a check that raises there raises on
-every later row.
+:class:`_Row` builds and images a row on eventual forms.  It runs the
+interval steps of :mod:`intervals` as their bound type, and repeats the
+rest: :mod:`core`'s ``add``, ``left_subtract`` and template evaluation
+with its "coefficient must be >= 1" check (another term representation),
+``Piece.image`` on a whole block, ``image_of``'s union across blocks and
+``row_image``'s bound against alpha (which call ``OrdinalSet``'s
+methods).  Each of those names its counterpart here: the two must make
+the same tests in the same order.  A comparison ``a < b`` (or ``<=``,
+``==``, ...) returns its final outcome, the one it has for all large
+``n``, and raises ``_Row.at`` to the least ``n`` from which it has that
+outcome.  From ``at`` on, every concrete row takes the same steps, so its
+image and its order type keep one CNF shape with coefficients affine in
+``n``, and a check that raises there raises on every later row.
 """
 
 from __future__ import annotations
 
 from functools import cmp_to_key
-from operator import eq, ge, gt, le, lt
+from operator import eq, gt, lt
+
+from .intervals import canonical, order_type, select_positions, union
 
 __all__ = ["settle_point", "TailImage"]
 
 _ZERO = ()
 _ONE = ((_ZERO, (0, 1)),)
 _OMEGA = ((_ONE, (0, 1)),)
-_POINT_ZERO = [(_ZERO, _ONE)]
+_POINT_ZERO = ((_ZERO, _ONE),)
 
 
 def _lift(x) -> tuple:
@@ -118,9 +120,18 @@ class _Row:
         tie = since > self.at and a * (since - 1) + b == p * (since - 1) + q
         return self._settle(op, sign, since, tie)
 
-    def _lo_order(self, s: tuple, t: tuple) -> int:
+    # -- the bound type of intervals' steps (see intervals) ---------------------
+
+    zero = _ZERO
+
+    def lt(self, x: tuple, y: tuple) -> bool:
+        """The final outcome of ``x < y``."""
+        return self.holds(lt, x, y)
+
+    @property
+    def lo_key(self):
         # sorting asks only whether s[0] < t[0]
-        return -1 if self.holds(lt, s[0], t[0]) else 0
+        return cmp_to_key(lambda s, t: -1 if self.lt(s[0], t[0]) else 0)
 
     # -- core ---------------------------------------------------------------
 
@@ -184,67 +195,15 @@ class _Row:
             raise _Raises
         return ((exp, coeff[0][1]),)
 
-    # -- intervals ------------------------------------------------------------
-
-    def canonical(self, pairs: list) -> list:
-        pairs = [(lo, hi) for lo, hi in pairs if self.holds(lt, lo, hi)]
-        pairs.sort(key=cmp_to_key(self._lo_order))
-        return self._coalesce(pairs)
-
-    def _coalesce(self, pairs: list) -> list:
-        merged: list = []
-        for lo, hi in pairs:
-            if merged and self.holds(le, lo, merged[-1][1]):
-                if self.holds(gt, hi, merged[-1][1]):
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return merged
-
-    def union(self, s: list, t: list) -> list:
-        if not s:
-            return t
-        if not t:
-            return s
-        return self._coalesce(sorted(s + t, key=cmp_to_key(self._lo_order)))
-
-    def order_type(self, s: list) -> tuple:
-        total = _ZERO
-        for lo, hi in s:
-            total = self.add(total, self.subtract(lo, hi))
-        return total
-
-    def select_positions(self, s: list, positions: list) -> list:
-        out = []
-        cum = _ZERO
-        i = 0
-        for lo, hi in s:
-            if i == len(positions):
-                break
-            nxt = self.add(cum, self.subtract(lo, hi))
-            while i < len(positions) and self.holds(lt, positions[i][0], nxt):
-                p_lo, p_hi = positions[i]
-                s_lo = p_lo if self.holds(ge, p_lo, cum) else cum
-                past = self.holds(gt, p_hi, nxt)
-                s_hi = nxt if past else p_hi
-                out.append(
-                    (self.add(lo, self.subtract(cum, s_lo)), self.add(lo, self.subtract(cum, s_hi)))
-                )
-                if past:
-                    break
-                i += 1
-            cum = nxt
-        return out
-
     # -- carriers ---------------------------------------------------------------
 
-    def monotone_image(self, target: list, length: tuple) -> list:
+    def monotone_image(self, target: tuple, length: tuple) -> tuple:
         """``Piece.image`` of a monotone piece on a whole block of order type
         ``length``: the prefix of that length of the target, and 0 where
         the block runs past the target."""
-        values = self.select_positions(target, [(_ZERO, length)])
-        if self.holds(gt, length, self.order_type(target)):
-            values = self.union(values, _POINT_ZERO)
+        values = select_positions(self, target, ((_ZERO, length),))
+        if self.lt(order_type(self, target), length):
+            values = union(self, values, _POINT_ZERO)
         return values
 
 
@@ -305,21 +264,21 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> tuple:
         for label, kind, ast in pieces:
             if kind == "monotone":
                 bounds = [(row.evaluate(lo), row.evaluate(hi)) for lo, hi in ast]
-                built.append((label, kind, row.canonical(bounds)))
+                built.append((label, kind, canonical(row, bounds)))
             else:
                 built.append((label, kind, row.evaluate(ast)))
-        image: list = []
+        image: tuple = ()
         for label, kind, value in built:
             if label not in block_types:
                 raise _Raises
             if kind == "monotone":
                 piece_image = row.monotone_image(value, _lift(block_types[label]))
             else:
-                piece_image = [(value, row.add(value, _ONE))]
-            image = row.union(image, piece_image)
+                piece_image = ((value, row.add(value, _ONE)),)
+            image = union(row, image, piece_image)
         if image and row.holds(gt, image[-1][1], _lift(alpha)):
             raise _Raises
-        row.order_type(image)  # its comparisons fix the shape of the row's delta
+        order_type(row, image)  # its comparisons fix the shape of the row's delta
     except _Raises:
         return row.at + 1, None
     return row.at + 1, TailImage(row.at + 1, image)

@@ -11,7 +11,8 @@ serves parsed text, carriers and user code.  The set operations build
 their results canonical by construction (sorted, nonempty, and each
 ``hi`` strictly below the next ``lo``) and hand them to the private
 ``OrdinalSet._of``, which trusts its input and checks nothing.  Bounds
-compare by :attr:`Ordinal.key`.
+compare by :attr:`Ordinal.key`.  Five of its steps are written once, for
+ordinals and for the tail forms of :mod:`eventual` alike (see below).
 
 The text form ``[lo,hi),[lo,hi)`` is written by
 :func:`format_interval_set` and read by :func:`parse_interval_set`, whose
@@ -21,6 +22,8 @@ parser; this module scans no text itself.
 
 from __future__ import annotations
 
+from itertools import starmap
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .core import ONE, ZERO, Ordinal, _eval_bounds, _parse_bounds, add, fmt, left_subtract
@@ -33,37 +36,97 @@ __all__ = [
 ]
 
 
-def _check_bounds(lo, hi):
+def _check_bounds(lo, hi) -> tuple:
     if not isinstance(lo, Ordinal) or not isinstance(hi, Ordinal):
         raise OutOfRangeError("interval bounds must be ordinals")
+    return lo, hi
 
 
-# eventual._Row._coalesce repeats these tests on tail forms; keep in step
-def _coalesce(pairs: list) -> tuple:
+# -- the interval steps, over a bound type --------------------------------------
+#
+# ``b`` is :data:`ORDINALS` for OrdinalSet, or a tail row of :mod:`eventual`
+# whose every comparison settles where it is made.  It supplies ``b.lt``, the
+# only comparison (``x <= y`` is asked as ``not b.lt(y, x)``, one test on the
+# same pair), ``b.add``, ``b.subtract`` (left subtraction of ``x <= y``),
+# ``b.zero`` and ``b.lo_key``, a sort key of an interval by its lower bound.
+
+
+def canonical(b, pairs: Iterable) -> tuple:
+    """The canonical tuple of the intervals ``pairs``, given in any order."""
+    lt = b.lt
+    pairs = [(lo, hi) for lo, hi in pairs if lt(lo, hi)]
+    pairs.sort(key=b.lo_key)
+    return coalesce(b, pairs)
+
+
+def coalesce(b, pairs: list) -> tuple:
     """Merge nonempty intervals sorted by ``lo`` where they overlap or touch."""
+    lt = b.lt
     merged: list = []
     for lo, hi in pairs:
-        if merged and lo.key <= merged[-1][1].key:
-            if hi.key > merged[-1][1].key:
+        if merged and not lt(merged[-1][1], lo):
+            if lt(merged[-1][1], hi):
                 merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
     return tuple(merged)
 
 
-def _lo_key(pair) -> tuple:
-    return pair[0].key
+def union(b, s: tuple, t: tuple) -> tuple:
+    if not s:
+        return t
+    if not t:
+        return s
+    # s + t is two sorted runs, which the sort merges in one linear pass
+    return coalesce(b, sorted(s + t, key=b.lo_key))
 
 
-# eventual._Row.canonical repeats these tests on tail forms; keep in step
-def _canonical(intervals: Iterable) -> tuple:
-    pairs = []
-    for lo, hi in intervals:
-        _check_bounds(lo, hi)
-        if lo.key < hi.key:
-            pairs.append((lo, hi))
-    pairs.sort(key=_lo_key)
-    return _coalesce(pairs)
+def order_type(b, s: tuple):
+    add, subtract = b.add, b.subtract
+    total = b.zero
+    for lo, hi in s:
+        total = add(total, subtract(lo, hi))
+    return total
+
+
+def select_positions(b, s: tuple, positions: tuple) -> tuple:
+    """The elements of ``s`` at the given positions."""
+    lt, add, subtract = b.lt, b.add, b.subtract
+    # enumeration is strictly increasing, so the images of disjoint
+    # position intervals come out sorted and apart
+    out = []
+    cum = b.zero
+    i = 0
+    for lo, hi in s:
+        if i == len(positions):
+            break
+        nxt = add(cum, subtract(lo, hi))
+        while i < len(positions) and lt(positions[i][0], nxt):
+            p_lo, p_hi = positions[i]
+            s_lo = cum if lt(p_lo, cum) else p_lo
+            past = lt(nxt, p_hi)  # positions[i] goes on into the next interval
+            s_hi = nxt if past else p_hi
+            out.append((add(lo, subtract(cum, s_lo)), add(lo, subtract(cum, s_hi))))
+            if past:
+                break
+            i += 1
+        cum = nxt
+    return tuple(out)
+
+
+def _lt(x: Ordinal, y: Ordinal) -> bool:
+    # built keys are read from their slots, skipping the property call
+    kx, ky = x._key, y._key
+    return (x.key if kx is None else kx) < (y.key if ky is None else ky)
+
+
+# ordinal bounds: a built key is read from its slot, and add and
+# left_subtract at call time, so that a wrapper put on either after import
+# sees these calls too
+ORDINALS = SimpleNamespace(
+    lt=_lt, add=lambda x, y: add(x, y), subtract=lambda x, y: left_subtract(x, y),
+    zero=ZERO, lo_key=lambda pair: pair[0]._key or pair[0].key,
+)
 
 
 class OrdinalSet:
@@ -72,7 +135,10 @@ class OrdinalSet:
     __slots__ = ("_intervals", "_order_type")
 
     def __init__(self, intervals: Iterable = ()):
-        self._intervals = _canonical(intervals)
+        # each image starts from the empty set: the default skips the steps
+        self._intervals = (
+            () if intervals == () else canonical(ORDINALS, starmap(_check_bounds, intervals))
+        )
         self._order_type = None
 
     @classmethod
@@ -86,7 +152,7 @@ class OrdinalSet:
     @classmethod
     def interval(cls, lo: Ordinal, hi: Ordinal) -> "OrdinalSet":
         _check_bounds(lo, hi)
-        return cls._of(((lo, hi),) if lo.key < hi.key else ())
+        return cls._of(((lo, hi),) if _lt(lo, hi) else ())
 
     @classmethod
     def point(cls, x: Ordinal) -> "OrdinalSet":
@@ -119,15 +185,12 @@ class OrdinalSet:
 
     # -- set algebra ---------------------------------------------------
 
-    # eventual._Row.union repeats these tests on tail forms; keep in step
     def union(self, other: "OrdinalSet") -> "OrdinalSet":
-        a, b = self._intervals, other._intervals
-        if not a:
+        out = union(ORDINALS, self._intervals, other._intervals)
+        # an operand handed back whole keeps its cached order type
+        if out is other._intervals:
             return other
-        if not b:
-            return self
-        # a + b is two sorted runs, which the sort merges in one linear pass
-        return OrdinalSet._of(_coalesce(sorted(a + b, key=_lo_key)))
+        return self if out is self._intervals else OrdinalSet._of(out)
 
     def intersect(self, other: "OrdinalSet") -> "OrdinalSet":
         a, b = self._intervals, other._intervals
@@ -136,15 +199,15 @@ class OrdinalSet:
         while i < len(a) and j < len(b):
             alo, ahi = a[i]
             blo, bhi = b[j]
-            lo = alo if alo.key >= blo.key else blo
+            lo = blo if _lt(alo, blo) else alo
             # advance past whichever interval ends first
-            if ahi.key <= bhi.key:
+            if not _lt(bhi, ahi):
                 hi = ahi
                 i += 1
             else:
                 hi = bhi
                 j += 1
-            if lo.key < hi.key:
+            if _lt(lo, hi):
                 out.append((lo, hi))
         return OrdinalSet._of(tuple(out))
 
@@ -153,19 +216,19 @@ class OrdinalSet:
         out = []
         j = 0
         for lo, hi in self._intervals:
-            while j < len(b) and b[j][1].key <= lo.key:
+            while j < len(b) and not _lt(lo, b[j][1]):
                 j += 1
             # b[j:] starts with the intervals that end above lo; cut them out
-            while j < len(b) and b[j][0].key < hi.key:
+            while j < len(b) and _lt(b[j][0], hi):
                 blo, bhi = b[j]
-                if lo.key < blo.key:
+                if _lt(lo, blo):
                     out.append((lo, blo))
-                if hi.key <= bhi.key:
+                if not _lt(bhi, hi):
                     lo = hi  # b[j] may reach into the next interval: keep it
                     break
                 lo = bhi
                 j += 1
-            if lo.key < hi.key:
+            if _lt(lo, hi):
                 out.append((lo, hi))
         return OrdinalSet._of(tuple(out))
 
@@ -191,14 +254,10 @@ class OrdinalSet:
 
     # -- order structure -------------------------------------------------
 
-    # eventual._Row.order_type repeats these tests on tail forms; keep in step
     def order_type(self) -> Ordinal:
         total = self._order_type
         if total is None:
-            total = ZERO
-            for lo, hi in self._intervals:
-                total = add(total, left_subtract(lo, hi))
-            self._order_type = total
+            total = self._order_type = order_type(ORDINALS, self._intervals)
         return total
 
     def enumerate(self, position: Ordinal) -> Ordinal:
@@ -207,7 +266,7 @@ class OrdinalSet:
         for lo, hi in self._intervals:
             length = left_subtract(lo, hi)
             nxt = add(cum, length)
-            if position.key < nxt.key:
+            if _lt(position, nxt):
                 offset = left_subtract(cum, position)
                 return add(lo, offset)
             cum = nxt
@@ -218,10 +277,9 @@ class OrdinalSet:
     def locate(self, element: Ordinal) -> Ordinal:
         """Inverse of :meth:`enumerate`: the position of ``element``."""
         cum = ZERO
-        k = element.key
         for lo, hi in self._intervals:
-            if k < hi.key:
-                if lo.key <= k:
+            if _lt(element, hi):
+                if not _lt(element, lo):
                     return add(cum, left_subtract(lo, element))
                 break
             cum = add(cum, left_subtract(lo, hi))
@@ -231,29 +289,9 @@ class OrdinalSet:
         """Elements whose positions lie in ``[p_lo, p_hi)``."""
         return self.select_positions(OrdinalSet.interval(p_lo, p_hi))
 
-    # eventual._Row.select_positions repeats these tests on tail forms; keep in step
     def select_positions(self, positions: "OrdinalSet") -> "OrdinalSet":
         """Elements at the given set of positions."""
-        # enumeration is strictly increasing, so the images of disjoint
-        # position intervals come out sorted and apart
-        pos = positions._intervals
-        out = []
-        cum = ZERO
-        i = 0
-        for lo, hi in self._intervals:
-            if i == len(pos):
-                break
-            nxt = add(cum, left_subtract(lo, hi))
-            while i < len(pos) and pos[i][0].key < nxt.key:
-                p_lo, p_hi = pos[i]
-                s_lo = p_lo if p_lo.key >= cum.key else cum
-                s_hi = p_hi if p_hi.key <= nxt.key else nxt
-                out.append((add(lo, left_subtract(cum, s_lo)), add(lo, left_subtract(cum, s_hi))))
-                if p_hi.key > nxt.key:
-                    break  # pos[i] goes on into the next interval
-                i += 1
-            cum = nxt
-        return OrdinalSet._of(tuple(out))
+        return OrdinalSet._of(select_positions(ORDINALS, self._intervals, positions._intervals))
 
     def positions_of(self, subset: "OrdinalSet") -> "OrdinalSet":
         """Positions (within self) of the elements of ``subset & self``."""
@@ -262,25 +300,25 @@ class OrdinalSet:
         cum = ZERO
         j = 0
         for lo, hi in self._intervals:
-            while j < len(sub) and sub[j][0].key < hi.key:
+            while j < len(sub) and _lt(sub[j][0], hi):
                 slo, shi = sub[j]
-                if lo.key < shi.key:
-                    s_lo = slo if slo.key >= lo.key else lo
-                    s_hi = shi if shi.key <= hi.key else hi
+                if _lt(lo, shi):
+                    s_lo = lo if _lt(slo, lo) else slo
+                    s_hi = hi if _lt(hi, shi) else shi
                     out.append((add(cum, left_subtract(lo, s_lo)), add(cum, left_subtract(lo, s_hi))))
-                if shi.key > hi.key:
+                if _lt(hi, shi):
                     break  # sub[j] goes on into the next interval
                 j += 1
             cum = add(cum, left_subtract(lo, hi))
         # the positions of the ends of two neighbouring intervals touch
-        return OrdinalSet._of(_coalesce(out))
+        return OrdinalSet._of(coalesce(ORDINALS, out))
 
     def iter_prefix(self, count: int) -> Iterator[Ordinal]:
         """The first ``count`` elements in increasing order."""
         emitted = 0
         for lo, hi in self._intervals:
             x = lo
-            while emitted < count and x.key < hi.key:
+            while emitted < count and _lt(x, hi):
                 yield x
                 emitted += 1
                 x = add(x, ONE)

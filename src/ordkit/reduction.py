@@ -20,8 +20,10 @@ power Dedekind infiniteness, and the well-order code surrogate decoder.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .carriers import (
@@ -149,6 +151,7 @@ class Stage:
     index: int
     k: int  # qualifying row (kept numbering)
     beta: Ordinal  # beta_n = w**delta_n
+    reach: Ordinal  # the largest beta_m over stages m <= n
     chunk_lo: Ordinal  # global positions [chunk_lo, chunk_hi) feed q_n
     chunk_hi: Ordinal
     b_restriction: dict  # B_n as per-block position sets
@@ -194,12 +197,11 @@ def _top_rows(deltas: list) -> list:
 class ReductionResult:
     """An evaluable surjection M -> [0, alpha) with its construction record."""
 
-    def __init__(self, fam: SurjectionFamily, kept, delta, attained_at, fuel):
+    def __init__(self, fam: SurjectionFamily, kept, delta, attained_at):
         self.fam = fam
         self.carrier = fam.carrier
         self.alpha = fam.alpha
         self.delta = delta
-        self.fuel = fuel
         self._kept = kept  # _KeptRows view
         self.stages: list = []
         if attained_at is not None:
@@ -209,7 +211,7 @@ class ReductionResult:
         else:
             self.case_taken = ("case2", None)
             self.beta = omega_power(delta)
-            self._bij = OmegaPowerBijection(delta, fuel=fuel)
+            self._bij = OmegaPowerBijection(delta, fuel=_FUEL)
             theta = self.carrier.order_type
             if compare(theta, multiply(self.beta, Ordinal(2))) < 0:
                 raise PreconditionViolated(
@@ -217,8 +219,6 @@ class ReductionResult:
                     f"(need {fmt(multiply(self.beta, Ordinal(2)))}, have {fmt(theta)})"
                 )
             full = self.carrier.full_restriction()
-            self._b = [full]  # B_n per stage n
-            self._reach: list = []  # per stage n, the largest beta_m over stages m <= n
             # every chunk lies in the reserve zone Z and every B_n contains
             # M \ Z, and a row's image only grows with its restriction: a
             # row strong on M \ Z is strong on every B_n, and a row weak on
@@ -255,7 +255,9 @@ class ReductionResult:
             index = len(self.stages)
             delta_n = self._kept.delta(index)
             beta_n = omega_power(delta_n)
-            b_restriction = self._b[index]
+            # B_0 is the whole carrier, and B_n the last stage's B_(n+1)
+            last = self.stages[-1] if index else None
+            b_restriction = last.b_next if index else self.carrier.full_restriction()
             # least k with beta_index < beta_k and full row strength on B_n.
             # B_n lies inside B_(n-1), so a row weak there is weak here, and
             # when delta_n >= delta_(n-1) a row not above delta_(n-1) is not
@@ -263,7 +265,7 @@ class ReductionResult:
             search = max(_STAGE_SEARCH, index + 8)
             start = 0
             if index and compare(delta_n, self._kept.delta(index - 1)) >= 0:
-                start = self.stages[index - 1].k
+                start = last.k
             k = None
             for cand in range(start, search):
                 above = compare(delta_n, self._kept.delta(cand)) < 0
@@ -278,7 +280,7 @@ class ReductionResult:
             if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
                 raise CoverageBroken(f"beta_{index}*2 < beta_k fails at stage {index}")
             # the chunks are adjacent, from the start of the reserve zone on
-            chunk_lo = self.stages[index - 1].chunk_hi if index else self.beta
+            chunk_lo = last.chunk_hi if index else self.beta
             chunk_hi = add(chunk_lo, beta_n)
             chunk = self.carrier.global_range_restriction(chunk_lo, chunk_hi)
             # Branch order: first ask whether coverage survives keeping only
@@ -293,32 +295,22 @@ class ReductionResult:
             b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
             if not any(self._strong_on_b(m, b_next) for m in self._top):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
-            self.stages.append(
-                Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, b_next, self._kept)
-            )
-            self._b.append(b_next)
-            self._reach.append(max(self._reach[-1], beta_n) if index else beta_n)
+            reach = max(last.reach, beta_n) if index else beta_n
+            self.stages.append(Stage(
+                index, k, beta_n, reach, chunk_lo, chunk_hi, b_restriction, b_next, self._kept
+            ))
 
-    def _first_stage(self, fuel: int, reaches: Callable) -> Optional[Stage]:
-        """The first stage n < ``fuel`` with ``reaches(n)``, a test that
-        stays true from the first such stage on: stage 0, where most points
-        lie, then a bisection over the other stages built, then the stages
-        after them, built and tested one at a time."""
+    def _first_stage(self, fuel: int, x: Ordinal, bound: Callable) -> Optional[Stage]:
+        """The first stage n < ``fuel`` (not negative) with ``x < bound(stage
+        n)``, a bound that never falls from stage to stage: a bisection over
+        the stages built, then the next stages, built one at a time."""
         built = min(fuel, len(self.stages))
-        if built and reaches(0):
-            return self.stages[0]
-        lo, hi = 1, built
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if reaches(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo < built:
-            return self.stages[lo]
+        n = bisect_right(self.stages, x, hi=built, key=bound)
+        if n < built:
+            return self.stages[n]
         for n in range(built, fuel):
             self.ensure_stage(n)
-            if reaches(n):
+            if x < bound(self.stages[n]):
                 return self.stages[n]
         return None
 
@@ -337,12 +329,14 @@ class ReductionResult:
             # the glued map sends it to zero
             return self._bij.down(ZERO)
         # the chunks are adjacent and increasing
-        stage = self._first_stage(fuel, lambda n: compare(p, self.stages[n].chunk_hi) < 0)
+        stage = self._first_stage(fuel, p, attrgetter("chunk_hi"))
         return None if stage is None else self._bij.down(left_subtract(stage.chunk_lo, p))
 
-    def evaluate_point(self, element, fuel: Optional[int] = None) -> tuple:
+    def evaluate_point(self, element, fuel: int = _FUEL) -> tuple:
         """('determined', value) or ('unresolved', None) under the fuel."""
-        z = self._delta_value(element, self.fuel if fuel is None else fuel)
+        if fuel < 0:
+            raise BoundViolation(f"fuel must be non-negative, not {fuel}")
+        z = self._delta_value(element, fuel)
         if z is None:
             return ("unresolved", None)
         return ("determined", self._alpha_value(z))
@@ -352,9 +346,9 @@ class ReductionResult:
 
     def m_to_delta(self, element) -> Ordinal:
         """The intermediate surjection M -> [0, delta)."""
-        z = self._delta_value(element, self.fuel)
+        z = self._delta_value(element, _FUEL)
         if z is None:
-            raise FuelExhausted(f"point {element!r} unresolved within fuel {self.fuel}")
+            raise FuelExhausted(f"point {element!r} unresolved within fuel {_FUEL}")
         return z
 
     def _alpha_value(self, z: Ordinal) -> Ordinal:
@@ -383,9 +377,9 @@ class ReductionResult:
             return found
         w = self._bij.up(z)
         # the first stage with w < beta_n is the first whose running largest beta passes w
-        stage = self._first_stage(self.fuel, lambda n: compare(w, self._reach[n]) < 0)
+        stage = self._first_stage(_FUEL, w, attrgetter("reach"))
         if stage is None:
-            raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {self.fuel}")
+            raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {_FUEL}")
         return self.carrier.element_at(add(stage.chunk_lo, w))
 
     def witness_for(self, gamma: Ordinal):
@@ -515,7 +509,7 @@ def reduce_omega_product(fam: SurjectionFamily) -> ReductionResult:
         raise PreconditionViolated(
             f"delta = {fmt(delta)} must exceed w for the reduction"
         )
-    result = ReductionResult(fam, kept, delta, attained_at, _FUEL)
+    result = ReductionResult(fam, kept, delta, attained_at)
     if result.case_taken[0] == "case2":
         result.ensure_stage(2)  # materialize the first stages eagerly
     return result

@@ -295,7 +295,7 @@ def test_criterion_7_reduction_engine_suite():
             continue
         result.ensure_stage(2)
         for stage in result.stages[:3]:
-            nxt = result._b[stage.index + 1]
+            nxt = stage.b_next
             if not all(
                 nxt[label].is_subset(stage.b_restriction[label]) for label in nxt
             ):

@@ -282,6 +282,26 @@ class TestEngineCommands:
         status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
         assert (status, out) == (1, f"syntax-error\nrow {explicit} names unknown block 'zz'\n")
 
+    @pytest.mark.parametrize(
+        "extra,key",
+        [
+            ("carrier: m:[0,w^2)\n", "carrier"),
+            ("alpha: w^2\n", "alpha"),
+            ("row 0: m -> monotone [0,w^2)\n", "row 0"),
+            ("row 00: m -> monotone [0,w^2)\n", "row 0"),
+            ("tail: n >= 1: m -> monotone [0,w*n)\n", "tail"),
+        ],
+    )
+    def test_reduce_repeated_key(self, tmp_path, extra, key):
+        # a second line for a key would silently replace the first
+        path = tmp_path / "repeated.txt"
+        path.write_text(
+            "carrier: m:[0,w)\nalpha: w\nrow 0: m -> monotone [0,w)\n"
+            f"tail: n >= 1: m -> monotone [0,w)\n{extra}"
+        )
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
+        assert (status, out) == (1, f"syntax-error\ninstance key {key!r} appears more than once\n")
+
     def test_reduce_tail_leaves_alpha_late(self):
         # rows 1..10 stay inside alpha = w^10; the settle point counts alpha's
         # literals, so row 11 is read and rejected

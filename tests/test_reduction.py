@@ -27,6 +27,7 @@ from ordkit.carriers import (
 from ordkit.cli import main
 from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, fmt, multiply, omega_power, parse
 from ordkit.errors import (
+    BoundViolation,
     CoverageBroken,
     EmptyFiber,
     PreconditionViolated,
@@ -495,7 +496,7 @@ class TestReduceCase2:
     def test_stage_invariants(self, tower):
         tower.ensure_stage(2)
         for stage in tower.stages[:3]:
-            nxt = tower._b[stage.index + 1]
+            nxt = stage.b_next
             for label, positions in nxt.items():
                 assert positions.is_subset(stage.b_restriction[label])
             dom = OrdinalSet()
@@ -530,6 +531,13 @@ class TestReduceCase2:
         assert tower.evaluate_point(late, fuel=1) == ("unresolved", None)
         status, _ = tower.evaluate_point(late)
         assert status == "determined"
+
+    def test_negative_fuel_is_refused(self, tower):
+        # a stage-0 point: no fuel builds nothing, and a negative fuel is an error
+        point = tower.carrier.element_at(tower.stages[0].chunk_lo)
+        assert tower.evaluate_point(point, fuel=0) == ("unresolved", None)
+        with pytest.raises(BoundViolation, match="fuel must be non-negative"):
+            tower.evaluate_point(point, fuel=-5)
 
     def test_verified_below_w3(self, tower):
         assert verify_surjective(tower, o("w^3")).ok()
@@ -660,7 +668,7 @@ class _ReferenceStages(ReductionResult):
             index = len(self.stages)
             beta_n = omega_power(self._kept.delta(index))
             b_lo = add(self.beta, self._peeled[index])
-            b_restriction = self._b[index]
+            b_restriction = self.stages[-1].b_next if index else self.carrier.full_restriction()
             search = max(_STAGE_SEARCH, index + 8)
             k = None
             for cand in range(search):
@@ -688,12 +696,14 @@ class _ReferenceStages(ReductionResult):
             if not _ref_coverage_ok(after):
                 raise CoverageBroken(f"coverage condition fails after stage {index}")
             q_map = self._ref_chunk_iso(chunk)
-            stage = Stage(index, k, beta_n, chunk_lo, chunk_hi, b_restriction, b_next, self._kept)
+            reach = max([beta_n] + [s.beta for s in self.stages])
+            stage = Stage(
+                index, k, beta_n, reach, chunk_lo, chunk_hi, b_restriction, b_next, self._kept
+            )
             # hand over the eagerly computed record in place of the derived one
             stage.q_map, stage.coverage = q_map, after
             self.stages.append(stage)
             self._peeled.append(add(self._peeled[index], beta_n))
-            self._b.append(b_next)
 
 
 # tail targets [0, T(n)) by template, with the supremum delta of T(n) over
@@ -752,7 +762,7 @@ def _stage_records(cls, fam: SurjectionFamily, late: bool = False) -> list:
     assert attained_at is None
     stages, records = [], []
     try:
-        result = cls(fam, kept, delta, None, 10_000)
+        result = cls(fam, kept, delta, None)
         for n in range(6):
             result.ensure_stage(n)
             stages.append(result.stages[n])
@@ -888,7 +898,7 @@ class TestStageCost:
         fam = load(name)
         kept = _KeptRows(fam)
         delta, _ = _compute_delta(fam, kept)
-        result = ReductionResult(fam, kept, delta, None, 10_000)
+        result = ReductionResult(fam, kept, delta, None)
         for n in range(6):
             calls.clear()
             result.ensure_stage(n)
@@ -947,6 +957,36 @@ class TestStageCost:
         monkeypatch.undo()
         assert value == result._bij.down(o("w^(w^999)+3"))
         assert result.m_to_delta(witness) == value
+
+    def test_lookup_builds_only_the_stages_it_needs(self):
+        # a fresh result has stages 0-2; a point in stage 10's chunk, at an
+        # offset only stage 10's beta passes, builds stages 3-10 and no
+        # more, and so does the witness of its value
+        offset = o("w^(w^10)+3")
+        result = reduce_omega_product(load("case2_tower.txt"))
+        point = result.carrier.element_at(add(o("w^(w^w)+w^(w^10)"), offset))
+        value = result.m_to_delta(point)
+        assert len(result.stages) == 11
+        assert result.stages[10].chunk_lo == o("w^(w^w)+w^(w^10)")
+        assert value == result._bij.down(offset)
+        fresh = reduce_omega_product(load("case2_tower.txt"))
+        assert len(fresh.stages) == 3
+        assert fresh.delta_witness(value) == point
+        assert len(fresh.stages) == 11
+
+    def test_point_lookup_bisects_by_ordinal_order(self, monkeypatch):
+        # the bisection compares stage bounds with ``<``: with 1,024 stages
+        # built, about log2(1024) of them for each of the two lookups
+        result = reduce_omega_product(load("case2_tower.txt"))
+        result.ensure_stage(1023)
+        stage = result.stages[1000]
+        point = result.carrier.element_at(add(stage.chunk_lo, o("w^(w^999)+3")))
+        calls = []
+        less = Ordinal.__lt__
+        monkeypatch.setattr(Ordinal, "__lt__", lambda a, b: calls.append(1) or less(a, b))
+        result.delta_witness(result.m_to_delta(point))
+        assert len(calls) <= 2 * 11
+        assert len(result.stages) == 1024
 
     def test_point_lookup_matches_the_stage_walk(self):
         # stage betas that fall and rise again (kept deltas w^3, w^2, w^2,
