@@ -108,11 +108,16 @@ def _embed(alpha: Ordinal, x: Ordinal) -> Ordinal:
     """Injection [0, alpha) -> [0, w**mu); identity when alpha = w**mu."""
     if compare(x, alpha) >= 0:
         raise BoundViolation(f"{x} is not below {alpha}")
+    return x if _is_omega_power(alpha) else Ordinal._raw(_embed_terms(alpha, x.terms))
+
+
+def _embed_terms(alpha: Ordinal, terms: tuple) -> tuple:
+    """The terms of :func:`_embed` from the terms of an x below alpha (not
+    checked)."""
     if _is_omega_power(alpha):
-        return x
+        return terms
     # x = w**mu * q + r with q a natural (alpha < w**(mu+1) forces q < w):
     # only the first term can sit at mu, only the last can be the constant
-    terms = x.terms
     q = d0 = 0
     if terms and compare(terms[0][0], alpha.degree) == 0:
         q, terms = terms[0][1], terms[1:]
@@ -120,26 +125,30 @@ def _embed(alpha: Ordinal, x: Ordinal) -> Ordinal:
         d0, terms = terms[-1][1], terms[:-1]
     if q or d0:
         terms += ((ZERO, cantor_pair(q, d0)),)
-    return Ordinal._raw(terms)
+    return terms
 
 
 def _unembed(alpha: Ordinal, u: Ordinal) -> Optional[Ordinal]:
     """Inverse of :func:`_embed` on its range; None off the range."""
-    if _is_omega_power(alpha):
-        return u if compare(u, alpha) < 0 else None
-    mu = alpha.degree
     terms = u.terms
-    if terms and compare(terms[0][0], mu) >= 0:
-        return None
+    if terms and compare(terms[0][0], alpha.degree) >= 0:
+        return None  # u is not below w**mu
+    return _unembed_terms(alpha, terms)
+
+
+def _unembed_terms(alpha: Ordinal, terms: tuple) -> Optional[Ordinal]:
+    """:func:`_unembed` from the terms of a u below w**mu (not checked)."""
+    if _is_omega_power(alpha):
+        return Ordinal._raw(terms)
     code = 0
     if terms and terms[-1][0].is_zero():
         code, terms = terms[-1][1], terms[:-1]
     q, d0 = cantor_unpair(code)
     if d0:
         terms += ((ZERO, d0),)
-    if q:
-        terms = ((mu, q),) + terms
-    x = Ordinal._raw(terms)
+    if not q:
+        return Ordinal._raw(terms)  # below w**mu, so below alpha
+    x = Ordinal._raw(((alpha.degree, q),) + terms)
     return x if compare(x, alpha) < 0 else None
 
 
@@ -151,12 +160,12 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
 
     Both components are embedded into w**degree(alpha) and paired
     digit-wise with the Cantor pairing, a missing digit counting as 0: one
-    merge of the two term tuples by exponent.
+    merge of the two term tuples by exponent.  Each bound is checked once.
     """
     _require_infinite(alpha)
     if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
         raise BoundViolation("pair components must lie below alpha")
-    u, v = _embed(alpha, x).terms, _embed(alpha, y).terms
+    u, v = _embed_terms(alpha, x.terms), _embed_terms(alpha, y.terms)
     terms = []
     i = j = 0
     while i < len(u) or j < len(v):
@@ -173,10 +182,10 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
 def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
     """Inverse of :func:`pair_encode` on its range; None off the range."""
     _require_infinite(alpha)
-    if compare(z, alpha) >= 0:
-        return None
+    # pair codes, and so both halves, lie strictly below w**mu; a z of degree
+    # mu or more is also every z that is not below alpha
     if z.terms and compare(z.degree, alpha.degree) >= 0:
-        return None  # pair codes live strictly below w**mu
+        return None
     # each half keeps z's descending exponent order
     u_terms, v_terms = [], []
     for e, c in z.terms:
@@ -185,8 +194,8 @@ def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
             u_terms.append((e, du))
         if dv:
             v_terms.append((e, dv))
-    x = _unembed(alpha, Ordinal._raw(tuple(u_terms)))
-    y = _unembed(alpha, Ordinal._raw(tuple(v_terms)))
+    x = _unembed_terms(alpha, tuple(u_terms))
+    y = _unembed_terms(alpha, tuple(v_terms))
     if x is None or y is None:
         return None
     return x, y

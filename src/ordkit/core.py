@@ -120,12 +120,16 @@ class Ordinal:
         return not self._terms
 
     def is_nat(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and self._terms[0][0].is_zero())
+        t = self._terms
+        return not t or (len(t) == 1 and not t[0][0]._terms)
 
     def nat_value(self) -> int:
-        if not self.is_nat():
+        t = self._terms
+        if not t:
+            return 0
+        if len(t) > 1 or t[0][0]._terms:
             raise OutOfRangeError(f"{self} is not a natural number")
-        return self._terms[0][1] if self._terms else 0
+        return t[0][1]
 
     @property
     def degree(self) -> "Ordinal":
@@ -160,10 +164,17 @@ class Ordinal:
     __ge__ = _by_key(operator.ge)
 
     def __hash__(self):
-        # a natural hashes like the int it equals
         h = self._hash
         if h is None:
-            h = self._hash = hash(self.nat_value() if self.is_nat() else self.key)
+            # a natural hashes like the int it equals
+            t = self._terms
+            if not t:
+                h = 0
+            elif len(t) == 1 and not t[0][0]._terms:
+                h = hash(t[0][1])
+            else:
+                h = hash(self.key)
+            self._hash = h
         return h
 
     def __bool__(self):
@@ -288,6 +299,8 @@ def power_nat(a: Ordinal, n: int) -> Ordinal:
 # eventual._Row.subtract repeats these tests on tail forms; keep in step
 def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     """The unique g with a + g = b; requires a <= b."""
+    if not a._terms:
+        return b
     c = compare(a, b)
     if c > 0:
         raise OutOfRangeError(f"cannot left-subtract: {a} > {b}")

@@ -63,6 +63,14 @@ class TestCarrier:
         with pytest.raises(OutOfRangeError):
             carrier.element_at(o("w^2"))
 
+    @given(nested_ordinals())
+    def test_first_block_keeps_the_position(self, pos):
+        # the first block's offset is 0, so element_at hands back the
+        # position itself rather than a copy without its built key
+        carrier = Carrier([("a", OrdinalSet.interval(ZERO, add(pos, ONE))), ("b", iv("0", "w"))])
+        label, found = carrier.element_at(pos)
+        assert label == "a" and found is pos
+
     def test_sample_elements_distinct(self, carrier):
         samples = carrier.sample_elements(40)
         assert len(samples) == 40

@@ -306,6 +306,60 @@ class TestCodecReference:
                 _embed(alpha, z)
 
     @given(
+        nested_ordinals(),
+        nested_ordinals(),
+        nested_ordinals(),
+        st.integers(0, 2),
+        st.booleans(),
+    )
+    def test_pair_encode_bound(self, top, below, excess, bad, power_of_omega):
+        # one component, or both, at or above alpha: pair_encode checks each
+        # component once, before any embedding
+        mu = add(top.degree, ONE) if top else ONE
+        if power_of_omega:
+            alpha = omega_power(mu)
+        else:
+            alpha = add(multiply(omega_power(mu), Ordinal(3)), ONE)
+        below = below if compare(below, alpha) < 0 else ZERO
+        above = add(alpha, excess)
+        x, y = [(above, below), (below, above), (above, above)][bad]
+        message = "^pair components must lie below alpha$"
+        with pytest.raises(BoundViolation, match=message):
+            pair_encode(alpha, x, y)
+        with pytest.raises(BoundViolation, match=message):
+            _quadratic_pair_encode(alpha, x, y)
+
+    @given(
+        st.integers(0, 10**6) | st.integers(0, 2**80),
+        st.integers(0, 10**6) | st.integers(0, 2**80),
+        st.sampled_from(["w", "w+1", "w*2", "w*2+5", "w^2*3+w", "w^w+1"]),
+    )
+    def test_pair_naturals(self, m, n, alpha_text):
+        # the refuters pair naturals, mostly under an alpha that is no power
+        # of omega: each component's digit is Cantor-paired into the
+        # constant slot first
+        alpha, x, y = o(alpha_text), Ordinal(m), Ordinal(n)
+        z = pair_encode(alpha, x, y)
+        assert z.terms == _quadratic_pair_encode(alpha, x, y).terms
+        if alpha == OMEGA:
+            assert z == Ordinal(cantor_pair(m, n))
+        decoded = pair_decode(alpha, z)
+        assert decoded == _dict_pair_decode(alpha, z) == (x, y)
+        assert all(part.is_nat() for part in decoded)
+
+    @given(nested_ordinals(), nested_ordinals(), st.integers(1, 3))
+    def test_pair_decode_at_degree(self, top, rest, qz):
+        # z's leading exponent is mu itself and z lies below
+        # alpha = w^mu*3 + 1, no power of omega: the degree test refuses it
+        mu = add(top.degree, ONE) if top else ONE
+        alpha = add(multiply(omega_power(mu), Ordinal(3)), ONE)
+        rest = rest if qz < 3 and compare(rest, omega_power(mu)) < 0 else ZERO
+        z = add(multiply(omega_power(mu), Ordinal(qz)), rest)
+        assert compare(z, alpha) < 0 and compare(z.degree, mu) == 0
+        assert pair_decode(alpha, z) is None
+        assert _dict_pair_decode(alpha, z) is None
+
+    @given(
         st.lists(nested_ordinals(), max_size=4),
         nested_ordinals(),
         st.integers(0, 40),

@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -280,6 +281,12 @@ class TestLeftSubtract:
         with pytest.raises(OutOfRangeError):
             left_subtract(o("w^2"), o("w"))
 
+    @given(nested_ordinals())
+    def test_zero_hands_back_the_operand(self, b):
+        # a carrier's first block starts at 0: element_at keeps the position
+        # itself, with any key and hash already built
+        assert left_subtract(ZERO, b) is b
+
     @given(nested_ordinals(), nested_ordinals())
     def test_inverse_law(self, a, b):
         low, high = (a, b) if compare(a, b) <= 0 else (b, a)
@@ -325,6 +332,22 @@ class TestConstruction:
         assert 2 * OMEGA == o("w")  # 2 * w absorbs the finite factor
         assert Ordinal(3) < OMEGA < o("w+1")
         assert int(Ordinal(7)) == 7
+
+    @pytest.mark.parametrize("n", [0, 1, 2**61 - 1, 2**61, 10**30])
+    def test_naturals_hash_like_ints(self, n):
+        assert hash(Ordinal(n)) == hash(n)
+        assert Ordinal(n).is_nat() and Ordinal(n).nat_value() == n
+
+    @pytest.mark.parametrize("text", ["w + 1", "w", "w^2*3"])
+    def test_nat_value_rejects_infinite(self, text):
+        # one term at a nonzero exponent is no natural either
+        x = o(text)
+        assert not x.is_nat()
+        message = f"^{re.escape(text)} is not a natural number$"
+        with pytest.raises(OutOfRangeError, match=message):
+            x.nat_value()
+        with pytest.raises(OutOfRangeError, match=message):
+            int(x)
 
     def test_arithmetic_rejects_other_types(self):
         # an int operand is coerced; any other type gets NotImplemented

@@ -1305,6 +1305,31 @@ class TestRefuterCaches:
         # nothing outlives a call: the second call repeats every step
         assert counts[1] == counts[0]
 
+    def test_infpset_coding_compares(self, monkeypatch):
+        # pair codes check each bound once: the degree test stands for the
+        # bound on the decoded halves, and the encoder's embedding no longer
+        # checks its components again
+        calls = [0]
+        compare = coding.compare
+
+        def counting(a, b):
+            calls[0] += 1
+            return compare(a, b)
+
+        monkeypatch.setattr(coding, "compare", counting)
+        argv = ["refute", "--instance", str(INSTANCES / "refute_demo.txt"),
+                "--mode", "infpset", "--check", "100"]
+        counts = []
+        for _ in range(2):
+            calls[0] = 0
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            counts.append(calls[0])
+        # checking the bounds in both the pair code and its embedding: 2,650
+        assert counts[0] <= 1_398
+        # nothing outlives a call: the second call repeats every step
+        assert counts[1] == counts[0]
+
     @staticmethod
     def _membership_queries(monkeypatch, instance, mode):
         """QueryableSet.contains calls of two identical refute commands."""
