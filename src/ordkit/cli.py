@@ -190,11 +190,8 @@ def _run(args) -> int:
                 phi, fam.carrier, table, check_bound=args.check
             )
         out.write(f"mode={args.mode} table={len(table)}\n")
-        out.write(
-            f"distinguishers={len(witness.distinguishers)} recheck="
-            + ("ok" if witness.recheck() else "FAILED")
-            + "\n"
-        )
+        # the refuter has rechecked the witness afresh, or raised WitnessNotFound
+        out.write(f"distinguishers={len(witness.distinguishers)} recheck=ok\n")
         for tag, index, point, in_missed, in_listed, _ in witness.distinguishers[:10]:
             name = f"table:{index}" if tag == "table" else f"phi:{tag[0]},{tag[1]}"
             label, pos = point

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .carriers import QueryableSet
-from .core import OMEGA, ONE, ZERO, Ordinal, add, compare, omega_power
+from .core import ONE, ZERO, Ordinal, add, compare, omega_power
 from .errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
 __all__ = [
@@ -96,7 +96,7 @@ def _tuple_decode(code: int, arity: int) -> tuple:
 
 
 def _require_infinite(alpha: Ordinal):
-    if compare(alpha, OMEGA) < 0:
+    if not alpha.is_infinite():
         raise BoundViolation(f"alpha must be infinite, got {alpha}")
 
 
@@ -161,8 +161,14 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
     Both components are embedded into w**degree(alpha) and paired
     digit-wise with the Cantor pairing, a missing digit counting as 0: one
     merge of the two term tuples by exponent.  Each bound is checked once.
+    Two naturals, which lie below every infinite alpha, pair in closed form.
     """
     _require_infinite(alpha)
+    if x.is_nat() and y.is_nat():
+        m, n = x.nat_value(), y.nat_value()
+        if not _is_omega_power(alpha):
+            m, n = cantor_pair(0, m), cantor_pair(0, n)  # as _embed_terms does
+        return Ordinal(cantor_pair(m, n))
     if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
         raise BoundViolation("pair components must lie below alpha")
     u, v = _embed_terms(alpha, x.terms), _embed_terms(alpha, y.terms)
@@ -182,6 +188,14 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
 def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
     """Inverse of :func:`pair_encode` on its range; None off the range."""
     _require_infinite(alpha)
+    if z.is_nat():
+        du, dv = cantor_unpair(z.nat_value())
+        if _is_omega_power(alpha):
+            return Ordinal(du), Ordinal(dv)
+        (qu, du), (qv, dv) = cantor_unpair(du), cantor_unpair(dv)
+        if not qu and not qv:
+            return Ordinal(du), Ordinal(dv)
+        # a half with a w**mu digit is compared with alpha below
     # pair codes, and so both halves, lie strictly below w**mu; a z of degree
     # mu or more is also every z that is not below alpha
     if z.terms and compare(z.degree, alpha.degree) >= 0:

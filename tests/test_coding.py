@@ -4,7 +4,7 @@ import re
 from operator import attrgetter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from ordkit.carriers import QueryableSet
@@ -247,6 +247,12 @@ def _dict_fin_decode(alpha, z):
     return members
 
 
+# the first three are powers of omega, under which pairing embeds no digit
+_NATURAL_PAIR_ALPHAS = [
+    "w", "w^2", "w^w", "w+1", "w*2", "w*2+5", "w^2+w", "w^2*3+w", "w^w+1", "w^w*3+5",
+]
+
+
 class TestCodecReference:
     """The term-tuple pairing and the trusting from_digits against the old
     dict-based, validating versions."""
@@ -332,12 +338,13 @@ class TestCodecReference:
     @given(
         st.integers(0, 10**6) | st.integers(0, 2**80),
         st.integers(0, 10**6) | st.integers(0, 2**80),
-        st.sampled_from(["w", "w+1", "w*2", "w*2+5", "w^2*3+w", "w^w+1"]),
+        st.sampled_from(_NATURAL_PAIR_ALPHAS),
     )
+    @example(2**40, 2**40 - 1, "w^w*3+5")  # a code past 2**64
     def test_pair_naturals(self, m, n, alpha_text):
         # the refuters pair naturals, mostly under an alpha that is no power
         # of omega: each component's digit is Cantor-paired into the
-        # constant slot first
+        # constant slot first, and the pair code is one closed form
         alpha, x, y = o(alpha_text), Ordinal(m), Ordinal(n)
         z = pair_encode(alpha, x, y)
         assert z.terms == _quadratic_pair_encode(alpha, x, y).terms
@@ -345,7 +352,40 @@ class TestCodecReference:
             assert z == Ordinal(cantor_pair(m, n))
         decoded = pair_decode(alpha, z)
         assert decoded == _dict_pair_decode(alpha, z) == (x, y)
-        assert all(part.is_nat() for part in decoded)
+        assert [part.terms for part in decoded] == [x.terms, y.terms]
+
+    @given(
+        st.integers(0, 10**6) | st.integers(0, 2**160),
+        st.sampled_from(_NATURAL_PAIR_ALPHAS),
+    )
+    @example(10, "w+1")  # a half reads w + 1, which is not below w + 1
+    @example(10, "w*2")  # a half reads w + 1, below w*2
+    def test_unpair_naturals(self, code, alpha_text):
+        # a natural z unpairs in closed form, unless a half gets a digit at
+        # w^mu under an alpha that is no power of omega: that half is
+        # compared with alpha on the general path
+        alpha, z = o(alpha_text), Ordinal(code)
+        decoded = pair_decode(alpha, z)
+        expected = _dict_pair_decode(alpha, z)
+        assert decoded == expected
+        if decoded is not None:
+            assert [part.terms for part in decoded] == [part.terms for part in expected]
+            assert pair_encode(alpha, *decoded) == z
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [
+            (["unpair", "--alpha", "w+1", "10"], 0, ["none"]),
+            (["unpair", "--alpha", "w*2", "10"], 0, ["w + 1", "0"]),
+            (["pair", "--alpha", "5", "1", "1"], 1,
+             ["bound-violation", "alpha must be infinite, got 5"]),
+        ],
+    )
+    def test_natural_codes_on_the_command_line(self, capsys, argv, code, out):
+        # the first two take the general path (a half with a w^1 digit);
+        # naturals under a finite alpha still raise
+        assert main(argv) == code
+        assert capsys.readouterr().out.splitlines() == out
 
     @given(nested_ordinals(), nested_ordinals(), st.integers(1, 3))
     def test_pair_decode_at_degree(self, top, rest, qz):

@@ -1308,7 +1308,9 @@ class TestRefuterCaches:
     def test_infpset_coding_compares(self, monkeypatch):
         # pair codes check each bound once: the degree test stands for the
         # bound on the decoded halves, and the encoder's embedding no longer
-        # checks its components again
+        # checks its components again; two naturals pair, and a natural
+        # unpairs, in closed form, and alpha is tested for being infinite
+        # without a compare
         calls = [0]
         compare = coding.compare
 
@@ -1325,8 +1327,9 @@ class TestRefuterCaches:
             with redirect_stdout(io.StringIO()):
                 assert main(argv) == 0
             counts.append(calls[0])
-        # checking the bounds in both the pair code and its embedding: 2,650
-        assert counts[0] <= 1_398
+        # checking the bounds in both the pair code and its embedding: 2,650;
+        # checking each bound once, on the general path for naturals: 1,398
+        assert counts[0] <= 33
         # nothing outlives a call: the second call repeats every step
         assert counts[1] == counts[0]
 
@@ -1357,8 +1360,9 @@ class TestRefuterCaches:
         # missed set once per point
         counts = self._membership_queries(monkeypatch, "refute_split_row0.txt", "pset")
         # asking every question again: 21,184 queries; signing once per
-        # (n, x) and asking each listed set again at the points: 9,512
-        assert counts[0] <= 2_300
+        # (n, x) and asking each listed set again at the points: 9,512;
+        # rechecking the witness in the CLI too: 2,231 (bound 2,300)
+        assert counts[0] <= 1_925
         # nothing outlives a call: the second call asks every question again
         assert counts[1] == counts[0]
 
@@ -1367,8 +1371,9 @@ class TestRefuterCaches:
         # the refuter neither asks it there again nor rebuilds them
         counts = self._membership_queries(monkeypatch, "refute_demo.txt", "infpset")
         # asking the missed set again at the 64 lane points: 2,767 queries;
-        # asking each listed set again at the points: 2,575
-        assert counts[0] <= 2_150
+        # asking each listed set again at the points: 2,575; rechecking the
+        # witness in the CLI too: 2,097 (bound 2,150)
+        assert counts[0] <= 1_481
         assert counts[1] == counts[0]
 
     @pytest.mark.parametrize(
@@ -1416,6 +1421,26 @@ class TestRefuterCaches:
         points = set(load_instance(path).carrier.sample_elements(reduction._REFUTER_SAMPLES))
         at_points = [(i, x) for i, x in asked if x in points]
         assert at_points and len(set(at_points)) == len(at_points)
+
+    @pytest.mark.parametrize(
+        "instance, mode", [("refute_split_row0.txt", "pset"), ("refute_demo.txt", "infpset")]
+    )
+    def test_one_recheck_per_refutation(self, monkeypatch, instance, mode):
+        # the refuter rechecks its witness afresh and the CLI prints that
+        # result: a second recheck would ask every set again
+        calls = [0]
+        recheck = RefutationWitness.recheck
+
+        def counting(witness):
+            calls[0] += 1
+            return recheck(witness)
+
+        monkeypatch.setattr(RefutationWitness, "recheck", counting)
+        argv = ["refute", "--instance", str(INSTANCES / instance), "--mode", mode, "--check", "100"]
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert "recheck=ok" in out.getvalue()
+        assert calls[0] == 1
 
     def test_few_certificate_members_complete_the_lane(self):
         # with fewer checked members than lane points, the rest of the lane
