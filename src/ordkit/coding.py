@@ -257,7 +257,8 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
         return None
     # the constant column comes last and starts with the arity
     columns = list(z.terms)
-    arity, d0 = cantor_unpair(columns.pop()[1] if columns[-1][0].is_zero() else 0)
+    constant = columns.pop()[1] if columns[-1][0].is_zero() else 0
+    arity, d0 = cantor_unpair(constant)
     if d0:
         columns.append((ZERO, d0))
     # members are distinct and only the last can be 0, so the member before
@@ -266,23 +267,27 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
     # column's code is at least 2**(arity - 2)
     if arity < 1 or arity > 2 + max((code for _, code in columns), default=0).bit_length():
         return None
+    # fin_encode refuses what _tuple_code refuses: a column code past
+    # _MAX_CODE_BITS made by a pairing step (each step's code is at least the
+    # last one's).  The constant column always pairs, the others for arity >= 2.
+    if constant.bit_length() > _MAX_CODE_BITS or (
+        arity > 1 and any(code.bit_length() > _MAX_CODE_BITS for _, code in columns)
+    ):
+        return None
     # each member's terms come out in z's descending exponent order
     per_member: list = [[] for _ in range(arity)]
     for e, code in columns:
         for terms, d in zip(per_member, _tuple_decode(code, arity)):
             if d:
                 terms.append((e, d))
-    members = []
-    for terms in per_member:
-        x = _unembed(alpha, Ordinal._raw(tuple(terms)))
-        if x is None:
-            return None
-        members.append(x)
-    if len(set(members)) != len(members):
+    embedded = [Ordinal._raw(tuple(terms)) for terms in per_member]
+    # fin_encode writes the embedded members strictly decreasing, so distinct
+    if any(u.key <= v.key for u, v in zip(embedded, embedded[1:])):
+        return None
+    members = [_unembed(alpha, u) for u in embedded]
+    if any(x is None for x in members):
         return None
     members.sort(key=attrgetter("key"), reverse=True)
-    if compare(fin_encode(alpha, members), z) != 0:
-        return None
     return members
 
 

@@ -347,36 +347,43 @@ MAX_NESTING = 300
 
 
 class _Lexer:
+    """One token ahead: after each consumed token, spaces and tabs are
+    skipped once and the next token is stored, with ``pos`` where it
+    starts.  A token is ``"nat"`` (a digit run), any other single
+    character, or None at the end."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.depth = 0  # open parentheses
+        self._advance(0)
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def _advance(self, pos: int):
+        text = self.text
+        end = len(text)
+        while pos < end and text[pos] in " \t":
+            pos += 1
+        self.pos = pos
+        if pos == end:
+            self.tok = None
+        else:
+            ch = text[pos]
+            self.tok = "nat" if ch in _DIGITS else ch
 
     def peek(self) -> Optional[str]:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch in _DIGITS:
-            return "nat"
-        return ch
+        return self.tok
 
     def take_nat(self) -> tuple:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        return _nat_int(self.text[start:self.pos]), start
+        text = self.text
+        start = end = self.pos
+        while end < len(text) and text[end] in _DIGITS:
+            end += 1
+        self._advance(end)
+        return _nat_int(text[start:end]), start
 
     def expect(self, ch: str):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+        if self.tok != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
+        self._advance(self.pos + 1)
 
 
 # Python's int <-> str conversion refuses more digits than
@@ -466,7 +473,8 @@ def _parse_atom(lx: _Lexer, expected: str):
 def _eval_ast(ast, n: Optional[int]) -> Ordinal:
     kind = ast[0]
     if kind == "nat":
-        return Ordinal(ast[1])
+        k = ast[1]
+        return Ordinal._raw(((ZERO, k),)) if k else ZERO
     if kind == "w":
         return OMEGA
     if kind == "var":
@@ -474,20 +482,20 @@ def _eval_ast(ast, n: Optional[int]) -> Ordinal:
             raise ParseError("variable n outside template", ast[1])
         return Ordinal(n)
     if kind == "add":
-        value = ZERO
-        for term in ast[1]:
+        terms = iter(ast[1])
+        value = _eval_ast(next(terms), n)
+        for term in terms:
             value = add(value, _eval_ast(term, n))
         return value
     if kind == "term":
         _, exp_ast, coeff_ast, pos = ast
         exp = ONE if exp_ast is None else _eval_ast(exp_ast, n)
-        base = omega_power(exp)
         if coeff_ast is None:
-            return base
-        coeff = _eval_ast(coeff_ast, n)
-        if not coeff.is_nat() or coeff.nat_value() < 1:
+            return Ordinal._raw(((exp, 1),))
+        coeff = _eval_ast(coeff_ast, n)._terms
+        if len(coeff) != 1 or coeff[0][0]._terms:  # 0, or not a natural
             raise ParseError("coefficient must be a natural number >= 1", pos)
-        return multiply(base, coeff)
+        return Ordinal._raw(((exp, coeff[0][1]),))
     raise AssertionError(f"unknown node {kind}")
 
 

@@ -1,9 +1,11 @@
 import functools
+import re
 from operator import attrgetter
 
 import hypothesis.strategies as st
 
 from ordkit.core import Ordinal, compare
+from ordkit.intervals import OrdinalSet, format_interval_set
 
 
 @st.composite
@@ -76,3 +78,19 @@ def tail_templates(draw, depth=1):
             coeff = draw(st.sampled_from(["", f"*{k}", "*n", f"*(n+{k})"]))
             terms.append(f"w^{exponent}{coeff}")
     return "+".join(terms)
+
+
+@st.composite
+def interval_set_texts(draw, template=False):
+    """A rendered multi-interval set with spaces and tabs between tokens;
+    a template replaces some numbers with ``n`` or ``(n+1)``."""
+    bounds = draw(st.lists(nested_ordinals(), max_size=8))
+    text = format_interval_set(OrdinalSet(paired_off(bounds)))
+    tokens = re.findall(r"[0-9]+|.", text)
+    if template:
+        tokens = [
+            draw(st.sampled_from([t, t, "n", "(n+1)"])) if t.isdigit() else t for t in tokens
+        ]
+    gaps = draw(st.lists(st.text(" \t", max_size=2), min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]

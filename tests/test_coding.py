@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 import hypothesis.strategies as st
 
+from ordkit import coding
 from ordkit.carriers import QueryableSet
 from ordkit.cli import main
 from ordkit.coding import (
@@ -424,6 +425,38 @@ class TestCodecReference:
         assert decoded == _dict_fin_decode(alpha, z)
         if encoded:
             assert decoded == members
+
+    def test_fin_decode_past_the_size_limit(self):
+        # declared divergence from the reference, which re-encodes and so
+        # raises: an 80,000-bit natural below w codes no set, as fin_encode
+        # refuses the code, and decodes to None; up sends it to its power
+        z = Ordinal(cantor_pair(1, 1 << 40000))
+        assert fin_decode(OMEGA, z) is None
+        with pytest.raises(BoundViolation, match="passes 65536 bits"):
+            _dict_fin_decode(OMEGA, z)
+        bij = OmegaPowerBijection(OMEGA)
+        assert bij.up(z) == omega_power(z)
+        assert bij.down(omega_power(z)) == z
+        # a column that is never paired (one member, no constant digit) may
+        # pass the limit; two members pair it and are refused
+        alpha = o("w^2")
+        member = Ordinal.from_terms([(ONE, 1 << 70000)])
+        code = fin_encode(alpha, [member])
+        assert fin_decode(alpha, code) == [member] == _dict_fin_decode(alpha, code)
+        two = Ordinal.from_terms([(ONE, 1 << 70000), (ZERO, cantor_pair(2, 0))])
+        assert fin_decode(alpha, two) is None
+
+    def test_fin_decode_encodes_nothing(self, monkeypatch):
+        # the range test is structural: no re-encode through fin_encode
+        codes = [fin_encode(o("w^w"), members) for members in (
+            [], [ZERO], [o("w^3"), o("w*2"), Ordinal(7)], [o("w^2"), ONE, ZERO])]
+        codes += [Ordinal(2), o("w*5 + 3"), Ordinal(12345678901234567890)]
+        want = [fin_decode(o("w^w"), z) for z in codes]
+        calls = []
+        encode = coding.fin_encode
+        monkeypatch.setattr(coding, "fin_encode", lambda *args: calls.append(args) or encode(*args))
+        assert [fin_decode(o("w^w"), z) for z in codes] == want
+        assert calls == []
 
 
 def _sample_below(alpha, rng, count):

@@ -1,10 +1,12 @@
 import re
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ordkit import core
 from ordkit.core import (
     MAX_NESTING,
     OMEGA,
@@ -24,7 +26,7 @@ from ordkit.core import (
 )
 from ordkit.errors import BoundViolation, OutOfRangeError, ParseError
 
-from strategies import nested_ordinals
+from strategies import interval_set_texts, nested_ordinals, tail_templates
 
 
 def o(text):
@@ -132,6 +134,212 @@ class TestNestingLimit:
             parse(_nested(depth))
         with pytest.raises(ParseError):
             parse_template("w*(" * depth + "n" + ")" * depth)
+
+
+class _ReferenceLexer:
+    """core._Lexer as it was: every call skips spaces and tabs first."""
+
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self):
+        self._skip_ws()
+        if self.pos >= len(self.text):
+            return None
+        ch = self.text[self.pos]
+        if ch in core._DIGITS:
+            return "nat"
+        return ch
+
+    def take_nat(self):
+        self._skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in core._DIGITS:
+            self.pos += 1
+        return core._nat_int(self.text[start:self.pos]), start
+
+    def expect(self, ch):
+        self._skip_ws()
+        if self.pos >= len(self.text) or self.text[self.pos] != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+
+def _reference_eval(ast, n):
+    """core._eval_ast as it was: through omega_power, multiply and a sum
+    from 0."""
+    kind = ast[0]
+    if kind == "nat":
+        return Ordinal(ast[1])
+    if kind == "w":
+        return OMEGA
+    if kind == "var":
+        if n is None:
+            raise ParseError("variable n outside template", ast[1])
+        return Ordinal(n)
+    if kind == "add":
+        value = ZERO
+        for term in ast[1]:
+            value = add(value, _reference_eval(term, n))
+        return value
+    _, exp_ast, coeff_ast, pos = ast
+    base = omega_power(ONE if exp_ast is None else _reference_eval(exp_ast, n))
+    if coeff_ast is None:
+        return base
+    coeff = _reference_eval(coeff_ast, n)
+    if not coeff.is_nat() or coeff.nat_value() < 1:
+        raise ParseError("coefficient must be a natural number >= 1", pos)
+    return multiply(base, coeff)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the ParseError's message and position."""
+    try:
+        return fn(*args)
+    except ParseError as error:
+        return ("error", str(error), error.position)
+
+
+def _expr_ast(lexer, text):
+    lx = lexer(text)
+    ast = core._parse_expr(lx)
+    if lx.peek() is not None:
+        raise ParseError("trailing input", lx.pos)
+    return ast
+
+
+def _bounds_asts(lexer, text):
+    with mock.patch.object(core, "_Lexer", lexer):
+        return core._parse_bounds(text)
+
+
+def _same_as_reference(text, bounds=False):
+    """Both lexers give ``text`` the same AST, positions included, or the
+    same ParseError; the AST's values equal the old evaluation's."""
+    read = _bounds_asts if bounds else _expr_ast
+    got = _outcome(read, core._Lexer, text)
+    assert got == _outcome(read, _ReferenceLexer, text)
+    if got and got[0] == "error":  # an empty set text reads as no bounds
+        return got
+    asts = [bound for pair in got for bound in pair] if bounds else [got]
+    for ast in asts:
+        for n in (None, 0, 1, 3):
+            got_terms = _outcome(lambda: core._eval_ast(ast, n).terms)
+            assert got_terms == _outcome(lambda: _reference_eval(ast, n).terms)
+    return got
+
+
+_EDIT_CHARS = [None, *" \t\n[](),^*+wn0123456789x"]
+
+
+@st.composite
+def _spaced(draw, text):
+    """``text`` with runs of spaces and tabs drawn between its tokens."""
+    tokens = re.findall(r"[0-9]+|.", text)
+    gaps = draw(st.lists(st.text(" \t", max_size=3), min_size=len(tokens) + 1,
+                         max_size=len(tokens) + 1))
+    return "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
+
+
+_expression_texts = st.one_of(
+    nested_ordinals().map(fmt),
+    tail_templates(),
+).flatmap(_spaced)
+
+
+def _edited(data, text):
+    at = data.draw(st.integers(0, len(text)))
+    insert = data.draw(st.sampled_from(_EDIT_CHARS))
+    return text[:at] + text[at + 1:] if insert is None else text[:at] + insert + text[at:]
+
+
+class TestLexerReference:
+    """The one-token-ahead lexer against the lexer it replaced, and the
+    direct term building against the old evaluation."""
+
+    @given(_expression_texts)
+    def test_spaced_expressions(self, text):
+        assert _same_as_reference(text)[0] == "add"
+
+    @given(_expression_texts, st.data())
+    def test_one_character_edits(self, text, data):
+        _same_as_reference(_edited(data, text))
+        _same_as_reference(_edited(data, _edited(data, text)))
+
+    @given(st.one_of(interval_set_texts(), interval_set_texts(template=True)), st.data())
+    def test_interval_set_texts(self, text, data):
+        _same_as_reference(text, bounds=True)
+        _same_as_reference(_edited(data, text), bounds=True)
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("1 2", ("trailing input", 2)),
+            ("w^(1  ", ("expected ')'", 6)),
+            ("1\n", ("trailing input", 1)),
+            ("w *  (0)", None),
+            ("w\t^\t2\t*\t3\t+\t1", None),
+            ("w^2 + 1   ", None),
+            ("\t w \t", None),
+            ("", ("expected a term", 0)),
+            ("  ", ("expected a term", 2)),
+            ("w^ ", ("expected an exponent atom", 3)),
+            ("w * 0", ("coefficient 0 is not allowed", 4)),
+            ("(1)", ("expected a term", 0)),
+            ("w^(1) 7", ("trailing input", 6)),
+        ],
+    )
+    def test_pinned_texts(self, text, error):
+        got = _same_as_reference(text)
+        if error is None:
+            assert got[0] == "add"
+        else:
+            message, position = error
+            assert got == ("error", f"{message} (at position {position})", position)
+
+    def test_zero_coefficient_in_parentheses(self):
+        # the AST is built; the evaluation refuses the coefficient at the term
+        with pytest.raises(ParseError, match=r"^coefficient must be a natural number >= 1 "
+                                             r"\(at position 0\)$"):
+            parse("w *  (0)")
+
+    def test_deepest_nest_with_spaces(self):
+        text = " w ^ ( " * MAX_NESTING + " 1 " + " ) " * MAX_NESTING
+        assert _same_as_reference(text)[0] == "add"
+        assert parse(text) == parse(_nested(MAX_NESTING))
+        deeper = " w ^ ( " + text + " ) "
+        got = _same_as_reference(deeper)
+        assert got == ("error", f"more than {MAX_NESTING} nested parentheses "
+                                f"(at position {7 * MAX_NESTING + 5})", 7 * MAX_NESTING + 5)
+
+
+class TestParseCost:
+    """Parsing builds CNF terms directly: no product, and one sum per ``+``
+    (counted calls, no time bound)."""
+
+    def test_calls_per_text(self, monkeypatch):
+        counts = {"add": 0, "multiply": 0}
+
+        def counted(name):
+            fn = getattr(core, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(core, name, counted(name))
+        text = "w^(w^2*3+1)*5 + w*2 + 7"
+        assert fmt(parse(text)) == "w^(w^2*3 + 1)*5 + w*2 + 7"
+        assert counts == {"add": text.count("+"), "multiply": 0}
 
 
 class TestFormat:

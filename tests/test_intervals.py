@@ -1,5 +1,3 @@
-import re
-
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -23,7 +21,7 @@ from ordkit.intervals import (
     parse_interval_set,
 )
 
-from strategies import flat_ordinals, nested_ordinals, paired_off
+from strategies import flat_ordinals, interval_set_texts, nested_ordinals, paired_off
 
 
 def o(text):
@@ -392,34 +390,18 @@ def _same_parse(text, template=False):
     return got
 
 
-@st.composite
-def _set_texts(draw, template=False):
-    """A rendered multi-interval set with spaces and tabs between tokens;
-    a template replaces some numbers with ``n`` or ``(n+1)``."""
-    bounds = draw(st.lists(nested_ordinals(), max_size=8))
-    text = format_interval_set(OrdinalSet(paired_off(bounds)))
-    tokens = re.findall(r"[0-9]+|.", text)
-    if template:
-        tokens = [
-            draw(st.sampled_from([t, t, "n", "(n+1)"])) if t.isdigit() else t for t in tokens
-        ]
-    gaps = draw(st.lists(st.text(" \t", max_size=2), min_size=len(tokens) + 1,
-                         max_size=len(tokens) + 1))
-    return "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1]
-
-
 class TestParserReference:
     """parse_interval_set on core's lexer against the scanner it replaced."""
 
-    @given(_set_texts())
+    @given(interval_set_texts())
     def test_plain_texts(self, text):
         assert _same_parse(text) is not ParseError
 
-    @given(_set_texts(template=True))
+    @given(interval_set_texts(template=True))
     def test_template_texts(self, text):
         _same_parse(text, template=True)
 
-    @given(_set_texts(), st.data())
+    @given(interval_set_texts(), st.data())
     def test_one_character_edits(self, text, data):
         at = data.draw(st.integers(0, len(text)))
         insert = data.draw(st.sampled_from([None, *"[](),^*+wn0123456789"]))
