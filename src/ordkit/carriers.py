@@ -9,8 +9,10 @@ extended by zero beyond the target's length.  That rule lives in one
 place: :meth:`Piece.image`, :meth:`Piece.preimage` and
 :meth:`Piece.overflow` for sets (and ``_evaluate`` for single points);
 ``image_of``, ``preimage_of``, :meth:`CarrierMap.fiber` and the
-finite-to-one transfer are built on them.  This class is closed under
-image, preimage, restriction and difference, with computable order types.
+finite-to-one transfer are built on them.  The image step itself is
+``intervals.monotone_image``, which :mod:`eventual` runs on tail forms.
+This class is closed under image, preimage, restriction and difference,
+with computable order types.
 
 :class:`SurjectionFamily` presents a surjection f: omega x M -> alpha by
 rows (finitely many explicit rows plus an optional parametric tail), and
@@ -49,7 +51,7 @@ from .errors import (
     TailLimitUndecided,
 )
 from .eventual import settle_point
-from .intervals import OrdinalSet, parse_interval_set
+from .intervals import ORDINALS, OrdinalSet, monotone_image, parse_interval_set
 
 __all__ = [
     "Carrier",
@@ -180,7 +182,6 @@ class Piece:
             return carrier.block_positions(self.label)
         return self.dom
 
-    # on a whole block, eventual._Row.monotone_image repeats these tests; keep in step
     def image(self, carrier: Carrier, part: OrdinalSet) -> OrdinalSet:
         """The values the piece takes on ``part``, a nonempty subset of its
         domain: a monotone piece's target elements at the positions of
@@ -188,10 +189,10 @@ class Piece:
         if self.kind == "constant":
             return OrdinalSet.point(self.value)
         positions = self.domain_in(carrier).positions_of(part)
-        values = self.target.select_positions(positions)
-        if positions.intervals[-1][1].key > self.target.order_type().key:
-            values = values.union(OrdinalSet.point(ZERO))
-        return values
+        target = self.target
+        return OrdinalSet._of(
+            monotone_image(ORDINALS, target.intervals, target.order_type(), positions.intervals)
+        )
 
     def preimage(self, carrier: Carrier, values: OrdinalSet) -> OrdinalSet:
         """The domain positions the piece sends into ``values``."""
@@ -258,7 +259,6 @@ class BlockwiseMap:
         return all(self.gap(carrier, label).is_empty() for label in carrier.labels)
 
 
-# eventual.settle_point repeats this union on tail forms; keep in step
 def image_of(
     map_: BlockwiseMap, carrier: Carrier, restriction: Optional[dict] = None
 ) -> OrdinalSet:
@@ -424,13 +424,12 @@ class SurjectionFamily:
             self._row_cache[n] = self.tail_rule(n)
         return self._row_cache[n]
 
-    # eventual.settle_point repeats this bound test on tail forms; keep in step
     def row_image(self, n: int) -> OrdinalSet:
         """The image of row n; one that leaves [0, alpha) is an error."""
         image = self._image_cache.get(n)
         if image is None:
             image = image_of(self.row(n), self.carrier)
-            if image and image.intervals[-1][1].key > self.alpha.key:
+            if image and ORDINALS.lt(self.alpha, image.intervals[-1][1]):
                 raise CoverageBroken(f"row {n} maps outside [0, {fmt(self.alpha)})")
             self._image_cache[n] = image
         return image

@@ -9,16 +9,14 @@ coefficient >= 1, exponents strictly decreasing) from some ``n`` on; two
 different forms then differ for all large ``n``.
 
 :class:`_Row` builds and images a row on eventual forms.  It runs the
-interval steps of :mod:`intervals` as their bound type, and repeats the
-rest: :mod:`core`'s ``add``, ``left_subtract`` and template evaluation
-with its "coefficient must be >= 1" check (another term representation),
-``Piece.image`` on a whole block, ``image_of``'s union across blocks and
-``row_image``'s bound against alpha (which call ``OrdinalSet``'s
-methods).  Each of those names its counterpart here: the two must make
-the same tests in the same order.  A comparison ``a < b`` (or ``<=``,
-``==``, ...) returns its final outcome, the one it has for all large
-``n``, and raises ``_Row.at`` to the least ``n`` from which it has that
-outcome.  From ``at`` on, every concrete row takes the same steps, so its
+interval steps of :mod:`intervals`, ``Piece.image``'s among them, as
+their bound type, and repeats :mod:`core`'s ``add``, ``left_subtract``
+and template evaluation with its "coefficient must be >= 1" check
+(another term representation).  Each of those names its counterpart
+here: the two must make the same tests in the same order.  A comparison
+``a < b`` (or ``<=``, ``==``, ...) returns its final outcome, the one it
+has for all large ``n``, and raises ``_Row.at`` to the least ``n`` from
+which it has that outcome.  From ``at`` on, every concrete row takes the same steps, so its
 image and its order type keep one CNF shape with coefficients affine in
 ``n``, and a check that raises there raises on every later row.
 """
@@ -26,16 +24,15 @@ image and its order type keep one CNF shape with coefficients affine in
 from __future__ import annotations
 
 from functools import cmp_to_key
-from operator import eq, gt, lt
+from operator import eq, ge, gt, lt
 
-from .intervals import canonical, order_type, select_positions, union
+from .intervals import canonical, monotone_image, order_type, point, union
 
 __all__ = ["settle_point", "TailImage"]
 
 _ZERO = ()
 _ONE = ((_ZERO, (0, 1)),)
 _OMEGA = ((_ONE, (0, 1)),)
-_POINT_ZERO = ((_ZERO, _ONE),)
 
 
 def _lift(x) -> tuple:
@@ -123,6 +120,7 @@ class _Row:
     # -- the bound type of intervals' steps (see intervals) ---------------------
 
     zero = _ZERO
+    one = _ONE
 
     def lt(self, x: tuple, y: tuple) -> bool:
         """The final outcome of ``x < y``."""
@@ -195,17 +193,6 @@ class _Row:
             raise _Raises
         return ((exp, coeff[0][1]),)
 
-    # -- carriers ---------------------------------------------------------------
-
-    def monotone_image(self, target: tuple, length: tuple) -> tuple:
-        """``Piece.image`` of a monotone piece on a whole block of order type
-        ``length``: the prefix of that length of the target, and 0 where
-        the block runs past the target."""
-        values = select_positions(self, target, ((_ZERO, length),))
-        if self.lt(order_type(self, target), length):
-            values = union(self, values, _POINT_ZERO)
-        return values
-
 
 class TailImage:
     """The image of every tail row from ``start`` on, as the eventual forms
@@ -230,16 +217,13 @@ class TailImage:
         target, key = _lift(s), s.key
         best = None
         for lo, hi in self.intervals:
-            sign, since = _compare(hi, target, floor)
-            if sign < 0:
+            # hi rises, so it reaches s from the row where the test settles
+            row = _Row(floor)
+            if not row.holds(ge, hi, target):
                 continue
-            # hi rises, so it first reaches s at ``since``, or one row
-            # before, where it may equal s
-            if since > floor and _key(hi, since - 1) == key:
-                since -= 1
-            # lo does not fall: past ``since`` it is no lower
-            if _key(lo, since) < key and (best is None or since < best):
-                best = since
+            # lo does not fall: past that row it is no lower
+            if _key(lo, row.at) < key and (best is None or row.at < best):
+                best = row.at
         return best
 
 
@@ -272,11 +256,12 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> tuple:
             if label not in block_types:
                 raise _Raises
             if kind == "monotone":
-                piece_image = row.monotone_image(value, _lift(block_types[label]))
+                block = ((_ZERO, _lift(block_types[label])),)  # all its positions
+                piece_image = monotone_image(row, value, order_type(row, value), block)
             else:
-                piece_image = ((value, row.add(value, _ONE)),)
+                piece_image = point(row, value)
             image = union(row, image, piece_image)
-        if image and row.holds(gt, image[-1][1], _lift(alpha)):
+        if image and row.lt(_lift(alpha), image[-1][1]):
             raise _Raises
         order_type(row, image)  # its comparisons fix the shape of the row's delta
     except _Raises:

@@ -11,8 +11,9 @@ serves parsed text, carriers and user code.  The set operations build
 their results canonical by construction (sorted, nonempty, and each
 ``hi`` strictly below the next ``lo``) and hand them to the private
 ``OrdinalSet._of``, which trusts its input and checks nothing.  Bounds
-compare by :attr:`Ordinal.key`.  Five of its steps are written once, for
-ordinals and for the tail forms of :mod:`eventual` alike (see below).
+compare by :attr:`Ordinal.key`.  Seven of its steps, the image of a
+monotone piece among them, are written once, for ordinals and for the
+tail forms of :mod:`eventual` alike (see below).
 
 The text form ``[lo,hi),[lo,hi)`` is written by
 :func:`format_interval_set` and read by :func:`parse_interval_set`, whose
@@ -48,7 +49,8 @@ def _check_bounds(lo, hi) -> tuple:
 # whose every comparison settles where it is made.  It supplies ``b.lt``, the
 # only comparison (``x <= y`` is asked as ``not b.lt(y, x)``, one test on the
 # same pair), ``b.add``, ``b.subtract`` (left subtraction of ``x <= y``),
-# ``b.zero`` and ``b.lo_key``, a sort key of an interval by its lower bound.
+# ``b.zero``, ``b.one`` and ``b.lo_key``, a sort key of an interval by its
+# lower bound.
 
 
 def canonical(b, pairs: Iterable) -> tuple:
@@ -114,6 +116,21 @@ def select_positions(b, s: tuple, positions: tuple) -> tuple:
     return tuple(out)
 
 
+def point(b, x) -> tuple:
+    """The singleton ``{x}``."""
+    return ((x, b.add(x, b.one)),)
+
+
+def monotone_image(b, target: tuple, length, positions: tuple) -> tuple:
+    """The values of a monotone piece at ``positions`` (nonempty) of its
+    domain: the elements of ``target``, of order type ``length``, at those
+    positions, and 0 where a position lies past that length."""
+    values = select_positions(b, target, positions)
+    if b.lt(length, positions[-1][1]):
+        values = union(b, values, point(b, b.zero))
+    return values
+
+
 def _lt(x: Ordinal, y: Ordinal) -> bool:
     # built keys are read from their slots, skipping the property call
     kx, ky = x._key, y._key
@@ -125,7 +142,7 @@ def _lt(x: Ordinal, y: Ordinal) -> bool:
 # sees these calls too
 ORDINALS = SimpleNamespace(
     lt=_lt, add=lambda x, y: add(x, y), subtract=lambda x, y: left_subtract(x, y),
-    zero=ZERO, lo_key=lambda pair: pair[0]._key or pair[0].key,
+    zero=ZERO, one=ONE, lo_key=lambda pair: pair[0]._key or pair[0].key,
 )
 
 
@@ -157,7 +174,7 @@ class OrdinalSet:
     @classmethod
     def point(cls, x: Ordinal) -> "OrdinalSet":
         _check_bounds(x, x)
-        return cls._of(((x, add(x, ONE)),))
+        return cls._of(point(ORDINALS, x))
 
     @property
     def intervals(self) -> tuple:

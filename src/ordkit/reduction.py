@@ -577,21 +577,19 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
         raise BoundViolation("bound must be at most alpha")
     if bound.is_zero():
         raise BoundViolation("bound 0 leaves no target to verify")
-    want = OrdinalSet.interval(ZERO, bound)
-    covered = OrdinalSet()
+    rest = OrdinalSet.interval(ZERO, bound)  # the targets no row has covered yet
     scan = _row_scan(result.fam)
     first_covers = []  # (row, the targets it covers first)
     for n in itertools.count():
-        rest = want.difference(covered)
         if rest.is_empty():
             break
         if n >= scan and not _still_coverable(result.fam, rest, n):
             raise WitnessNotFound(f"rows 0..{n - 1} do not cover [0, {fmt(bound)})")
         if not result.fam.has_row(n):
             raise WitnessNotFound(f"targets below {fmt(bound)} not covered by {scan} rows")
-        fresh = result.fam.row_image(n).intersect(want).difference(covered)
+        fresh = result.fam.row_image(n).intersect(rest)
         first_covers.append((n, fresh))
-        covered = covered.union(fresh)
+        rest = rest.difference(fresh)
     report = VerificationReport(bound)
     for n, fresh in first_covers:
         for lo, hi in fresh.intervals:
@@ -1120,17 +1118,10 @@ def kuratowski_witness(g: Callable, carrier: Carrier, bound: int) -> list:
     points = carrier.sample_elements(_KURATOWSKI_SAMPLES)
     fibers = []
     for n in range(bound):
-        target = Ordinal(n)
-        witness = None
-        for x in points:
-            if compare(g(x), target) == 0:
-                witness = x
-                break
-        if witness is None:
+        fiber = QueryableSet(lambda x, target=Ordinal(n): compare(g(x), target) == 0)
+        if not any(map(fiber.contains, points)):
             raise EmptyFiber(f"no sampled preimage of {n}; g is not surjective")
-        fibers.append(
-            QueryableSet(lambda x, target=target: compare(g(x), target) == 0)
-        )
+        fibers.append(fiber)
     return fibers
 
 
@@ -1173,26 +1164,18 @@ def bits_to_ordinal(bits: Iterable) -> Ordinal:
 
 
 def _finite_strict_order_type(pairs: list) -> int:
-    field_points = set()
-    relation = set()
-    for a, b in pairs:
-        field_points.add(a)
-        field_points.add(b)
-        relation.add((a, b))
-    for a in field_points:
-        if (a, a) in relation:
-            return 0
-    for a in field_points:
-        for b in field_points:
-            if a == b:
-                continue
-            if ((a, b) in relation) == ((b, a) in relation):
-                return 0  # not total (or both directions present)
-    for a, b in relation:
-        for c in field_points:
-            if (b, c) in relation and (a, c) not in relation:
-                return 0  # not transitive
-    return len(field_points)
+    """The size of the field of ``pairs`` if they strictly and totally
+    order it, else 0.  They do just when the ranks (the number of points
+    related below a point) are distinct and ``a`` is related to ``b``
+    exactly when it ranks lower: ``k*(k-1)/2`` pairs, each rising."""
+    relation = set(pairs)
+    rank = dict.fromkeys(itertools.chain.from_iterable(relation), 0)
+    for _, b in relation:
+        rank[b] += 1
+    k = len(rank)
+    if len(set(rank.values())) != k or len(relation) != k * (k - 1) // 2:
+        return 0
+    return k if all(rank[a] < rank[b] for a, b in relation) else 0
 
 
 def wellorder_decode(code) -> Ordinal:

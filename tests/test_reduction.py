@@ -35,7 +35,7 @@ from ordkit.errors import (
     TailLimitUndecided,
     ToolkitError,
 )
-from ordkit.eventual import settle_point
+from ordkit.eventual import _key, settle_point
 from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import (
     _COVERAGE_WINDOW,
@@ -44,6 +44,7 @@ from ordkit.reduction import (
     RefutationWitness,
     Stage,
     _compute_delta,
+    _finite_strict_order_type,
     _KeptRows,
     _top_rows,
     bits_to_ordinal,
@@ -275,6 +276,33 @@ class TestFirstReach:
         row = BlockwiseMap([Piece("m", "monotone", target=OrdinalSet.interval(ZERO, OMEGA))])
         fam = SurjectionFamily(carrier, OMEGA, [row], tail=(1, lambda n: row))
         assert fam.first_reach(ONE, 1) is None
+
+
+class TestTailForms:
+    """A parsed tail's image forms, read at a row, against that row's image."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tail_instances())
+    def test_tail_forms_are_the_rows(self, drawn):
+        text, _ = drawn
+        try:
+            fam = parse_instance(text)
+        except ToolkitError:
+            event("refused")
+            return
+        if fam.tail_image is None:
+            event("no forms")
+            return
+        forms = fam.tail_image.intervals
+        for n in range(fam.tail_start, fam.tail_start + 40):
+            try:
+                image = fam.row_image(n)
+            except CoverageBroken:
+                event("leaves alpha")
+                return
+            assert [(lo.key, hi.key) for lo, hi in image.intervals] == [
+                (_key(lo, n), _key(hi, n)) for lo, hi in forms
+            ]
 
 
 # The settle point that eventual.settle_point replaced, kept as the
@@ -1476,7 +1504,68 @@ class TestKuratowski:
             kuratowski_witness(lambda x: ZERO, carrier, 2)
 
 
+def _three_pass_order_type(pairs: list) -> int:
+    """The strict-order check that the rank check replaced, kept as the
+    reference: irreflexive, then total and asymmetric, then transitive."""
+    field_points = set()
+    relation = set()
+    for a, b in pairs:
+        field_points.add(a)
+        field_points.add(b)
+        relation.add((a, b))
+    for a in field_points:
+        if (a, a) in relation:
+            return 0
+    for a in field_points:
+        for b in field_points:
+            if a == b:
+                continue
+            if ((a, b) in relation) == ((b, a) in relation):
+                return 0
+    for a, b in relation:
+        for c in field_points:
+            if (b, c) in relation and (a, c) not in relation:
+                return 0
+    return len(field_points)
+
+
+@st.composite
+def _near_orders(draw):
+    """A strict total order on a drawn list of points, with a few pairs
+    then removed, added or repeated."""
+    points = draw(st.lists(st.integers(0, 12), min_size=1, max_size=10, unique=True))
+    pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["remove", "add", "repeat"]))
+        if edit == "add":
+            pairs.append((draw(st.sampled_from(points)), draw(st.integers(0, 12))))
+        elif pairs:
+            pair = pairs[draw(st.integers(0, len(pairs) - 1))]
+            if edit == "remove":
+                pairs.remove(pair)
+            else:
+                pairs.append(pair)
+    return draw(st.permutations(pairs))
+
+
 class TestWellorderDecode:
+    def test_every_relation_on_four_points(self):
+        all_pairs = list(itertools.product(range(4), repeat=2))
+        for mask in range(1 << len(all_pairs)):
+            pairs = [pair for i, pair in enumerate(all_pairs) if mask >> i & 1]
+            assert _finite_strict_order_type(pairs) == _three_pass_order_type(pairs), pairs
+
+    @given(_near_orders())
+    def test_near_orders_match_the_three_pass_check(self, pairs):
+        expected = _three_pass_order_type(pairs)
+        event("order" if expected else "not an order")
+        assert _finite_strict_order_type(pairs) == expected
+
+    def test_long_chain(self):
+        chain = [(a, b) for a in range(300) for b in range(a + 1, 300)]
+        assert wellorder_decode(chain[::-1]) == Ordinal(300)
+        assert wellorder_decode(chain[1:]) == ZERO
+
     def test_finite_linear_order(self):
         assert wellorder_decode([(0, 1), (0, 2), (1, 2)]) == Ordinal(3)
 
