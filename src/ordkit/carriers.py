@@ -82,20 +82,18 @@ class Carrier:
             if shape.is_empty():
                 raise BoundViolation(f"block {label!r} has an empty shape")
         self.blocks = tuple(blocks)
+        self.labels = tuple(labels)
         self._ot = {label: shape.order_type() for label, shape in blocks}
-        offsets = {}
-        cum = ZERO
-        for label, _ in blocks:
-            offsets[label] = cum
-            cum = add(cum, self._ot[label])
-        self._offsets = offsets
-        self.order_type = cum
+        # each block's global positions [offset, end); the blocks tile
+        # [0, order_type) in order
+        self._spans = {}
+        end = ZERO
+        for label in labels:
+            offset, end = end, add(end, self._ot[label])
+            self._spans[label] = (offset, end)
+        self.order_type = end
         # OrdinalSet is immutable, so each block's set is built once and shared
         self._positions = {label: OrdinalSet.interval(ZERO, ot) for label, ot in self._ot.items()}
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.blocks)
 
     def block_positions(self, label: str) -> OrdinalSet:
         return self._positions[label]
@@ -114,24 +112,19 @@ class Carrier:
     def global_position(self, element) -> Ordinal:
         self.check_element(element)
         label, pos = element
-        return add(self._offsets[label], pos)
+        return add(self._spans[label][0], pos)
 
     def element_at(self, global_pos: Ordinal):
-        for label, _ in self.blocks:
-            off = self._offsets[label]
-            end = add(off, self._ot[label])
+        # the first block that ends past global_pos starts at or below it
+        for label, (off, end) in self._spans.items():
             if compare(global_pos, end) < 0:
-                if compare(off, global_pos) <= 0:
-                    return (label, left_subtract(off, global_pos))
-                break
+                return (label, left_subtract(off, global_pos))
         raise OutOfRangeError(f"global position {global_pos} out of range")
 
     def global_range_restriction(self, lo: Ordinal, hi: Ordinal) -> dict:
         """Per-block position sets for the global position window [lo, hi)."""
         out = {}
-        for label, _ in self.blocks:
-            off = self._offsets[label]
-            end = add(off, self._ot[label])
+        for label, (off, end) in self._spans.items():
             s_lo = lo if compare(lo, off) >= 0 else off
             s_hi = hi if compare(hi, end) <= 0 else end
             if compare(s_lo, s_hi) < 0:
@@ -449,10 +442,9 @@ class SurjectionFamily:
         """Make every explicit row image (each must stay inside [0, alpha));
         without a tail they must also cover [0, alpha).  Tail rows are
         checked as :meth:`row_image` makes them."""
-        union = OrdinalSet()
-        for n in range(len(self.rows)):
-            union = union.union(self.row_image(n))
+        images = [self.row_image(n) for n in range(len(self.rows))]
         if self.tail_rule is None:
+            union = functools.reduce(OrdinalSet.union, images, OrdinalSet())
             missing = OrdinalSet.interval(ZERO, self.alpha).difference(union)
             if missing:
                 raise CoverageBroken(
@@ -492,6 +484,21 @@ def _build_row(pieces: list, n: Optional[int]) -> BlockwiseMap:
         else:
             out.append(Piece(label, kind, value=_eval_ast(ast, n)))
     return BlockwiseMap(out)
+
+
+def _check_blocks(n: int, labels: list, carrier: Carrier):
+    """Row ``n``, whose pieces name ``labels`` in order, must give each
+    block of the carrier exactly one piece."""
+    seen = set()
+    for label in labels:
+        if label not in carrier.labels:
+            raise ParseError(f"row {n} names unknown block {label!r}")
+        # a piece covers its whole block, so a second one would overlap it
+        if label in seen:
+            raise ParseError(f"row {n} gives block {label!r} more than one piece")
+        seen.add(label)
+    if len(seen) != len(carrier.labels):
+        raise ParseError(f"row {n} does not cover every block")
 
 
 def _nat(text: str, context: str) -> int:
@@ -570,6 +577,7 @@ def parse_instance(text: str) -> SurjectionFamily:
     for i in range(len(rows)):
         if i not in rows:
             raise ParseError(f"row {i} is missing (rows must be consecutive from 0)")
+        _check_blocks(i, [piece.label for piece in rows[i].pieces], carrier)
         row_maps.append(rows[i])
     tail_image = None
     if tail is not None:
@@ -578,6 +586,8 @@ def parse_instance(text: str) -> SurjectionFamily:
             raise ParseError(
                 f"tail starts at {start} but explicit rows end at {len(row_maps) - 1}"
             )
+        # every tail row has the pieces' labels, so row start speaks for all
+        _check_blocks(start, [label for label, _, _ in pieces], carrier)
         settle, tail_image = settle_point(start, pieces, carrier._ot, alpha)
         if settle - start > _MAX_SETTLE + 1:
             raise TailLimitUndecided(
@@ -586,17 +596,6 @@ def parse_instance(text: str) -> SurjectionFamily:
         rule = functools.partial(_build_row, pieces)
         row_maps += [rule(n) for n in range(start, settle)]
         tail = (settle, rule)
-    for n, row in enumerate(row_maps):
-        seen = set()
-        for piece in row.pieces:
-            if piece.label not in carrier.labels:
-                raise ParseError(f"row {n} names unknown block {piece.label!r}")
-            # a piece covers its whole block, so a second one would overlap it
-            if piece.label in seen:
-                raise ParseError(f"row {n} gives block {piece.label!r} more than one piece")
-            seen.add(piece.label)
-        if len(seen) != len(carrier.labels):
-            raise ParseError(f"row {n} does not cover every block")
     return SurjectionFamily(carrier, alpha, row_maps, tail, tail_image)
 
 

@@ -417,11 +417,7 @@ class OmegaPowerBijection:
             return v
 
         def in_power_range(v: Ordinal) -> bool:
-            return (
-                len(v.terms) == 1
-                and v.terms[0][1] == 1
-                and compare(v.terms[0][0], alpha) < 0
-            )
+            return _is_omega_power(v) and compare(v.degree, alpha) < 0
 
         self._csb = CsbBijection(
             MapSpec(encode, in_encode_range, decode, "digit-code"),

@@ -16,9 +16,14 @@ and template evaluation with its "coefficient must be >= 1" check
 here: the two must make the same tests in the same order.  A comparison
 ``a < b`` (or ``<=``, ``==``, ...) returns its final outcome, the one it
 has for all large ``n``, and raises ``_Row.at`` to the least ``n`` from
-which it has that outcome.  From ``at`` on, every concrete row takes the same steps, so its
-image and its order type keep one CNF shape with coefficients affine in
-``n``, and a check that raises there raises on every later row.
+which it has that outcome.  From ``at`` on, every concrete row takes the
+same steps, so its image and its order type keep one CNF shape with
+coefficients affine in ``n``, and a check that raises there raises on
+every later row.
+
+The parser checks a tail's block names once, as its first row, before it
+asks where the tail settles, so this module reads only the blocks' order
+types and never which blocks a carrier has.
 """
 
 from __future__ import annotations
@@ -234,13 +239,13 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> tuple:
     start`` from which every comparison and every raising check made while
     building and imaging row ``n`` has its final outcome.  ``image`` is a
     :class:`TailImage` valid from ``point`` on, or None when a check fails
-    for good, or when a piece names a block that ``block_types`` lacks.
+    for good.
 
     ``pieces`` are the row's ``(label, kind, ast)`` triples (see
-    ``carriers._parse_piece``), ``block_types`` the carrier's block order
-    types by label.  The rows before ``point`` are read as explicit rows;
-    a check that fails for good already fails on the last of them, and so
-    does an unknown block, on the first.
+    ``carriers._parse_piece``), one on each block, as the parser has
+    checked; ``block_types`` holds the carrier's block order types by
+    label.  The rows before ``point`` are read as explicit rows; a check
+    that fails for good already fails on the last of them.
     """
     row = _Row(start)
     try:
@@ -253,8 +258,6 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> tuple:
                 built.append((label, kind, row.evaluate(ast)))
         image: tuple = ()
         for label, kind, value in built:
-            if label not in block_types:
-                raise _Raises
             if kind == "monotone":
                 block = ((_ZERO, _lift(block_types[label])),)  # all its positions
                 piece_image = monotone_image(row, value, order_type(row, value), block)

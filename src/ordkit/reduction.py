@@ -212,11 +212,13 @@ class ReductionResult:
             self.case_taken = ("case2", None)
             self.beta = omega_power(delta)
             self._bij = OmegaPowerBijection(delta, fuel=_FUEL)
+            # the reserve zone Z is [beta, beta*2)
+            self._zone_end = multiply(self.beta, Ordinal(2))
             theta = self.carrier.order_type
-            if compare(theta, multiply(self.beta, Ordinal(2))) < 0:
+            if compare(theta, self._zone_end) < 0:
                 raise PreconditionViolated(
                     "carrier order type must reach w**delta * 2 "
-                    f"(need {fmt(multiply(self.beta, Ordinal(2)))}, have {fmt(theta)})"
+                    f"(need {fmt(self._zone_end)}, have {fmt(theta)})"
                 )
             full = self.carrier.full_restriction()
             # every chunk lies in the reserve zone Z and every B_n contains
@@ -224,9 +226,7 @@ class ReductionResult:
             # row strong on M \ Z is strong on every B_n, and a row weak on
             # Z is weak on every chunk.  Both answers are kept per row, by
             # caches over locals: one over self would keep it in a cycle.
-            zone = self.carrier.global_range_restriction(
-                self.beta, multiply(self.beta, Ordinal(2))
-            )
+            zone = self.carrier.global_range_restriction(self.beta, self._zone_end)
             outside = {label: full[label].difference(zone[label]) for label in full}
             self._strong_outside = cache(lambda j: kept.strong(j, outside))
             self._strong_on_zone = cache(lambda j: kept.strong(j, zone))
@@ -324,9 +324,9 @@ class ReductionResult:
             value = self._kept.row(k)(self.carrier, element)
             return self._kept.image(k).locate(value)
         p = self.carrier.global_position(element)
-        if compare(p, self.beta) < 0 or compare(left_subtract(self.beta, p), self.beta) >= 0:
-            # outside the reserve zone [beta, beta*2), so inside every B_n:
-            # the glued map sends it to zero
+        if compare(p, self.beta) < 0 or compare(p, self._zone_end) >= 0:
+            # outside the reserve zone, so inside every B_n: the glued map
+            # sends it to zero
             return self._bij.down(ZERO)
         # the chunks are adjacent and increasing
         stage = self._first_stage(fuel, p, attrgetter("chunk_hi"))
@@ -474,21 +474,20 @@ class _KeptRows:
         return compare(image.order_type(), self.delta(j)) == 0
 
 
-def _compute_delta(fam: SurjectionFamily, kept: _KeptRows) -> tuple:
+def _compute_delta(fam: SurjectionFamily) -> tuple:
     """(delta, attained_kept_index or None) over the filtered rows."""
-    # kept rows among the explicit (non-tail) originals
-    explicit_kept = sum(fam.delta(n).is_infinite() for n in range(len(fam.rows)))
+    # the kept rows among the explicit (non-tail) originals, in order
+    explicit = [d for d in map(fam.delta, range(len(fam.rows))) if d.is_infinite()]
     best = ZERO
     best_at = None
-    for j in range(explicit_kept):
-        d = kept.delta(j)
+    for j, d in enumerate(explicit):
         if compare(d, best) > 0:
             best, best_at = d, j
     if fam.tail_rule is not None:
         limit, attained = ordinal_sequence_limit(fam.delta, fam.tail_start)
         if limit.is_infinite() and compare(limit, best) > 0:
             # every tail row has the shape of the first, so all are kept
-            return limit, (explicit_kept if attained else None)
+            return limit, (len(explicit) if attained else None)
     if best_at is None:
         raise PreconditionViolated("no rows with infinite order type")
     return best, best_at
@@ -503,13 +502,12 @@ def reduce_omega_product(fam: SurjectionFamily) -> ReductionResult:
     stage from the carrier's reserve zone, each chunk isomorphic to
     [0, beta_n), and glues the stage maps with zero on the intersection.
     """
-    kept = _KeptRows(fam)
-    delta, attained_at = _compute_delta(fam, kept)
+    delta, attained_at = _compute_delta(fam)
     if compare(delta, OMEGA) <= 0:
         raise PreconditionViolated(
             f"delta = {fmt(delta)} must exceed w for the reduction"
         )
-    result = ReductionResult(fam, kept, delta, attained_at)
+    result = ReductionResult(fam, _KeptRows(fam), delta, attained_at)
     if result.case_taken[0] == "case2":
         result.ensure_stage(2)  # materialize the first stages eagerly
     return result
@@ -838,10 +836,15 @@ class _SampleAnswers:
         self._index, self._memo = {}, {}
 
 
-def _listing_pairs(bound: int):
-    """The first `bound` pairs (n, i) in diagonal order."""
-    diagonal = ((n, level - n) for level in itertools.count() for n in range(level + 1))
-    return itertools.islice(diagonal, bound)
+def _listing_pairs(bound: int, width: int):
+    """The pairs (n, i) with i < ``width`` among the first ``bound`` pairs in
+    diagonal order, where (n, level - n) is pair level*(level+1)/2 + n."""
+    for level in itertools.count():
+        first = level * (level + 1) // 2
+        if first >= bound:
+            return
+        for n in range(max(0, level - width + 1), min(level + 1, bound - first)):
+            yield n, level - n
 
 
 def _check_table(carrier: Carrier, table: list, answers: _SampleAnswers, check_bound: int) -> dict:
@@ -913,9 +916,7 @@ def _refutation(
         if found is None:
             raise WitnessNotFound(f"cannot separate the {missed_name} from table entry {i}")
         distinguishers.append(("table", i, *found, entry))
-    for n, q_idx in _listing_pairs(check_bound):
-        if q_idx >= len(points):
-            continue
+    for n, q_idx in _listing_pairs(check_bound, len(points)):
         listed = listed_at(n, points[q_idx])
         found = separate(listed, search(n, q_idx))
         if found is None:
@@ -962,13 +963,12 @@ def refute_powerset(
         return table[collapse(x)]
 
     missed = cantor_diagonal(listing, carrier, answers.ask)
-    pairs = list(_listing_pairs(check_bound))
 
     def table_search(i: int):
         # a code point whose collapsed index is i separates the diagonal
         # from table[i]; the samples are the fallback
-        for n, q_idx in pairs:
-            if q_idx < len(points) and induced(n, points[q_idx]) == i:
+        for n, q_idx in _listing_pairs(check_bound, len(points)):
+            if induced(n, points[q_idx]) == i:
                 yield _code_point(carrier, n, points[q_idx])
                 break
         yield from points

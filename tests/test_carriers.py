@@ -1,4 +1,5 @@
 import itertools
+import re
 from operator import attrgetter
 
 import hypothesis.strategies as st
@@ -62,6 +63,19 @@ class TestCarrier:
         assert carrier.element_at(o("w*2")) == ("b", OMEGA)
         with pytest.raises(OutOfRangeError):
             carrier.element_at(o("w^2"))
+
+    def test_stored_spans_need_no_sums(self, monkeypatch):
+        # each block's [offset, end) is stored once: reading positions back
+        # and cutting windows adds no ordinals
+        carrier = Carrier([("a", iv("0", "3")), ("b", iv("0", "w")), ("c", iv("0", "w^2"))])
+        assert carrier.labels == ("a", "b", "c") and carrier.labels is carrier.labels
+        monkeypatch.setattr("ordkit.carriers.add", None)
+        assert carrier.element_at(Ordinal(2)) == ("a", Ordinal(2))
+        assert carrier.element_at(Ordinal(5)) == ("b", Ordinal(2))
+        assert carrier.element_at(o("w+3")) == ("c", Ordinal(3))
+        assert carrier.element_at(o("w*2+1")) == ("c", o("w+1"))
+        window = carrier.global_range_restriction(ONE, o("w*3"))
+        assert window == {"a": iv("1", "3"), "b": iv("0", "w"), "c": iv("0", "w*2")}
 
     @given(nested_ordinals())
     def test_first_block_keeps_the_position(self, pos):
@@ -472,6 +486,24 @@ class TestSurjectionFamily:
         with pytest.raises(CoverageBroken):
             fam.check_coverage()
 
+    def test_coverage_unions_only_without_a_tail(self, monkeypatch):
+        # with a tail the union of the explicit rows is never read, but
+        # each explicit row is still checked against alpha
+        carrier = Carrier([("m", iv("0", "w"))])
+        row = BlockwiseMap([Piece("m", "monotone", target=iv("0", "w"))])
+        outside = BlockwiseMap([Piece("m", "monotone", target=iv("w", "w*2"))])
+        with pytest.raises(CoverageBroken, match="row 1 maps outside"):
+            SurjectionFamily(carrier, OMEGA, [row, outside], tail=(2, lambda n: row)).check_coverage()
+        unions = []
+        union = OrdinalSet.union
+        monkeypatch.setattr(OrdinalSet, "union", lambda *args: unions.append(1) or union(*args))
+        for tail, made in ((2, lambda n: row), 0), (None, 2):
+            fam = SurjectionFamily(carrier, OMEGA, [row, row], tail=tail)
+            fam.row_image(0), fam.row_image(1)  # imaging a row makes unions of its own
+            unions.clear()
+            fam.check_coverage()
+            assert len(unions) == made
+
     def test_tail_row_outside_alpha_rejected(self):
         carrier = Carrier([("m", iv("0", "w^w"))])
         target = parse_interval_set("[0,w^n)", template=True)
@@ -576,6 +608,27 @@ class TestInstanceFiles:
         # each piece of a file covers its whole block, so two always overlap
         with pytest.raises(ParseError, match="more than one piece"):
             parse_instance("carrier: m:[0,w^3)\nalpha: w^2\n" + rows + "\n")
+
+    @pytest.mark.parametrize(
+        "rows,error",
+        [
+            (
+                "row 0: zz -> constant 0\ntail: n >= 1: m -> monotone [0,w^n) ; k -> constant 0",
+                "row 0 names unknown block 'zz'",
+            ),
+            (
+                "tail: n >= 0: m -> monotone [0,w^n) ; m -> constant 0",
+                "row 0 gives block 'm' more than one piece",
+            ),
+            ("tail: n >= 0: m -> monotone [0,w^n)", "row 0 does not cover every block"),
+        ],
+    )
+    def test_block_names_checked_before_settling(self, rows, error):
+        # each tail of w^n under alpha w^5000 settles past the 4096-row
+        # limit; the block names are checked first, and name the row at fault
+        text = "carrier: m:[0,w^(w^w)*2); k:[0,w)\nalpha: w^5000\n" + rows + "\n"
+        with pytest.raises(ParseError, match=re.escape(error)):
+            parse_instance(text)
 
     def test_tail_rows_validated_at_start(self):
         with pytest.raises(ParseError):

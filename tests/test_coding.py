@@ -548,6 +548,10 @@ class TestFinEncode:
             members = [Ordinal(i) for i in reversed(range(n))]
             assert fin_decode(OMEGA, fin_encode(OMEGA, members)) == members
 
+    def test_decode_rejects_a_code_at_alpha(self):
+        # every code lies below alpha, so alpha itself decodes to nothing
+        assert fin_decode(OMEGA, OMEGA) is None
+
     def test_encode_refuses_a_code_past_the_size_limit(self):
         # the code at least doubles per member: {0..15} takes 41,594 bits
         # and codes, {0..16} would take 83,187 and is refused
@@ -691,6 +695,19 @@ class TestPsetToInfpset:
         assert kind == "infinite"
         members = {enum(k) for k in range(30)}
         assert len(members) == 30 and all(image.contains(m) for m in members)
+
+    def test_finite_set_enumerates_its_complement(self):
+        # a finite input's certificate lists the codes (z, 1) for the
+        # naturals z outside it, skipping 0 and 3
+        alpha = OMEGA
+        listed = (Ordinal(3), ZERO)
+        finite_set = QueryableSet(lambda x: x in listed, ("finite", listed))
+        image = pset_to_infpset(alpha, finite_set)
+        kind, enum = image.certificate
+        assert kind == "infinite"
+        members = [enum(k) for k in range(20)]
+        assert len(set(members)) == 20 and all(image.contains(m) for m in members)
+        assert [pair_decode(alpha, m)[0].nat_value() for m in members[:4]] == [1, 2, 4, 5]
 
     def test_injectivity_witness(self):
         alpha = OMEGA

@@ -201,7 +201,7 @@ class TestTailSupremum:
             fam.delta, late
         )
         kept = _KeptRows(fam)
-        delta, attained_at = _compute_delta(fam, kept)
+        delta, attained_at = _compute_delta(fam)
         for n in range(start, late + 1):
             assert fam.delta(n) <= delta if attained_at is not None else fam.delta(n) < delta
         if attained_at is not None:
@@ -344,7 +344,7 @@ def _settle_answers(path, bound):
     error name), and the exit status and stdout of reduce --verify-below."""
     try:
         fam = load_instance(path)
-        answer = _compute_delta(fam, _KeptRows(fam))
+        answer = _compute_delta(fam)
     except ToolkitError as error:
         answer = error.name
     buffer = io.StringIO()
@@ -468,7 +468,7 @@ class TestLiteralSettleReference:
                 load_instance(path)
         fam = load_instance(path)
         assert fam.tail_start == 2
-        assert _compute_delta(fam, _KeptRows(fam)) == (parse("w^w"), None)
+        assert _compute_delta(fam) == (parse("w^w"), None)
 
 
 class TestReduceCase1:
@@ -786,7 +786,7 @@ def _stage_records(cls, fam: SurjectionFamily, late: bool = False) -> list:
     as soon as it is built, or, when ``late``, after the last one; an error
     ends the list as its type and message."""
     kept = _KeptRows(fam)
-    delta, attained_at = _compute_delta(fam, kept)
+    delta, attained_at = _compute_delta(fam)
     assert attained_at is None
     stages, records = [], []
     try:
@@ -925,7 +925,7 @@ class TestStageCost:
         monkeypatch.setattr(reduction, "image_of", counting_image_of)
         fam = load(name)
         kept = _KeptRows(fam)
-        delta, _ = _compute_delta(fam, kept)
+        delta, _ = _compute_delta(fam)
         result = ReductionResult(fam, kept, delta, None)
         for n in range(6):
             calls.clear()
@@ -1162,6 +1162,27 @@ class TestTransfer:
         assert result.route == "sweep"
         assert "interval=[0,1) row=1" in result.verify(OMEGA)
 
+    def test_reduce_route(self):
+        # an identity f on a carrier of type w^2*2 leaves g's one row, of
+        # type w^2, so the family reduces, and case 1 inverts that row
+        n_carrier = Carrier([("n", iv("0", "w^2*2"))])
+        m_carrier = Carrier([("m", iv("0", "w^2*2"))])
+        f = CarrierMap(
+            n_carrier,
+            m_carrier,
+            [Piece("n", "monotone", target=iv("0", "w^2*2"), target_label="m")],
+        )
+        g = BlockwiseMap([Piece("n", "monotone", target=iv("0", "w^2"))])
+        result = finite_to_one_transfer(f, g, o("w^2"))
+        assert result.route == "reduce" and result.reduction.case_taken == ("case1", 0)
+        lines = result.verify(o("w^2"))
+        assert len(lines) == 7 and lines[0] == "interval=[0,w^2) row=0"
+        for line in lines[1:]:
+            target, value = re.fullmatch(r"target=(.*) witness=.* value=(.*)", line).groups()
+            assert target == value
+        witness = result.witness_for(o("w+1"))
+        assert result.surjection(witness) == o("w+1")
+
     def test_infinite_alpha_required(self):
         f, g = self._identity_setup()
         with pytest.raises(PreconditionViolated):
@@ -1227,6 +1248,18 @@ class TestRefuters:
         ]
         witness = refute_powerset(phi, carrier, table, check_bound=64)
         assert witness.recheck()
+
+    def test_table_entry_no_pair_induces(self, carrier):
+        # every listed set is empty, so every checked pair induces entry 0:
+        # entry 1 is separated at the first sample point where it differs
+        empty = QueryableSet(lambda x: False)
+        first = QueryableSet(lambda x: x == ("m", ZERO))
+        witness = refute_powerset(lambda n, x: empty, carrier, [empty, first], check_bound=5)
+        assert witness.recheck()
+        assert [d[:3] for d in witness.distinguishers[:2]] == [
+            ("table", 0, ("m", ZERO)),
+            ("table", 1, ("m", ONE)),
+        ]
 
     def test_table_injectivity_enforced(self, carrier):
         dupe = QueryableSet(lambda x: True)
@@ -1299,6 +1332,27 @@ class TestRefuters:
             assert not witness.recheck()
             flips[2] = False
             assert witness.recheck()
+
+
+class TestListingPairs:
+    @staticmethod
+    def _diagonal(bound: int, width: int) -> list:
+        """The pairs as the refuters once took them: the first ``bound``
+        pairs in diagonal order, then those with i < ``width``."""
+        diagonal = ((n, level - n) for level in itertools.count() for n in range(level + 1))
+        return [(n, i) for n, i in itertools.islice(diagonal, bound) if i < width]
+
+    @pytest.mark.parametrize("width", [1, 3, 64])
+    def test_the_filtered_diagonal(self, width):
+        for bound in [*range(1, 301), 2016, 2017, 10_000, 123_457]:
+            assert list(reduction._listing_pairs(bound, width)) == self._diagonal(bound, width)
+
+    def test_a_large_bound_stays_lazy(self):
+        # only the pairs with i < 64 are made: about 64 per level, not the
+        # bound's 10**12 pairs
+        pairs = reduction._listing_pairs(10**12, 64)
+        assert list(itertools.islice(pairs, 3)) == [(0, 0), (0, 1), (1, 0)]
+        assert sum(1 for _ in reduction._listing_pairs(10**7, 64)) == 284_128
 
 
 class TestRefuterCaches:
