@@ -70,6 +70,7 @@ _COVERAGE_WINDOW = 6  # kept rows whose strength a stage checks
 _STAGE_SEARCH = 64  # least rows searched for a stage's qualifying row
 _FUEL = 10_000  # stages per evaluated point, and the omega-power bijection's fuel
 _REFUTER_SAMPLES = 64  # carrier sample points of a refuter
+_MAX_CHECK = 10**8  # most listing pairs a refuter checks (about 900,000 kept)
 _KURATOWSKI_SAMPLES = 256  # carrier sample points searched for a fiber
 
 __all__ = [
@@ -848,11 +849,12 @@ def _listing_pairs(bound: int, width: int):
 
 
 def _check_table(carrier: Carrier, table: list, answers: _SampleAnswers, check_bound: int) -> dict:
-    """What both refuters need: a nonempty table whose entries differ on the
-    sample points, an infinite carrier, and at least one listed set to
-    check.  Returns each entry's index keyed by its signature."""
-    if check_bound < 1:
-        raise BoundViolation(f"check bound must be at least 1, not {check_bound}")
+    """What both refuters need: a check bound in range, a nonempty table
+    whose entries differ on the sample points, and an infinite carrier.
+    Returns each entry's index keyed by its signature."""
+    if not 1 <= check_bound <= _MAX_CHECK:
+        side = "least 1" if check_bound < 1 else f"most {_MAX_CHECK}"
+        raise BoundViolation(f"check bound must be at {side}, not {check_bound}")
     if not table:
         raise PreconditionViolated("table must be nonempty")
     signatures = [answers.signature(entry) for entry in table]
@@ -878,52 +880,45 @@ def _induced_index(phi: Callable, signatures: dict, answers: _SampleAnswers) -> 
     return listed, induced
 
 
+def _listing_claims(listed: Callable, points: list, check_bound: int, more: Callable):
+    """The claims against the listed sets phi(n, points[i]) for the first
+    ``check_bound`` pairs (n, i) in diagonal order: each is searched at
+    the sample points, then at the points ``more(n, points[i])`` yields,
+    which are read only when no sample point separates."""
+    for n, q in _listing_pairs(check_bound, len(points)):
+        x = points[q]
+        yield (n, q), None, listed(n, x), itertools.chain(points, more(n, x))
+
+
 def _refutation(
     missed: QueryableSet,
-    table: list,
-    table_search: Callable,
-    listed_at: Callable,
+    claims: Iterable,
     answers: _SampleAnswers,
-    check_bound: int,
-    search: Callable,
     missed_name: str,
     known_members: Iterable = (),
 ) -> RefutationWitness:
-    """The witness: one distinguisher against each table entry i, at the
-    first point of ``table_search(i)`` where it differs from ``missed``,
-    then one against each listed set phi(n, sample i) for the first
-    ``check_bound`` pairs (n, i), at the first point of ``search(n, i)``;
-    every distinguisher is rechecked.  The missed set is asked once per
-    point in this call, and not at all at ``known_members``, points the
-    caller has already confirmed in it.  Every other set is asked at most
-    once per sample point, through ``answers``, until the recheck."""
+    """The witness: one distinguisher per claim ``(tag, index, listed,
+    candidates)``, in the claims' order, at the first candidate point where
+    ``listed`` differs from ``missed``; every distinguisher is rechecked.
+    Table entry i is claimed as ("table", i), the listed set phi(n, sample
+    i) as ((n, i), None).  The missed set is asked once per point in this
+    call, and not at all at ``known_members``, points the caller has
+    already confirmed in it.  Every other set is asked at most once per
+    sample point, through ``answers``, until the recheck."""
     in_missed = dict.fromkeys(known_members, True)
-    points = answers.points
-
-    def separate(listed: QueryableSet, candidates: Iterable):
+    distinguishers = []
+    for tag, index, listed, candidates in claims:
         for w in candidates:
             answer = in_missed.get(w)
             if answer is None:
                 answer = in_missed[w] = missed.contains(w)
             in_listed = answers.ask(listed, w)
             if answer != in_listed:
-                return w, answer, in_listed
-        return None
-
-    distinguishers = []
-    for i, entry in enumerate(table):
-        found = separate(entry, table_search(i))
-        if found is None:
-            raise WitnessNotFound(f"cannot separate the {missed_name} from table entry {i}")
-        distinguishers.append(("table", i, *found, entry))
-    for n, q_idx in _listing_pairs(check_bound, len(points)):
-        listed = listed_at(n, points[q_idx])
-        found = separate(listed, search(n, q_idx))
-        if found is None:
-            raise WitnessNotFound(
-                f"cannot separate the {missed_name} from phi({n}, sample {q_idx})"
-            )
-        distinguishers.append(((n, q_idx), None, *found, listed))
+                distinguishers.append((tag, index, w, answer, in_listed, listed))
+                break
+        else:
+            claim = f"table entry {index}" if tag == "table" else "phi({}, sample {})".format(*tag)
+            raise WitnessNotFound(f"cannot separate the {missed_name} from {claim}")
     witness = RefutationWitness(missed, distinguishers)
     answers.close()
     if not witness.recheck():
@@ -964,22 +959,25 @@ def refute_powerset(
 
     missed = cantor_diagonal(listing, carrier, answers.ask)
 
-    def table_search(i: int):
-        # a code point whose collapsed index is i separates the diagonal
-        # from table[i]; the samples are the fallback
-        for n, q_idx in _listing_pairs(check_bound, len(points)):
-            if induced(n, points[q_idx]) == i:
-                yield _code_point(carrier, n, points[q_idx])
-                break
-        yield from points
+    # the code point of the first checked pair that induces entry i
+    # separates the diagonal from table[i], found for every entry in one
+    # walk; the samples are the fallback
+    leads: dict = {}
+    for n, q in _listing_pairs(check_bound, len(points)):
+        if len(leads) == len(table):
+            break
+        i = induced(n, points[q])
+        if i not in leads:
+            leads[i] = [_code_point(carrier, n, points[q])]
 
-    def search(n: int, q_idx: int):
-        yield from points
-        yield _code_point(carrier, n, points[q_idx])  # built only when no sample separates
+    def code_point(n: int, x):
+        yield _code_point(carrier, n, x)
 
-    return _refutation(
-        missed, table, table_search, listed, answers, check_bound, search, "diagonal"
+    claims = itertools.chain(
+        (("table", i, entry, leads.get(i, []) + points) for i, entry in enumerate(table)),
+        _listing_claims(listed, points, check_bound, code_point),
     )
+    return _refutation(missed, claims, answers, "diagonal")
 
 
 def refute_infinite_powerset(
@@ -1087,25 +1085,18 @@ def refute_infinite_powerset(
 
     # padding-lane elements of the diagonal's indices beyond the table (the
     # missed set's first members, so the checked ones are reused), and the
-    # search points for listed sets: built once, read in this order
+    # points a listed set is searched at after the samples: built once
     lane = members[:_REFUTER_SAMPLES]
     lane += [lane_point(Ordinal(p + size), ZERO) for p in range(len(lane), _REFUTER_SAMPLES)]
-    search_points = list(points)
+    probes = []
     for probe in range(_REFUTER_SAMPLES):
-        search_points.append(g_witness(Ordinal(probe)))
-        search_points.append(lane[probe])
+        probes += [g_witness(Ordinal(probe)), lane[probe]]
 
-    return _refutation(
-        missed,
-        table,
-        lambda i: lane + points,
-        listed,
-        answers,
-        check_bound,
-        lambda n, q_idx: search_points,
-        "missed set",
-        members,
+    claims = itertools.chain(
+        (("table", i, entry, lane + points) for i, entry in enumerate(table)),
+        _listing_claims(listed, points, check_bound, lambda n, x: probes),
     )
+    return _refutation(missed, claims, answers, "missed set", members)
 
 
 # -- power Dedekind infiniteness witness ---------------------------------------------

@@ -352,6 +352,38 @@ class TestEngineCommands:
         assert status == 1
         assert out.splitlines()[0] == "bound-violation"
 
+    @pytest.mark.parametrize("mode", ["pset", "infpset"])
+    def test_refute_check_bound_above_the_cap(self, mode):
+        # refused at once, before any listing pair is checked
+        status, out = run(
+            "refute",
+            "--instance",
+            str(INSTANCES / "refute_demo.txt"),
+            "--mode",
+            mode,
+            "--check",
+            "100000001",
+        )
+        assert (status, out) == (
+            1,
+            "bound-violation\ncheck bound must be at most 100000000, not 100000001\n",
+        )
+
+    @pytest.mark.parametrize("mode", ["pset", "infpset"])
+    def test_refute_large_check(self, mode):
+        # 26,531 listed sets are separated and rechecked; only the count
+        # differs from a small bound's output
+        def refute(check):
+            argv = ["--instance", str(INSTANCES / "refute_demo.txt"), "--mode", mode]
+            status, out = run("refute", *argv, "--check", check)
+            assert status == 0
+            return out.splitlines()
+
+        large, small = refute("100000"), refute("400")
+        assert large[1] == "distinguishers=26531 recheck=ok"
+        assert small[1] == "distinguishers=403 recheck=ok"
+        assert large[:1] + large[2:] == small[:1] + small[2:]
+
     @pytest.mark.parametrize("check", ["20", "100"])
     def test_refute_pset_row0_maps_blocks_apart(self, check):
         # no sample point separates the diagonal from some listed sets here;

@@ -34,6 +34,7 @@ from ordkit.errors import (
     TableNotInjective,
     TailLimitUndecided,
     ToolkitError,
+    WitnessNotFound,
 )
 from ordkit.eventual import _key, settle_point
 from ordkit.intervals import OrdinalSet, parse_interval_set
@@ -1536,6 +1537,52 @@ class TestRefuterCaches:
             return [d[:-1] for d in witness.distinguishers]
 
         assert distinguishers(8) == distinguishers(100)
+
+
+
+class TestRefuterFailures:
+    """The refuter's own failures, each a named error: E0 is the even
+    naturals of the carrier m:[0,w^2), E1 its complement."""
+
+    E0 = QueryableSet(lambda x: x[1].is_nat() and x[1].nat_value() % 2 == 0)
+    E1 = QueryableSet(lambda x: not TestRefuterFailures.E0.contains(x))
+
+    def test_diagonal_equal_to_a_table_entry(self, carrier):
+        # every listed set is E0, entry 0: the diagonal is E1, entry 1
+        message = r"^cannot separate the diagonal from table entry 1$"
+        with pytest.raises(WitnessNotFound, match=message):
+            refute_powerset(lambda n, x: self.E0, carrier, [self.E0, self.E1], check_bound=16)
+
+    def test_diagonal_equal_to_a_listed_set(self, carrier):
+        # E1 induces entry 0 by default, so the diagonal is E1 itself: no
+        # sample point and no code point separates it from phi(0, sample 0)
+        message = r"^cannot separate the diagonal from phi\(0, sample 0\)$"
+        with pytest.raises(WitnessNotFound, match=message):
+            refute_powerset(lambda n, x: self.E1, carrier, [self.E0], check_bound=16)
+
+    def test_answers_that_change_fail_the_recheck(self, carrier):
+        # the listed set answers as E0 the first time it is asked at a point
+        # and as E1 from then on: the search reads each sample point once,
+        # the recheck reads it again
+        asked = set()
+
+        def flipping(x):
+            first = x not in asked
+            asked.add(x)
+            return self.E0.contains(x) == first
+
+        listed = QueryableSet(flipping)
+        message = r"^a recorded distinguisher failed re-evaluation$"
+        with pytest.raises(WitnessNotFound, match=message):
+            refute_powerset(lambda n, x: listed, carrier, [self.E0], check_bound=16)
+
+    @pytest.mark.parametrize("refuter", [refute_powerset, refute_infinite_powerset])
+    def test_check_bound_capped(self, carrier, refuter):
+        # a bound past the cap would keep millions of distinguishers
+        full = QueryableSet(lambda x: True, ("infinite", lambda k: ("m", Ordinal(k))))
+        message = r"^check bound must be at most 100000000, not 100000001$"
+        with pytest.raises(BoundViolation, match=message):
+            refuter(lambda n, x: full, carrier, [full], check_bound=10**8 + 1)
 
 
 class TestKuratowski:
