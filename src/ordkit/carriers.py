@@ -563,7 +563,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         elif key == "tail":
             spec, tsep, row_text = value.partition(":")
             if not tsep:
-                raise ParseError(f"tail needs 'n >= N: row': {value!r}")
+                raise ParseError(f"tail needs 'n >= N: row': {value.strip()!r}")
             spec = spec.replace(" ", "")
             if not spec.startswith("n>="):
                 raise ParseError(f"tail condition must be 'n >= N': {spec!r}")
@@ -583,9 +583,7 @@ def parse_instance(text: str) -> SurjectionFamily:
     if tail is not None:
         start, pieces = tail
         if start != len(row_maps):
-            raise ParseError(
-                f"tail starts at {start} but explicit rows end at {len(row_maps) - 1}"
-            )
+            raise ParseError(f"tail must start at row {len(row_maps)}, not {start}")
         # every tail row has the pieces' labels, so row start speaks for all
         _check_blocks(start, [label for label, _, _ in pieces], carrier)
         settle, tail_image = settle_point(start, pieces, carrier._ot, alpha)

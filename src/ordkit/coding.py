@@ -82,8 +82,7 @@ def _tuple_code(digits: tuple) -> int:
 
 
 def _tuple_decode(code: int, arity: int) -> tuple:
-    if arity == 0:
-        return ()
+    """Inverse of :func:`_tuple_code` for ``arity >= 1``."""
     out = []
     for _ in range(arity - 1):
         d, code = cantor_unpair(code)
@@ -443,10 +442,8 @@ class OmegaPowerBijection:
             if not c.is_nat() or c.nat_value() < 1 or e in digits:
                 return None
             digits[e] = c.nat_value()
-        v = from_digits(digits)
-        if compare(v, self.bound) >= 0:
-            return None
-        return v
+        # every exponent is a pair_decode half, so below alpha: v < w**alpha
+        return from_digits(digits)
 
     def down(self, v: Ordinal) -> Ordinal:
         if compare(v, self.bound) >= 0:

@@ -97,30 +97,21 @@ class _Row:
     def __init__(self, start: int):
         self.at = start
 
-    def _settle(self, op, sign: int, since: int, tie: bool) -> bool:
-        """The final ``op(sign, 0)`` of a comparison whose sign is ``sign``
-        from ``since`` on, 0 at ``since - 1`` if ``tie`` and ``-sign``
-        below; raises ``at`` to where the test keeps that value."""
+    def holds(self, op, x: tuple, y: tuple) -> bool:
+        """The final outcome ``op(sign, 0)`` of comparing ``x`` with ``y``,
+        whose sign is ``sign`` from ``since`` on, 0 at ``since - 1`` on a tie
+        and ``-sign`` below; raises ``at`` to where the test keeps it."""
+        sign, since = _compare(x, y, self.at)
         final = op(sign, 0)
-        if since > self.at and not (tie and op(0, 0) != final):
-            if op(-sign, 0) == final:
-                since = self.at
-            elif tie:
-                since -= 1
         if since > self.at:
+            tie = _key(x, since - 1) == _key(y, since - 1)
+            if not (tie and op(0, 0) != final):
+                if op(-sign, 0) == final:
+                    since = self.at
+                elif tie:
+                    since -= 1
             self.at = since
         return final
-
-    def holds(self, op, x: tuple, y: tuple) -> bool:
-        sign, since = _compare(x, y, self.at)
-        tie = since > self.at and _key(x, since - 1) == _key(y, since - 1)
-        return self._settle(op, sign, since, tie)
-
-    def holds_affine(self, op, c: tuple, d: tuple) -> bool:
-        (a, b), (p, q) = c, d
-        sign, since = _affine_compare(c, d, self.at)
-        tie = since > self.at and a * (since - 1) + b == p * (since - 1) + q
-        return self._settle(op, sign, since, tie)
 
     # -- the bound type of intervals' steps (see intervals) ---------------------
 
@@ -140,7 +131,7 @@ class _Row:
 
     def natural(self, a: int, b: int) -> tuple:
         """``Ordinal(a*n + b)``, which has no terms where it is 0."""
-        if not self.holds_affine(gt, (a, b), (0, 0)):
+        if not self.holds(gt, ((_ZERO, (a, b)),), ((_ZERO, (0, 0)),)):
             return _ZERO
         return ((_ZERO, (a, b)),)
 
@@ -173,7 +164,8 @@ class _Row:
         return ((ey, (p - a, q - b)),) + y[i + 1:]
 
     def _same_term(self, s: tuple, t: tuple) -> bool:
-        return self.holds(eq, s[0], t[0]) and self.holds_affine(eq, s[1], t[1])
+        # exponent, then coefficient, as left_subtract's tuple equality asks
+        return self.holds(eq, s[0], t[0]) and self.holds(eq, ((_ZERO, s[1]),), ((_ZERO, t[1]),))
 
     def evaluate(self, ast) -> tuple:
         """``core._eval_ast`` at the variable ``n``."""

@@ -302,6 +302,12 @@ class TestEngineCommands:
         status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
         assert (status, out) == (1, f"syntax-error\ninstance key {key!r} appears more than once\n")
 
+    def test_reduce_no_infinite_rows(self, tmp_path):
+        path = tmp_path / "finite.txt"
+        path.write_text("carrier: a:[0,w^2)\nalpha: 5\nrow 0: a -> monotone [0,5)\n")
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
+        assert (status, out) == (1, "precondition-violated\nno rows with infinite order type\n")
+
     def test_reduce_tail_leaves_alpha_late(self):
         # rows 1..10 stay inside alpha = w^10; the settle point counts alpha's
         # literals, so row 11 is read and rejected
@@ -335,6 +341,14 @@ class TestEngineCommands:
             lines = out.splitlines()
             assert lines[0].startswith(f"mode={mode}")
             assert "recheck=ok" in lines[1]
+
+    @pytest.mark.parametrize("mode", ["pset", "infpset"])
+    def test_refute_without_a_tail(self, tmp_path, mode):
+        # the listing pairs reach row 1, which one row and no tail leave undefined
+        path = tmp_path / "one_row.txt"
+        path.write_text("carrier: m:[0,w^2)\nalpha: w^2\nrow 0: m -> monotone [0,w^2)\n")
+        status, out = run("refute", "--instance", str(path), "--mode", mode)
+        assert (status, out) == (1, "row-undefined\nrow 1 is not defined (no tail rule)\n")
 
     @pytest.mark.parametrize("mode", ["pset", "infpset"])
     @pytest.mark.parametrize("check", ["-3", "0"])
@@ -458,6 +472,59 @@ class TestFileInput:
     def test_bad_tail_start(self, tmp_path):
         content = (self.INSTANCE + "tail: n >= x: m -> constant n\n").encode("ascii")
         assert self._error_name(tmp_path, "reduce", content) == "syntax-error"
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (
+                "carrier: a:[0,w^2)\nrow 0: a monotone [0,w)",
+                "piece needs 'label -> kind ...': 'a monotone [0,w)'",
+            ),
+            (
+                "carrier: a:[0,w^2)\nrow 0: a -> linear [0,w)",
+                "unknown piece kind in 'a -> linear [0,w)'",
+            ),
+            (
+                "carrier: a[0,w^2)\nrow 0: a -> monotone [0,w)",
+                "block needs 'label:intervals': 'a[0,w^2)'",
+            ),
+            (
+                "carrier: a:[0,w^2)\nrow 0: a -> monotone [0,w)\ntail: n > 1: a -> monotone [0,w)",
+                "tail condition must be 'n >= N': 'n>1'",
+            ),
+            (
+                "carrier: a:[0,w^2)\nrow 0: a -> monotone [0,w)\ntail: n >= 1 a -> monotone [0,w)",
+                "tail needs 'n >= N: row': 'n >= 1 a -> monotone [0,w)'",
+            ),
+            (
+                "carrier: a:[0,w^2)\ntail: n >= 3: a -> monotone [0,w)",
+                "tail must start at row 0, not 3",
+            ),
+            (
+                "carrier: a:[0,w^2)\nrow 0: a -> monotone [0,w)\ntail: n >= 0: a -> monotone [0,w)",
+                "tail must start at row 1, not 0",
+            ),
+            (
+                "carrier: a:[0,w^2)\nrow 0: a -> monotone [0,w)\nrow 1: a -> monotone [0,w)\n"
+                "tail: n >= 3: a -> monotone [0,w)",
+                "tail must start at row 2, not 3",
+            ),
+        ],
+    )
+    def test_instance_syntax_error_message(self, tmp_path, lines, message):
+        path = tmp_path / "input.txt"
+        path.write_text(f"alpha: w^2\n{lines}\n")
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
+        assert (status, out) == (1, f"syntax-error\n{message}\n")
+
+    def test_empty_block_part_skipped(self, tmp_path):
+        outputs = []
+        for carrier in ("a:[0,w^2)", "a:[0,w^2);;"):
+            path = tmp_path / "input.txt"
+            path.write_text(f"carrier: {carrier}\nalpha: w^2\nrow 0: a -> monotone [0,w^2)\n")
+            outputs.append(run("reduce", "--instance", str(path), "--verify-below", "w"))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 0 and outputs[1][1].startswith("case=case1 k=0 delta=w^2\n")
 
     @pytest.mark.parametrize("content", [b"0 x\n", b"0 1\n1 2.5\n", b"bits: 1,x\n"])
     def test_bad_well_order_number(self, tmp_path, content):

@@ -4,7 +4,7 @@ import re
 from operator import attrgetter
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, event, example, given
 import hypothesis.strategies as st
 
 from ordkit import coding
@@ -652,6 +652,25 @@ class TestOmegaPowerBijection:
             bij.down(o("w^w"))
         with pytest.raises(BoundViolation):
             bij.up(OMEGA)
+
+    @given(
+        st.sampled_from(["w", "w+3", "w^2", "w^2*3+w", "w^w", "w^(w+1)+5"]),
+        nested_ordinals(),
+        st.lists(st.tuples(nested_ordinals(), st.integers(0, 3)), max_size=4),
+        st.booleans(),
+    )
+    def test_decode_stays_below_the_power(self, alpha_text, z, digits, encoded):
+        # the digit map checks no bound: each exponent is a pair_decode half,
+        # so below alpha, and the value it builds lies below w**alpha
+        alpha = o(alpha_text)
+        if encoded:
+            pairs = [pair_encode(alpha, e, Ordinal(c)) for e, c in dict(digits).items()
+                     if compare(e, alpha) < 0]
+            z = fin_encode(alpha, pairs)
+        assume(compare(z, alpha) < 0)
+        v = OmegaPowerBijection(alpha)._decode(z)
+        event("off the range" if v is None else "decoded")
+        assert v is None or compare(v, omega_power(alpha)) < 0
 
     def test_round_trip_decodes_each_code_once(self, monkeypatch):
         # up's range test and inverse, and down's walk, share the decode

@@ -28,6 +28,7 @@ from ordkit.cli import main
 from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, fmt, multiply, omega_power, parse
 from ordkit.errors import (
     BoundViolation,
+    CertificateError,
     CoverageBroken,
     EmptyFiber,
     PreconditionViolated,
@@ -1303,8 +1304,6 @@ class TestRefuters:
     def test_finite_phi_value_rejected(self, carrier):
         full = QueryableSet(lambda x: True, ("infinite", lambda k: ("m", Ordinal(k))))
         finite_set = QueryableSet(lambda x: x == ("m", ZERO), ("finite", (("m", ZERO),)))
-        from ordkit.errors import CertificateError
-
         with pytest.raises(CertificateError):
             refute_infinite_powerset(
                 lambda n, x: finite_set, carrier, [full], check_bound=8
@@ -1583,6 +1582,32 @@ class TestRefuterFailures:
         message = r"^check bound must be at most 100000000, not 100000001$"
         with pytest.raises(BoundViolation, match=message):
             refuter(lambda n, x: full, carrier, [full], check_bound=10**8 + 1)
+
+    def test_empty_table(self, carrier):
+        with pytest.raises(PreconditionViolated, match=r"^table must be nonempty$"):
+            refute_powerset(lambda n, x: self.E0, carrier, [], check_bound=16)
+
+    def test_finite_carrier(self):
+        finite = Carrier([("m", iv("0", "5"))])
+        with pytest.raises(PreconditionViolated, match=r"^carrier must be infinite$"):
+            refute_powerset(lambda n, x: self.E0, finite, [self.E0], check_bound=16)
+
+    def test_finite_certified_entry(self, carrier):
+        origin = QueryableSet(lambda x: x == ("m", ZERO), ("finite", (("m", ZERO),)))
+        message = r"^table entry 0 lacks an infinite certificate$"
+        with pytest.raises(CertificateError, match=message):
+            refute_infinite_powerset(lambda n, x: origin, carrier, [origin], check_bound=16)
+
+    def test_entry_read_through_the_one_lane(self, carrier):
+        # every lane point sits at a natural position, so the positions >= w
+        # hold no tag-0 lane point: the entry pulls back through tag 1
+        upper = QueryableSet(
+            lambda x: compare(x[1], OMEGA) >= 0, ("infinite", lambda k: ("m", add(OMEGA, Ordinal(k))))
+        )
+        witness = refute_infinite_powerset(lambda n, x: upper, carrier, [upper], check_bound=50)
+        assert len(witness.distinguishers) == 51
+        assert witness.distinguishers[0][:5] == ("table", 0, ("m", Ordinal(4)), True, False)
+        assert witness.recheck()
 
 
 class TestKuratowski:
