@@ -87,13 +87,19 @@ class Ordinal:
     __slots__ = ("_terms", "_hash", "_key")
 
     def __init__(self, value: int | Iterable = 0):
-        if isinstance(value, int):
+        if type(value) is int:
             if value < 0:
                 raise BoundViolation("ordinals are non-negative")
             # only called once ZERO exists: the constants below use _raw
             self._terms = ((ZERO, value),) if value else ()
+        elif isinstance(value, int):  # a bool is stored as the natural it equals
+            self._terms = Ordinal(int(value))._terms
         else:
-            self._terms = _validate(tuple(value))
+            try:
+                terms = tuple(value)
+            except TypeError:
+                raise BoundViolation(f"not an ordinal: {value!r}") from None
+            self._terms = _validate(terms)
         self._hash = None
         self._key = None
 
@@ -210,12 +216,14 @@ def _validate(terms: tuple) -> tuple:
     fixed = []
     prev = None
     for item in terms:
-        if len(item) != 2:
-            raise BoundViolation("terms must be (exponent, coefficient) pairs")
-        exp, coeff = item
+        try:
+            exp, coeff = item
+        except (TypeError, ValueError):
+            raise BoundViolation("terms must be (exponent, coefficient) pairs") from None
         exp = _coerce(exp)
         if exp is NotImplemented or not isinstance(coeff, int):
             raise BoundViolation("bad term component types")
+        coeff = int(coeff)  # a bool is stored as the natural it equals
         if coeff < 1:
             raise BoundViolation("coefficients must be >= 1")
         if prev is not None and compare(prev, exp) <= 0:
@@ -228,6 +236,16 @@ def _validate(terms: tuple) -> tuple:
 ZERO = Ordinal._raw(())
 ONE = Ordinal._raw(((ZERO, 1),))
 OMEGA = Ordinal._raw(((ONE, 1),))
+
+# The naturals below _SMALL, the atoms that make up most exponents and
+# coefficients, are shared by every parse.  Their keys and hashes (and
+# OMEGA's) are built here, so nothing is written to a shared ordinal after
+# import.
+_SMALL = 64
+_NATS = (ZERO, ONE, *(Ordinal._raw(((ZERO, k),)) for k in range(2, _SMALL)))
+for _x in (*_NATS, OMEGA):
+    _x._key, _x._hash = _x.key, hash(_x)
+del _x
 
 
 def compare(a: Ordinal, b: Ordinal) -> int:
@@ -348,16 +366,17 @@ MAX_NESTING = 300
 
 class _Lexer:
     """One token ahead: after each consumed token, spaces and tabs are
-    skipped once and the next token is stored, with ``pos`` where it
-    starts.  A token is ``"nat"`` (a digit run), any other single
-    character, or None at the end."""
+    skipped once and the next token is stored in ``tok``, with ``pos``
+    where it starts.  A token is ``"nat"`` (a digit run), any other single
+    character, or None at the end.  The parser reads ``tok`` and, where it
+    already knows the token, consumes it with ``advance(pos + 1)``."""
 
     def __init__(self, text: str):
         self.text = text
         self.depth = 0  # open parentheses
-        self._advance(0)
+        self.advance(0)
 
-    def _advance(self, pos: int):
+    def advance(self, pos: int):
         text = self.text
         end = len(text)
         while pos < end and text[pos] in " \t":
@@ -369,21 +388,18 @@ class _Lexer:
             ch = text[pos]
             self.tok = "nat" if ch in _DIGITS else ch
 
-    def peek(self) -> Optional[str]:
-        return self.tok
-
-    def take_nat(self) -> tuple:
+    def take_nat(self) -> int:
         text = self.text
         start = end = self.pos
         while end < len(text) and text[end] in _DIGITS:
             end += 1
-        self._advance(end)
-        return _nat_int(text[start:end]), start
+        self.advance(end)
+        return _nat_int(text[start:end])
 
     def expect(self, ch: str):
         if self.tok != ch:
             raise ParseError(f"expected {ch!r}", self.pos)
-        self._advance(self.pos + 1)
+        self.advance(self.pos + 1)
 
 
 # Python's int <-> str conversion refuses more digits than
@@ -410,56 +426,81 @@ def _nat_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
-# AST nodes: ('nat', k, pos), ('var', pos), ('w', pos), ('term', exp_ast|None,
-# coeff_ast|None, pos), ('add', [term_asts])
+# AST nodes: an Ordinal, the leaf (every sub-expression without n is parsed
+# to its value); ('var', pos); ('add', [terms]), a sum with a node among its
+# terms, its constant prefix folded into one leaf; ('term', exp, coeff, pos),
+# w^exp*coeff with exp a leaf or a node and coeff an int or a node; and
+# ('raise', message, pos), a coefficient check that failed in a constant
+# part.  That one raises when evaluated, so a later syntax error comes first.
+
+_BAD_COEFFICIENT = "coefficient must be a natural number >= 1"
 
 
 def _parse_expr(lx: _Lexer):
-    terms = [_parse_term(lx)]
-    while lx.peek() == "+":
-        lx.expect("+")
-        terms.append(_parse_term(lx))
-    return ("add", terms)
+    value = _parse_term(lx)
+    terms = None  # the sum's terms, once one of them is a node
+    while lx.tok == "+":
+        lx.advance(lx.pos + 1)
+        term = _parse_term(lx)
+        if terms is not None:
+            terms.append(term)
+        elif type(value) is Ordinal and type(term) is Ordinal:
+            value = add(value, term)
+        else:
+            terms = [value, term]
+    return value if terms is None else ("add", terms)
 
 
 def _parse_term(lx: _Lexer):
-    tok = lx.peek()
+    tok = lx.tok
     pos = lx.pos
     if tok != "w":
         if tok == "(":  # a parenthesized expression is an exponent or a coefficient
             raise ParseError("expected a term", pos)
         return _parse_atom(lx, "expected a term")
-    lx.expect("w")
-    exp_ast = coeff_ast = None
-    if lx.peek() == "^":
-        lx.expect("^")
-        if lx.peek() == "w":
-            exp_ast = ("w", lx.pos)
-            lx.expect("w")
+    lx.advance(pos + 1)
+    exp = ONE
+    if lx.tok == "^":
+        lx.advance(lx.pos + 1)
+        if lx.tok == "w":
+            exp = OMEGA
+            lx.advance(lx.pos + 1)
         else:
-            exp_ast = _parse_atom(lx, "expected an exponent atom")
-    if lx.peek() == "*":
-        lx.expect("*")
-        coeff_ast = _parse_atom(lx, "expected a coefficient")
-        if coeff_ast[0] == "nat" and coeff_ast[1] == 0:
-            raise ParseError("coefficient 0 is not allowed", coeff_ast[2])
-    return ("term", exp_ast, coeff_ast, pos)
+            exp = _parse_atom(lx, "expected an exponent atom")
+    coeff = 1
+    if lx.tok == "*":
+        lx.advance(lx.pos + 1)
+        literal, coeff_pos = lx.tok == "nat", lx.pos
+        coeff = _parse_atom(lx, "expected a coefficient")
+        if type(coeff) is Ordinal:
+            t = coeff._terms
+            if len(t) == 1 and not t[0][0]._terms:
+                coeff = t[0][1]
+            elif literal:
+                raise ParseError("coefficient 0 is not allowed", coeff_pos)
+            elif type(exp) is Ordinal:
+                return ("raise", _BAD_COEFFICIENT, pos)
+            else:
+                coeff = ("raise", _BAD_COEFFICIENT, pos)
+    if type(exp) is Ordinal and type(coeff) is int:
+        return Ordinal._raw(((exp, coeff),))
+    return ("term", exp, coeff, pos)
 
 
 def _parse_atom(lx: _Lexer, expected: str):
     """``nat | "n" | "(" expr ")"``; ``expected`` names the position in
     the error raised on anything else."""
-    tok = lx.peek()
+    tok = lx.tok
     pos = lx.pos
     if tok == "nat":
-        value, npos = lx.take_nat()
-        return ("nat", value, npos)
+        k = lx.take_nat()
+        return _NATS[k] if k < _SMALL else Ordinal._raw(((ZERO, k),))
     if tok == "n":
-        lx.expect("n")
+        lx.advance(pos + 1)
         return ("var", pos)
     if tok != "(":
         raise ParseError(expected, pos)
-    lx.expect("(")
+    lx.advance(pos + 1)
     lx.depth += 1
     if lx.depth > MAX_NESTING:
         raise ParseError(f"more than {MAX_NESTING} nested parentheses", pos)
@@ -471,12 +512,9 @@ def _parse_atom(lx: _Lexer, expected: str):
 
 # eventual._Row.evaluate repeats these tests on tail forms; keep in step
 def _eval_ast(ast, n: Optional[int]) -> Ordinal:
+    if type(ast) is Ordinal:
+        return ast
     kind = ast[0]
-    if kind == "nat":
-        k = ast[1]
-        return Ordinal._raw(((ZERO, k),)) if k else ZERO
-    if kind == "w":
-        return OMEGA
     if kind == "var":
         if n is None:
             raise ParseError("variable n outside template", ast[1])
@@ -488,21 +526,23 @@ def _eval_ast(ast, n: Optional[int]) -> Ordinal:
             value = add(value, _eval_ast(term, n))
         return value
     if kind == "term":
-        _, exp_ast, coeff_ast, pos = ast
-        exp = ONE if exp_ast is None else _eval_ast(exp_ast, n)
-        if coeff_ast is None:
-            return Ordinal._raw(((exp, 1),))
-        coeff = _eval_ast(coeff_ast, n)._terms
-        if len(coeff) != 1 or coeff[0][0]._terms:  # 0, or not a natural
-            raise ParseError("coefficient must be a natural number >= 1", pos)
-        return Ordinal._raw(((exp, coeff[0][1]),))
+        _, exp, coeff, pos = ast
+        exp = _eval_ast(exp, n)
+        if type(coeff) is not int:
+            t = _eval_ast(coeff, n)._terms
+            if len(t) != 1 or t[0][0]._terms:  # 0, or not a natural
+                raise ParseError(_BAD_COEFFICIENT, pos)
+            coeff = t[0][1]
+        return Ordinal._raw(((exp, coeff),))
+    if kind == "raise":
+        raise ParseError(ast[1], ast[2])
     raise AssertionError(f"unknown node {kind}")
 
 
 def _parse_to_ast(text: str):
     lx = _Lexer(text)
     ast = _parse_expr(lx)
-    if lx.peek() is not None:
+    if lx.tok is not None:
         raise ParseError("trailing input", lx.pos)
     return ast
 
@@ -512,14 +552,14 @@ def _parse_bounds(text: str) -> list:
     ``(lo, hi)`` bound ASTs."""
     lx = _Lexer(text)
     asts = []
-    while lx.peek() is not None:
+    while lx.tok is not None:
         lx.expect("[")
         lo = _parse_expr(lx)
         lx.expect(",")
         hi = _parse_expr(lx)
         lx.expect(")")  # closes the interval, not a group: the depth stays
         asts.append((lo, hi))
-        if lx.peek() is not None:
+        if lx.tok is not None:
             lx.expect(",")
     return asts
 
@@ -543,27 +583,28 @@ def parse_template(text: str) -> Callable[[Optional[int]], Ordinal]:
 # -- formatting ------------------------------------------------------------
 
 
-def _atom_str(e: Ordinal) -> str:
-    if e == OMEGA:
-        return "w"
-    if e.is_nat():
-        return _nat_str(e.nat_value())
-    return f"({fmt(e)})"
+def _is_one(x: Ordinal) -> bool:
+    t = x._terms
+    return len(t) == 1 and t[0][1] == 1 and not t[0][0]._terms
 
 
 def fmt(x: Ordinal) -> str:
-    """Canonical rendering; ``parse(fmt(x)) == x``."""
+    """Canonical rendering; ``parse(fmt(x)) == x``.  Exponents 0, 1 and
+    w are recognised from their terms."""
     if not x._terms:
         return "0"
     parts = []
     for e, c in x._terms:
-        if e.is_zero():
+        t = e._terms
+        if not t:
             parts.append(_nat_str(c))
             continue
-        if e == ONE:
-            body = "w"
+        if len(t) == 1 and not t[0][0]._terms:  # a natural exponent
+            body = "w" if t[0][1] == 1 else "w^" + _nat_str(t[0][1])
+        elif len(t) == 1 and t[0][1] == 1 and _is_one(t[0][0]):
+            body = "w^w"
         else:
-            body = f"w^{_atom_str(e)}"
+            body = f"w^({fmt(e)})"
         if c > 1:
             body += "*" + _nat_str(c)
         parts.append(body)

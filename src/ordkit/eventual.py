@@ -31,13 +31,13 @@ from __future__ import annotations
 from functools import cmp_to_key
 from operator import eq, ge, gt, lt
 
+from .core import Ordinal
 from .intervals import canonical, monotone_image, order_type, point, union
 
 __all__ = ["settle_point", "TailImage"]
 
 _ZERO = ()
 _ONE = ((_ZERO, (0, 1)),)
-_OMEGA = ((_ONE, (0, 1)),)
 
 
 def _lift(x) -> tuple:
@@ -169,11 +169,9 @@ class _Row:
 
     def evaluate(self, ast) -> tuple:
         """``core._eval_ast`` at the variable ``n``."""
+        if type(ast) is Ordinal:
+            return _lift(ast)
         kind = ast[0]
-        if kind == "nat":
-            return self.natural(0, ast[1])
-        if kind == "w":
-            return _OMEGA
         if kind == "var":
             return self.natural(1, 0)
         if kind == "add":
@@ -181,11 +179,13 @@ class _Row:
             for term in ast[1]:
                 value = self.add(value, self.evaluate(term))
             return value
-        _, exp_ast, coeff_ast, _ = ast
-        exp = _ONE if exp_ast is None else self.evaluate(exp_ast)
-        if coeff_ast is None:
-            return ((exp, (0, 1)),)
-        coeff = self.evaluate(coeff_ast)
+        if kind == "raise":
+            raise _Raises
+        _, exp, coeff, _ = ast
+        exp = self.evaluate(exp)
+        if type(coeff) is int:
+            return ((exp, (0, coeff)),)
+        coeff = self.evaluate(coeff)
         if len(coeff) != 1 or coeff[0][0]:  # 0, or not a natural
             raise _Raises
         return ((exp, coeff[0][1]),)

@@ -1,6 +1,5 @@
 import re
 import sys
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -24,7 +23,9 @@ from ordkit.core import (
     parse_template,
     power_nat,
 )
+from ordkit.carriers import parse_instance
 from ordkit.errors import BoundViolation, OutOfRangeError, ParseError
+from ordkit.eventual import _lift, _Raises, _Row
 
 from strategies import interval_set_texts, nested_ordinals, tail_templates
 
@@ -171,6 +172,86 @@ class _ReferenceLexer:
         self.pos += 1
 
 
+def _reference_expr(lx):
+    """core._parse_expr as it was, over the reference lexer: an unfolded
+    AST of ('nat', k, pos), ('var', pos), ('w', pos), ('term', exp_ast|None,
+    coeff_ast|None, pos) and ('add', [term_asts]) nodes."""
+    terms = [_reference_term(lx)]
+    while lx.peek() == "+":
+        lx.expect("+")
+        terms.append(_reference_term(lx))
+    return ("add", terms)
+
+
+def _reference_term(lx):
+    tok = lx.peek()
+    pos = lx.pos
+    if tok != "w":
+        if tok == "(":
+            raise ParseError("expected a term", pos)
+        return _reference_atom(lx, "expected a term")
+    lx.expect("w")
+    exp_ast = coeff_ast = None
+    if lx.peek() == "^":
+        lx.expect("^")
+        if lx.peek() == "w":
+            exp_ast = ("w", lx.pos)
+            lx.expect("w")
+        else:
+            exp_ast = _reference_atom(lx, "expected an exponent atom")
+    if lx.peek() == "*":
+        lx.expect("*")
+        coeff_ast = _reference_atom(lx, "expected a coefficient")
+        if coeff_ast[0] == "nat" and coeff_ast[1] == 0:
+            raise ParseError("coefficient 0 is not allowed", coeff_ast[2])
+    return ("term", exp_ast, coeff_ast, pos)
+
+
+def _reference_atom(lx, expected):
+    tok = lx.peek()
+    pos = lx.pos
+    if tok == "nat":
+        value, npos = lx.take_nat()
+        return ("nat", value, npos)
+    if tok == "n":
+        lx.expect("n")
+        return ("var", pos)
+    if tok != "(":
+        raise ParseError(expected, pos)
+    lx.expect("(")
+    lx.depth += 1
+    if lx.depth > MAX_NESTING:
+        raise ParseError(f"more than {MAX_NESTING} nested parentheses", pos)
+    inner = _reference_expr(lx)
+    lx.expect(")")
+    lx.depth -= 1
+    return inner
+
+
+def _reference_ast(text):
+    lx = _ReferenceLexer(text)
+    ast = _reference_expr(lx)
+    if lx.peek() is not None:
+        raise ParseError("trailing input", lx.pos)
+    return ast
+
+
+def _reference_bounds(text):
+    """core._parse_bounds as it was: the list of ``(lo, hi)`` ASTs."""
+    lx = _ReferenceLexer(text)
+    asts = []
+    while lx.peek() is not None:
+        lx.expect("[")
+        lo = _reference_expr(lx)
+        lx.expect(",")
+        hi = _reference_expr(lx)
+        lx.expect(")")
+        asts.append((lo, hi))
+        if lx.peek() is not None:
+            lx.expect(",")
+    return asts
+
+
 def _reference_eval(ast, n):
     """core._eval_ast as it was: through omega_power, multiply and a sum
     from 0."""
@@ -206,33 +287,43 @@ def _outcome(fn, *args):
         return ("error", str(error), error.position)
 
 
-def _expr_ast(lexer, text):
-    lx = lexer(text)
-    ast = core._parse_expr(lx)
-    if lx.peek() is not None:
-        raise ParseError("trailing input", lx.pos)
-    return ast
-
-
-def _bounds_asts(lexer, text):
-    with mock.patch.object(core, "_Lexer", lexer):
-        return core._parse_bounds(text)
+_ROWS = (None, 0, 1, 3)
 
 
 def _same_as_reference(text, bounds=False):
-    """Both lexers give ``text`` the same AST, positions included, or the
-    same ParseError; the AST's values equal the old evaluation's."""
-    read = _bounds_asts if bounds else _expr_ast
-    got = _outcome(read, core._Lexer, text)
-    assert got == _outcome(read, _ReferenceLexer, text)
-    if got and got[0] == "error":  # an empty set text reads as no bounds
-        return got
-    asts = [bound for pair in got for bound in pair] if bounds else [got]
-    for ast in asts:
-        for n in (None, 0, 1, 3):
-            got_terms = _outcome(lambda: core._eval_ast(ast, n).terms)
-            assert got_terms == _outcome(lambda: _reference_eval(ast, n).terms)
-    return got
+    """core reads ``text`` to the values, or the ParseError (message and
+    position), that the reference parser and evaluation give: through
+    ``parse`` and ``parse_template(text)(n)``, or through ``_parse_bounds``
+    and ``_eval_bounds``, at each of ``_ROWS``.  Returns the reference
+    parse: its AST (its list of bound ASTs) or its error."""
+    if bounds:
+        read = _outcome(_reference_bounds, text)
+
+        def expected(n):
+            pairs = [(_reference_eval(lo, n), _reference_eval(hi, n)) for lo, hi in read]
+            return [(lo.terms, hi.terms) for lo, hi in pairs]
+
+        def got(n):
+            pairs = core._eval_bounds(core._parse_bounds(text), n)
+            return [(lo.terms, hi.terms) for lo, hi in pairs]
+    else:
+        read = _outcome(_reference_ast, text)
+
+        def expected(n):
+            return _reference_eval(read, n).terms
+
+        def got(n):
+            return parse_template(text)(n).terms
+
+        assert _outcome(lambda: parse(text).terms) == (
+            read if read[0] == "error" else _outcome(expected, None)
+        )
+    if read and read[0] == "error":  # an empty set text reads as no bounds
+        assert _outcome(got, None) == read
+        return read
+    for n in _ROWS:
+        assert _outcome(got, n) == _outcome(expected, n)
+    return read
 
 
 _EDIT_CHARS = [None, *" \t\n[](),^*+wn0123456789x"]
@@ -260,8 +351,9 @@ def _edited(data, text):
 
 
 class TestLexerReference:
-    """The one-token-ahead lexer against the lexer it replaced, and the
-    direct term building against the old evaluation."""
+    """The folding parser on the one-token-ahead lexer against the parser,
+    lexer and evaluation it replaced, which build and evaluate an unfolded
+    AST."""
 
     @given(_expression_texts)
     def test_spaced_expressions(self, text):
@@ -293,6 +385,10 @@ class TestLexerReference:
             ("w * 0", ("coefficient 0 is not allowed", 4)),
             ("(1)", ("expected a term", 0)),
             ("w^(1) 7", ("trailing input", 6)),
+            ("w*(w) + )", ("expected a term", 8)),
+            ("w*(w) + w*(0)", None),
+            ("n + w*(w) + (", ("expected a term", 12)),
+            ("w^(w*(w))*n + 1", None),
         ],
     )
     def test_pinned_texts(self, text, error):
@@ -340,6 +436,112 @@ class TestParseCost:
         text = "w^(w^2*3+1)*5 + w*2 + 7"
         assert fmt(parse(text)) == "w^(w^2*3 + 1)*5 + w*2 + 7"
         assert counts == {"add": text.count("+"), "multiply": 0}
+
+
+_INSTANCE = "carrier: a:[0,w)\nalpha: w\n"
+
+
+class TestFold:
+    """Sub-expressions without ``n`` are parsed to their values; a failed
+    coefficient check there is deferred to evaluation."""
+
+    def test_template_evaluates_only_its_n_part(self, monkeypatch):
+        counts = {"add": 0}
+
+        def counted(a, b):
+            counts["add"] += 1
+            return add(a, b)
+
+        monkeypatch.setattr(core, "add", counted)
+        rule = parse_template("n + w^(w+1)*(2+3)")
+        assert counts["add"] == 2  # w+1 and 2+3, once
+        tail = Ordinal.from_terms([(Ordinal.from_terms([(ONE, 1), (ZERO, 1)]), 5)])
+        for n in range(4):
+            counts["add"] = 0
+            value = rule(n)
+            assert counts["add"] == 1
+            assert value == add(Ordinal(n), tail)
+
+    @pytest.mark.parametrize("text", ["w^(w+1)*5 + 3", "w^(w*(1+1))", "7", "w"])
+    def test_constant_template_is_its_value(self, text):
+        rule = parse_template(text)
+        assert all(rule(n) == parse(text) for n in (None, 0, 1, 7))
+        assert isinstance(core._parse_to_ast(text), Ordinal)
+
+    @pytest.mark.parametrize(
+        "text,message,position",
+        [
+            ("w*(w) + )", "expected a term", 8),
+            ("w*(w) + w*(0)", "coefficient must be a natural number >= 1", 0),
+            ("w*(1) + w*(w) + n", "coefficient must be a natural number >= 1", 8),
+            ("n + w*(w)", "variable n outside template", 0),
+            ("w^n*(w)", "variable n outside template", 2),
+        ],
+    )
+    def test_deferred_errors_keep_their_precedence(self, text, message, position):
+        with pytest.raises(ParseError) as error:
+            parse(text)
+        assert (str(error.value), error.value.position) == (
+            f"{message} (at position {position})", position)
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            ("tail: n >= 0: a -> constant w*(0)\nbogus: 1\n", "unknown instance key 'bogus'"),
+            ("tail: n >= 0: b -> constant w*(0)\n", "row 0 names unknown block 'b'"),
+            ("tail: n >= 0: a -> monotone [0,w*(w))\nbogus: 1\n",
+             "unknown instance key 'bogus'"),
+            ("tail: n >= 0: a -> constant w*(0)\n",
+             "coefficient must be a natural number >= 1 (at position 0)"),
+            ("row 0: a -> constant w*(0)\nbogus: 1\n",
+             "coefficient must be a natural number >= 1 (at position 0)"),
+        ],
+    )
+    def test_deferred_errors_in_instance_files(self, lines, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_instance(_INSTANCE + lines)
+
+    @given(nested_ordinals(), st.integers(0, 3))
+    def test_tail_form_of_a_folded_ast(self, x, start):
+        row = _Row(start)
+        assert row.evaluate(core._parse_to_ast(fmt(x))) == _lift(x)
+        assert row.at == start
+
+    def test_tail_form_of_a_deferred_error(self):
+        with pytest.raises(_Raises):
+            _Row(0).evaluate(core._parse_to_ast("n + w*(w)"))
+
+
+class TestSharedNaturals:
+    """The naturals below 64 are shared atoms with keys and hashes built at
+    import; those above are built per parse."""
+
+    @pytest.mark.parametrize("k", [62, 63, 64, 65])
+    def test_boundary(self, k):
+        cases = [
+            (f"{k}", Ordinal(k)),
+            (f"w^{k}", Ordinal.from_terms([(Ordinal(k), 1)])),
+            (f"w*{k}", Ordinal.from_terms([(ONE, k)])),
+            (f"w^{k}*{k}", Ordinal.from_terms([(Ordinal(k), k)])),
+        ]
+        for text, expected in cases:
+            x = parse(text)
+            assert x == expected and compare(x, expected) == 0 and hash(x) == hash(expected)
+            assert fmt(x) == text and parse(fmt(x)) == x
+        assert parse(f"{k}") < parse(f"{k + 1}") and parse(f"{k}") == k
+        assert hash(parse(f"{k}")) == hash(k)
+
+    def test_digit_run_past_the_int_str_limit(self):
+        digits = (sys.get_int_max_str_digits() or 4300) + 1
+        text = "9" * digits
+        big = 10**digits - 1
+        for wrapped, expected in (
+            (text, Ordinal(big)),
+            (f"w^{text}", Ordinal.from_terms([(Ordinal(big), 1)])),
+            (f"w*{text}", Ordinal.from_terms([(ONE, big)])),
+        ):
+            x = parse(wrapped)
+            assert x == expected and fmt(x) == wrapped
 
 
 class TestFormat:
@@ -556,6 +758,24 @@ class TestConstruction:
             x.nat_value()
         with pytest.raises(OutOfRangeError, match=message):
             int(x)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: Ordinal(True), lambda: Ordinal.from_terms([(0, True)])]
+    )
+    def test_bool_is_stored_as_its_natural(self, make):
+        x = make()
+        assert fmt(x) == "1" and parse(fmt(x)) == x
+        assert x == ONE and x in {True} and hash(x) == hash(True)
+        assert type(x.terms[0][1]) is int
+
+    def test_false_is_zero(self):
+        assert Ordinal(False).is_zero() and fmt(Ordinal(False)) == "0"
+        assert fmt(Ordinal.from_terms([(True, 2)])) == "w*2"
+
+    @pytest.mark.parametrize("value", [3.0, None, [3], [(1, 2, 3)]])
+    def test_other_values_rejected(self, value):
+        with pytest.raises(BoundViolation):
+            Ordinal(value)
 
     def test_arithmetic_rejects_other_types(self):
         # an int operand is coerced; any other type gets NotImplemented
