@@ -102,8 +102,14 @@ class Carrier:
         return {label: self.block_positions(label) for label in self.labels}
 
     def is_element(self, element) -> bool:
-        label, pos = element
-        return label in self._ot and compare(pos, self._ot[label]) < 0
+        """Whether ``element`` is a ``(label, Ordinal)`` pair with the
+        position below its block's order type."""
+        try:
+            label, pos = element
+            ot = self._ot.get(label)
+        except (TypeError, ValueError):  # not a pair, or an unhashable label
+            return False
+        return ot is not None and type(pos) is Ordinal and ORDINALS.lt(pos, ot)
 
     def check_element(self, element):
         if not self.is_element(element):

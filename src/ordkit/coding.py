@@ -94,13 +94,16 @@ def _tuple_decode(code: int, arity: int) -> tuple:
 # -- degree reduction: embed [0, alpha) into [0, w**mu), mu = degree(alpha) --
 
 
+# both run on every pair code, so they read the terms slot directly
 def _require_infinite(alpha: Ordinal):
-    if not alpha.is_infinite():
+    t = alpha._terms
+    if not t or not t[0][0]._terms:
         raise BoundViolation(f"alpha must be infinite, got {alpha}")
 
 
 def _is_omega_power(alpha: Ordinal) -> bool:
-    return len(alpha.terms) == 1 and alpha.terms[0][1] == 1
+    t = alpha._terms
+    return len(t) == 1 and t[0][1] == 1
 
 
 def _embed(alpha: Ordinal, x: Ordinal) -> Ordinal:

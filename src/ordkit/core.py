@@ -86,22 +86,26 @@ class Ordinal:
 
     __slots__ = ("_terms", "_hash", "_key")
 
-    def __init__(self, value: int | Iterable = 0):
+    def __new__(cls, value: int | Iterable = 0):
         if type(value) is int:
+            if 0 <= value < _SMALL:  # _NATS exists: the constants below use _raw
+                return _NATS[value]
             if value < 0:
                 raise BoundViolation("ordinals are non-negative")
-            # only called once ZERO exists: the constants below use _raw
-            self._terms = ((ZERO, value),) if value else ()
-        elif isinstance(value, int):  # a bool is stored as the natural it equals
-            self._terms = Ordinal(int(value))._terms
-        else:
-            try:
-                terms = tuple(value)
-            except TypeError:
-                raise BoundViolation(f"not an ordinal: {value!r}") from None
-            self._terms = _validate(terms)
-        self._hash = None
-        self._key = None
+            return cls._raw(((ZERO, value),))
+        if isinstance(value, int):  # a bool is the natural it equals
+            return cls(int(value))
+        try:
+            terms = tuple(value)
+        except TypeError:
+            raise BoundViolation(f"not an ordinal: {value!r}") from None
+        return cls._raw(_validate(terms))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, a natural from its
+        # int (so the small ones come back shared); the default would set the
+        # slots of the ZERO that Ordinal() returns
+        return (Ordinal, (self.nat_value() if self.is_nat() else self._terms,))
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Ordinal":
@@ -237,10 +241,10 @@ ZERO = Ordinal._raw(())
 ONE = Ordinal._raw(((ZERO, 1),))
 OMEGA = Ordinal._raw(((ONE, 1),))
 
-# The naturals below _SMALL, the atoms that make up most exponents and
-# coefficients, are shared by every parse.  Their keys and hashes (and
-# OMEGA's) are built here, so nothing is written to a shared ordinal after
-# import.
+# The naturals below _SMALL, the atoms that make up most exponents,
+# coefficients, positions and pair codes, are the ones the constructor and
+# the parser return.  Their keys and hashes (and OMEGA's) are built here, so
+# nothing is written to a shared ordinal after import.
 _SMALL = 64
 _NATS = (ZERO, ONE, *(Ordinal._raw(((ZERO, k),)) for k in range(2, _SMALL)))
 for _x in (*_NATS, OMEGA):
@@ -494,6 +498,7 @@ def _parse_atom(lx: _Lexer, expected: str):
     pos = lx.pos
     if tok == "nat":
         k = lx.take_nat()
+        # Ordinal(k) without the constructor call, which slowed codec about 2%
         return _NATS[k] if k < _SMALL else Ordinal._raw(((ZERO, k),))
     if tok == "n":
         lx.advance(pos + 1)

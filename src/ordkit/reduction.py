@@ -786,7 +786,7 @@ class _SampleAnswers:
 
     def __init__(self, points: list):
         self.points = points
-        self._index = {w: q for q, w in enumerate(points)}
+        self._bit = {w: 1 << q for q, w in enumerate(points)}
         self._all = (1 << len(points)) - 1
         self._memo: dict = {}
 
@@ -798,15 +798,17 @@ class _SampleAnswers:
 
     def ask(self, s: QueryableSet, x) -> bool:
         """``s.contains(x)``, asked once if ``x`` is a sample point."""
-        q = self._index.get(x)
-        if q is None:
+        bit = self._bit.get(x)
+        if bit is None:
             return s.contains(x)
-        entry = self._entry(s)
-        if not entry[2] >> q & 1:
-            entry[2] |= 1 << q
+        entry = self._memo.get(id(s))
+        if entry is None:
+            entry = self._memo[id(s)] = [s, 0, 0]
+        if not entry[2] & bit:
+            entry[2] |= bit
             if s.contains(x):
-                entry[1] |= 1 << q
-        return bool(entry[1] >> q & 1)
+                entry[1] |= bit
+        return bool(entry[1] & bit)
 
     def signature(self, s: QueryableSet) -> int:
         """The answers of ``s`` on all the points, bit k for ``points[k]``:
@@ -814,22 +816,26 @@ class _SampleAnswers:
         entry = self._entry(s)
         missing = self._all & ~entry[2]
         if missing:
-            numbered = enumerate(self.points)
-            entry[1] |= sum(1 << q for q, w in numbered if missing >> q & 1 and s.contains(w))
-            entry[2] = self._all
+            points, bits = self.points, entry[1]
+            while missing:
+                bit = missing & -missing  # the lowest point not yet asked
+                if s.contains(points[bit.bit_length() - 1]):
+                    bits |= bit
+                missing ^= bit
+            entry[1], entry[2] = bits, self._all
         return entry[1]
 
     def confirm(self, s: QueryableSet, members: Iterable):
         """Record ``members``, points already confirmed in ``s``."""
         entry = self._entry(s)
         for x in members:
-            q = self._index.get(x)
-            if q is not None:
-                entry[1] |= 1 << q
-                entry[2] |= 1 << q
+            bit = self._bit.get(x)
+            if bit is not None:
+                entry[1] |= bit
+                entry[2] |= bit
 
     def close(self):
-        self._index, self._memo = {}, {}
+        self._bit, self._memo = {}, {}
 
 
 def _listing_pairs(bound: int, width: int):

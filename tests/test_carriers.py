@@ -85,6 +85,24 @@ class TestCarrier:
         label, found = carrier.element_at(pos)
         assert label == "a" and found is pos
 
+    @pytest.mark.parametrize(
+        "element",
+        [("a", 3), ("a", True), ("a", "w"), ("a", None), ("a",), ("a", ONE, ONE), "ab", None,
+         7, ONE, (["a"], ONE), ("c", ONE), ("a", OMEGA), ("b", o("w^2"))],
+    )
+    def test_malformed_or_outside_elements(self, carrier, element):
+        # anything but a (label, Ordinal) pair inside its block is no
+        # element, and checking it raises the named error
+        assert carrier.is_element(element) is False
+        with pytest.raises(OutOfRangeError, match="is not a carrier element$"):
+            carrier.check_element(element)
+        with pytest.raises(OutOfRangeError):
+            carrier.global_position(element)
+
+    def test_elements_at_the_block_ends(self, carrier):
+        assert carrier.is_element(("a", Ordinal(63))) and carrier.is_element(("a", Ordinal(64)))
+        assert carrier.is_element(("b", o("w+5"))) and not carrier.is_element(("a", o("w+5")))
+
     def test_sample_elements_distinct(self, carrier):
         samples = carrier.sample_elements(40)
         assert len(samples) == 40

@@ -380,11 +380,17 @@ class TestCodecReference:
             (["unpair", "--alpha", "w*2", "10"], 0, ["w + 1", "0"]),
             (["pair", "--alpha", "5", "1", "1"], 1,
              ["bound-violation", "alpha must be infinite, got 5"]),
+            (["pair", "--alpha", "5", "1", "2"], 1,
+             ["bound-violation", "alpha must be infinite, got 5"]),
+            (["pair", "--alpha", "5", "w", "1"], 1,
+             ["bound-violation", "alpha must be infinite, got 5"]),
+            (["unpair", "--alpha", "0", "7"], 1,
+             ["bound-violation", "alpha must be infinite, got 0"]),
         ],
     )
     def test_natural_codes_on_the_command_line(self, capsys, argv, code, out):
         # the first two take the general path (a half with a w^1 digit);
-        # naturals under a finite alpha still raise
+        # a finite alpha raises before any component is read
         assert main(argv) == code
         assert capsys.readouterr().out.splitlines() == out
 

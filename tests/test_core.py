@@ -1,5 +1,10 @@
+import copy
+import io
+import pickle
 import re
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -24,10 +29,17 @@ from ordkit.core import (
     power_nat,
 )
 from ordkit.carriers import parse_instance
+from ordkit.cli import main
 from ordkit.errors import BoundViolation, OutOfRangeError, ParseError
 from ordkit.eventual import _lift, _Raises, _Row
 
 from strategies import interval_set_texts, nested_ordinals, tail_templates
+
+
+INSTANCES = Path(__file__).parent / "instances"
+
+# the shared naturals' keys and hashes as built at import, before any test
+_IMPORT_SLOTS = [(x._key, x._hash) for x in core._NATS]
 
 
 def o(text):
@@ -514,7 +526,42 @@ class TestFold:
 
 class TestSharedNaturals:
     """The naturals below 64 are shared atoms with keys and hashes built at
-    import; those above are built per parse."""
+    import, which the constructor returns; those above are built per call."""
+
+    def test_constructor_returns_the_shared_naturals(self):
+        assert core._SMALL == 64
+        assert all(Ordinal(k) is core._NATS[k] for k in range(64))
+        assert Ordinal(64) is not Ordinal(64) and Ordinal(64) == Ordinal(64)
+        assert Ordinal(True) is ONE and Ordinal(False) is ZERO and Ordinal() is ZERO
+
+    @pytest.mark.parametrize(
+        "text", ["0", "1", "63", "64", "10000000000000000000000", "w^2+3", "w^(w^w+1)*3 + w + 7"]
+    )
+    def test_pickle_and_copy_round_trips(self, text):
+        # a constructor that returns a shared natural must not hand one to
+        # the unpickler to overwrite
+        x = parse(text)
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        copies = [pickle.loads(pickle.dumps(x, protocol)) for protocol in protocols]
+        copies += [copy.copy(x), copy.deepcopy(x)]
+        for y in copies:
+            assert type(y) is Ordinal and y == x and fmt(y) == fmt(x) and hash(y) == hash(x)
+        if x.is_nat() and x.nat_value() < 64:
+            assert all(y is x for y in copies)
+        assert ZERO.terms == () and ONE.terms == ((ZERO, 1),)
+        assert [(n._key, n._hash) for n in core._NATS] == _IMPORT_SLOTS
+
+    def test_nothing_written_to_a_shared_natural(self):
+        argvs = [
+            ["refute", "--instance", str(INSTANCES / "refute_demo.txt"), "--mode", "infpset",
+             "--check", "100"],
+            ["reduce", "--instance", str(INSTANCES / "case2_tower.txt"), "--verify-below", "w^2"],
+        ]
+        for argv in argvs:
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+        for x, (key, h) in zip(core._NATS, _IMPORT_SLOTS):
+            assert x._key is key and x._hash is h
 
     @pytest.mark.parametrize("k", [62, 63, 64, 65])
     def test_boundary(self, k):
@@ -727,9 +774,10 @@ class TestClassify:
 
 
 class TestConstruction:
-    def test_negative_rejected(self):
-        with pytest.raises(BoundViolation):
-            Ordinal(-1)
+    @pytest.mark.parametrize("k", [-1, -64, -(10**30)])
+    def test_negative_rejected(self, k):
+        with pytest.raises(BoundViolation, match="^ordinals are non-negative$"):
+            Ordinal(k)
 
     def test_bad_term_order_rejected(self):
         with pytest.raises(BoundViolation):

@@ -1538,6 +1538,52 @@ class TestRefuterCaches:
         assert distinguishers(8) == distinguishers(100)
 
 
+class TestSampleAnswers:
+    """A refuter call's answers at its sample points, each asked once."""
+
+    POINTS = [("m", Ordinal(k)) for k in range(70)]  # past 64 bits
+
+    @staticmethod
+    def _recording(members: set, asked: list) -> QueryableSet:
+        def member(x):
+            asked.append(x)
+            return x[1] in members  # an Ordinal equals the int it is
+
+        return QueryableSet(member)
+
+    @given(
+        st.sets(st.integers(0, 69)),
+        st.lists(st.integers(0, 69)),
+        st.sets(st.integers(0, 69)),
+    )
+    def test_signature_is_the_answers_at_the_points(self, members, asked_first, confirmed):
+        # asked and confirmed points are not asked again; every other
+        # point is asked exactly once, by the first signature
+        confirmed &= members
+        asked: list = []
+        s = self._recording(members, asked)
+        answers = reduction._SampleAnswers(self.POINTS)
+        answers.confirm(s, [self.POINTS[k] for k in sorted(confirmed)])
+        for k in asked_first:
+            assert answers.ask(s, self.POINTS[k]) is (k in members)
+        expected = sum(1 << k for k in members)
+        assert answers.signature(s) == expected
+        assert answers.signature(s) == expected
+        assert len(asked) == len(set(asked))
+        assert set(asked) == {self.POINTS[k] for k in range(70) if k not in confirmed}
+
+    def test_ask_after_signature_asks_nothing(self):
+        asked: list = []
+        s = self._recording({0, 5, 64, 69}, asked)
+        answers = reduction._SampleAnswers(self.POINTS)
+        answers.signature(s)
+        asked.clear()
+        assert [answers.ask(s, x) for x in self.POINTS] == [k in {0, 5, 64, 69} for k in range(70)]
+        assert asked == []
+        # a point outside the samples is asked each time
+        assert answers.ask(s, ("m", OMEGA)) is False and answers.ask(s, ("m", OMEGA)) is False
+        assert asked == [("m", OMEGA)] * 2
+
 
 class TestRefuterFailures:
     """The refuter's own failures, each a named error: E0 is the even
@@ -1591,6 +1637,13 @@ class TestRefuterFailures:
         finite = Carrier([("m", iv("0", "5"))])
         with pytest.raises(PreconditionViolated, match=r"^carrier must be infinite$"):
             refute_powerset(lambda n, x: self.E0, finite, [self.E0], check_bound=16)
+
+    def test_entry_enumerating_malformed_points(self, carrier):
+        # an enumerated ("m", k) with an int k is no carrier element
+        ints = QueryableSet(lambda x: True, ("infinite", lambda k: ("m", k)))
+        message = r"^enumerated point \('m', 0\) is not a member$"
+        with pytest.raises(CertificateError, match=message):
+            refute_infinite_powerset(lambda n, x: ints, carrier, [ints], check_bound=16)
 
     def test_finite_certified_entry(self, carrier):
         origin = QueryableSet(lambda x: x == ("m", ZERO), ("finite", (("m", ZERO),)))
