@@ -32,6 +32,8 @@ from .core import (
     Ordinal,
     _eval_ast,
     _eval_bounds,
+    _nat_int,
+    _nat_str,
     _parse_bounds,
     _parse_to_ast,
     add,
@@ -453,10 +455,8 @@ class SurjectionFamily:
             union = functools.reduce(OrdinalSet.union, images, OrdinalSet())
             missing = OrdinalSet.interval(ZERO, self.alpha).difference(union)
             if missing:
-                raise CoverageBroken(
-                    f"rows 0..{len(self.rows) - 1} do not cover [0, {fmt(self.alpha)}); "
-                    f"missing {missing}"
-                )
+                rows = f"rows 0..{len(self.rows) - 1} do not" if self.rows else "no rows"
+                raise CoverageBroken(f"{rows} cover [0, {fmt(self.alpha)}); missing {missing}")
 
 
 # -- instance files --------------------------------------------------------------
@@ -508,11 +508,12 @@ def _check_blocks(n: int, labels: list, carrier: Carrier):
 
 
 def _nat(text: str, context: str) -> int:
+    """A natural of an instance or well-order file: ASCII digits, any length."""
     text = text.strip()
     # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
     if not (text.isascii() and text.isdigit()):
         raise ParseError(f"expected a natural number in {context!r}")
-    return int(text)
+    return _nat_int(text)
 
 
 # Rows a tail may take before it settles (see eventual.settle_point); each
@@ -547,7 +548,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         key = key.strip()
         if key.startswith("row"):
             n = _nat(key[len("row"):], key)
-            key = f"row {n}"
+            key = f"row {_nat_str(n)}"
         if key in seen:
             raise ParseError(f"instance key {key!r} appears more than once")
         seen.add(key)
@@ -589,7 +590,7 @@ def parse_instance(text: str) -> SurjectionFamily:
     if tail is not None:
         start, pieces = tail
         if start != len(row_maps):
-            raise ParseError(f"tail must start at row {len(row_maps)}, not {start}")
+            raise ParseError(f"tail must start at row {len(row_maps)}, not {_nat_str(start)}")
         # every tail row has the pieces' labels, so row start speaks for all
         _check_blocks(start, [label for label, _, _ in pieces], carrier)
         settle, tail_image = settle_point(start, pieces, carrier._ot, alpha)

@@ -14,7 +14,7 @@ import argparse
 import functools
 import sys
 
-from .carriers import QueryableSet, load_instance, preimage_of, read_ascii_file
+from .carriers import QueryableSet, _nat, load_instance, preimage_of, read_ascii_file
 from .coding import OmegaPowerBijection, fin_encode, pair_decode, pair_encode
 from .core import Ordinal, compare, fmt, parse
 from .errors import BoundViolation, CertificateError, ParseError, ToolkitError
@@ -222,22 +222,15 @@ def _parse_wo_file(content: str):
             continue
         if line.startswith("bits:"):
             body = line[len("bits:"):].strip()
-            bits = [_wo_int(part, line) for part in body.split(",")] if body else []
+            bits = [_nat(part, line) for part in body.split(",")] if body else []
             continue
         parts = line.replace(",", " ").split()
         if len(parts) != 2:
             raise ParseError(f"bad well-order line: {line!r}")
-        pairs.append((_wo_int(parts[0], line), _wo_int(parts[1], line)))
+        pairs.append((_nat(parts[0], line), _nat(parts[1], line)))
     if bits is not None:
         return bits
     return pairs
-
-
-def _wo_int(text: str, line: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad number {text.strip()!r} in well-order line {line!r}") from None
 
 
 def _law_spot_checks(out):

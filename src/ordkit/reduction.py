@@ -849,22 +849,25 @@ def _listing_pairs(bound: int, width: int):
             yield n, level - n
 
 
-def _check_table(carrier: Carrier, table: list, answers: _SampleAnswers, check_bound: int) -> dict:
-    """What both refuters need: a check bound in range, a nonempty table
-    whose entries differ on the sample points, and an infinite carrier.
-    Returns each entry's index keyed by its signature."""
+def _check_arguments(carrier: Carrier, table: list, check_bound: int):
+    """What both refuters need before any set is asked: a check bound in
+    range, an infinite carrier and a nonempty table."""
     if not 1 <= check_bound <= _MAX_CHECK:
         side = "least 1" if check_bound < 1 else f"most {_MAX_CHECK}"
         raise BoundViolation(f"check bound must be at {side}, not {check_bound}")
+    if not carrier.order_type.is_infinite():
+        raise PreconditionViolated("carrier must be infinite")
     if not table:
         raise PreconditionViolated("table must be nonempty")
+
+
+def _table_signatures(table: list, answers: _SampleAnswers) -> dict:
+    """Each entry's index keyed by its signature, which no other entry has."""
     signatures = [answers.signature(entry) for entry in table]
     for i, signature in enumerate(signatures):
         if signature in signatures[i + 1:]:
             j = signatures.index(signature, i + 1)
             raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
-    if not carrier.order_type.is_infinite():
-        raise PreconditionViolated("carrier must be infinite")
     return {signature: i for i, signature in enumerate(signatures)}
 
 
@@ -944,9 +947,10 @@ def refute_powerset(
     differs from it, or failing that at its own code point, the element
     that collapses to (n, y).
     """
+    _check_arguments(carrier, table, check_bound)
     points = carrier.sample_elements(_REFUTER_SAMPLES)
     answers = _SampleAnswers(points)
-    signatures = _check_table(carrier, table, answers, check_bound)
+    signatures = _table_signatures(table, answers)
     theta = carrier.order_type
     listed, induced = _induced_index(phi, signatures, answers)
 
@@ -997,13 +1001,14 @@ def refute_infinite_powerset(
     omega is provably infinite (it contains every index beyond the table),
     and its image is returned with an infinite certificate.
     """
+    _check_arguments(carrier, table, check_bound)
     points = carrier.sample_elements(_REFUTER_SAMPLES)
     answers = _SampleAnswers(points)
     for i, entry in enumerate(table):
         if entry.certificate is None or entry.certificate[0] != "infinite":
             raise CertificateError(f"table entry {i} lacks an infinite certificate")
         answers.confirm(entry, entry.validate_certificate(carrier.is_element, samples=8))
-    signatures = _check_table(carrier, table, answers, check_bound)
+    signatures = _table_signatures(table, answers)
     theta = carrier.order_type
     size = len(table)
 

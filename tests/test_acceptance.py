@@ -34,6 +34,7 @@ from ordkit.reduction import (
     refute_powerset,
     verify_surjective,
 )
+from reference import embed_vec
 
 INSTANCES = Path(__file__).parent / "instances"
 
@@ -46,13 +47,6 @@ def report(number, description, passed=True):
     status = "PASS" if passed else "FAIL"
     print(f"criterion {number:2d} [{status}] {description}")
     assert passed, f"criterion {number}: {description}"
-
-
-def embed_vec(vec):
-    k = len(vec)
-    return Ordinal.from_terms(
-        [(Ordinal(k - 1 - i), c) for i, c in enumerate(vec) if c]
-    )
 
 
 def rand_flat(rng, max_exp=5, max_terms=4, max_coeff=30):

@@ -17,7 +17,7 @@ from ordkit.carriers import (
     parse_instance,
     preimage_of,
 )
-from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, left_subtract, parse
+from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, parse
 from ordkit.errors import (
     BoundViolation,
     CertificateError,
@@ -29,6 +29,7 @@ from ordkit.errors import (
 from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import _compose_monotone
 
+from reference import _ref_compose_monotone, _ref_fiber, _ref_image_of, _ref_preimage_of
 from strategies import nested_ordinals, paired_off
 
 
@@ -206,129 +207,6 @@ class TestCarrierMap:
             cmap.fiber(("m", ZERO))
 
 
-# -- the piece rule against the code it replaced ---------------------------------
-#
-# Each of these functions applied the rule "a monotone piece maps the start
-# of its domain onto its target and every later position to 0" by itself;
-# they are kept here, as they were, to check Piece.image / preimage /
-# overflow and the code now built on them.
-
-
-def _ref_image_of(map_, carrier, restriction=None):
-    if restriction is None:
-        restriction = carrier.full_restriction()
-    out = OrdinalSet()
-    for piece in map_.pieces:
-        r = restriction.get(piece.label)
-        if r is None or r.is_empty():
-            continue
-        dom = piece.domain_in(carrier)
-        part = dom.intersect(r)
-        if part.is_empty():
-            continue
-        if piece.kind == "constant":
-            out = out.union(OrdinalSet.point(piece.value))
-            continue
-        positions = dom.positions_of(part)
-        length = piece.target.order_type()
-        below = positions.intersect(OrdinalSet.interval(ZERO, length))
-        out = out.union(piece.target.select_positions(below))
-        if not positions.difference(OrdinalSet.interval(ZERO, length)).is_empty():
-            out = out.union(OrdinalSet.point(ZERO))
-    return out
-
-
-def _ref_preimage_of(map_, carrier, target_set):
-    out = {label: OrdinalSet() for label in carrier.labels}
-    for piece in map_.pieces:
-        dom = piece.domain_in(carrier)
-        if piece.kind == "constant":
-            if target_set.contains(piece.value):
-                out[piece.label] = out[piece.label].union(dom)
-            continue
-        length = piece.target.order_type()
-        hit = piece.target.positions_of(target_set.intersect(piece.target))
-        hit = hit.intersect(OrdinalSet.interval(ZERO, length))
-        out[piece.label] = out[piece.label].union(dom.select_positions(hit))
-        if target_set.contains(ZERO):
-            total = dom.order_type()
-            if compare(length, total) < 0:
-                overflow = OrdinalSet.interval(length, total)
-                out[piece.label] = out[piece.label].union(dom.select_positions(overflow))
-    return out
-
-
-def _ref_fiber(cmap, element):
-    cmap.dest.check_element(element)
-    label, pos = element
-    out = []
-    for piece in cmap.pieces:
-        if piece.target_label != label:
-            continue
-        dom = piece.domain_in(cmap.source)
-        if piece.kind == "constant":
-            if compare(piece.value, pos) == 0:
-                total = dom.order_type()
-                if not total.is_nat():
-                    raise BoundViolation("infinite fiber")
-                for p in dom.iter_prefix(total.nat_value()):
-                    out.append((piece.label, p))
-            continue
-        length = piece.target.order_type()
-        if piece.target.contains(pos):
-            r = piece.target.locate(pos)
-            if compare(r, dom.order_type()) < 0:
-                out.append((piece.label, dom.enumerate(r)))
-        if pos.is_zero():
-            total = dom.order_type()
-            if compare(length, total) < 0:
-                overflow = left_subtract(length, total)
-                if not overflow.is_nat():
-                    raise BoundViolation("infinite fiber over 0")
-                for k in range(overflow.nat_value()):
-                    out.append((piece.label, dom.enumerate(add(length, Ordinal(k)))))
-    return out
-
-
-def _ref_compose_monotone(f_piece, g_piece, source):
-    fdom = f_piece.domain_in(source)
-    iso_len = fdom.order_type()
-    t_len = f_piece.target.order_type()
-    if compare(t_len, iso_len) < 0:
-        iso_len = t_len
-    gdom = g_piece.domain_in(source)
-    part = fdom.intersect(gdom)
-    if part.is_empty():
-        return []
-    idx = fdom.positions_of(part).intersect(OrdinalSet.interval(ZERO, iso_len))
-    if idx.is_empty():
-        return []
-    m_dom = f_piece.target.select_positions(idx)
-    out = []
-    if g_piece.kind == "constant":
-        out.append(Piece(f_piece.target_label, "constant", value=g_piece.value, dom=m_dom))
-        return out
-    n_set = fdom.select_positions(idx)
-    g_idx = gdom.positions_of(n_set)
-    g_len = g_piece.target.order_type()
-    live = g_idx.intersect(OrdinalSet.interval(ZERO, g_len))
-    if not live.is_empty():
-        values = g_piece.target.select_positions(live)
-        live_n = gdom.select_positions(live)
-        live_dom = f_piece.target.select_positions(
-            fdom.positions_of(live_n).intersect(OrdinalSet.interval(ZERO, iso_len))
-        )
-        out.append(Piece(f_piece.target_label, "monotone", target=values, dom=live_dom))
-    dead = g_idx.difference(OrdinalSet.interval(ZERO, g_len))
-    if not dead.is_empty():
-        dead_n = gdom.select_positions(dead)
-        dead_dom = f_piece.target.select_positions(
-            fdom.positions_of(dead_n).intersect(OrdinalSet.interval(ZERO, iso_len))
-        )
-        out.append(Piece(f_piece.target_label, "constant", value=ZERO, dom=dead_dom))
-    return out
-
-
 _ordinals = nested_ordinals()
 # sets of several separate intervals, from sorted bounds paired off
 _sets = st.lists(_ordinals, max_size=6).map(lambda b: OrdinalSet(paired_off(b)))
@@ -495,6 +373,21 @@ class TestSurjectionFamily:
         )
         with pytest.raises(CoverageBroken):
             fam.check_coverage()
+
+    @pytest.mark.parametrize(
+        "count,message",
+        [
+            (0, "no rows cover [0, w); missing [0,w)"),
+            (1, "rows 0..0 do not cover [0, w); missing [1,w)"),
+            (2, "rows 0..1 do not cover [0, w); missing [1,w)"),
+        ],
+    )
+    def test_coverage_message(self, count, message):
+        row = BlockwiseMap([Piece("m", "constant", value=ZERO)])
+        fam = SurjectionFamily(Carrier([("m", iv("0", "w"))]), OMEGA, [row] * count)
+        with pytest.raises(CoverageBroken) as error:
+            fam.check_coverage()
+        assert str(error.value) == message
 
     def test_out_of_alpha_row_rejected(self):
         carrier = Carrier([("m", iv("0", "w"))])

@@ -444,6 +444,11 @@ class TestEngineCommands:
         assert out.splitlines()[0] == "bound-violation"
 
 
+# past Python's int-str limit of 4,300 digits: read, and written into a
+# message, through core's decimal path
+_LONG_NATURAL = "9" * 5000
+
+
 class TestFileInput:
     INSTANCE = "carrier: m:[0,w^2)\nalpha: w^2\nrow 0: m -> monotone [0,w^2)\n"
 
@@ -509,6 +514,20 @@ class TestFileInput:
                 "tail: n >= 3: a -> monotone [0,w)",
                 "tail must start at row 2, not 3",
             ),
+            (
+                "carrier: a:[0,w^2)\nrow 1_0: a -> monotone [0,w)",
+                "expected a natural number in 'row 1_0'",
+            ),
+            pytest.param(
+                f"carrier: a:[0,w^2)\nrow {_LONG_NATURAL}: a -> monotone [0,w)",
+                "row 0 is missing (rows must be consecutive from 0)",
+                id="long-row",
+            ),
+            pytest.param(
+                f"carrier: a:[0,w^2)\ntail: n >= {_LONG_NATURAL}: a -> monotone [0,w)",
+                f"tail must start at row 0, not {_LONG_NATURAL}",
+                id="long-tail-start",
+            ),
         ],
     )
     def test_instance_syntax_error_message(self, tmp_path, lines, message):
@@ -516,6 +535,20 @@ class TestFileInput:
         path.write_text(f"alpha: w^2\n{lines}\n")
         status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
         assert (status, out) == (1, f"syntax-error\n{message}\n")
+
+    def test_instance_with_no_rows(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text("carrier: a:[0,w)\nalpha: w\n")
+        status, out = run("reduce", "--instance", str(path), "--verify-below", "w")
+        assert (status, out) == (1, "coverage-broken\nno rows cover [0, w); missing [0,w)\n")
+
+    @pytest.mark.parametrize("mode", ["pset", "infpset"])
+    def test_refute_on_an_empty_carrier(self, tmp_path, mode):
+        # the carrier is checked before the (empty) table
+        path = tmp_path / "input.txt"
+        path.write_text("carrier:\nalpha: w\n")
+        status, out = run("refute", "--instance", str(path), "--mode", mode)
+        assert (status, out) == (1, "precondition-violated\ncarrier must be infinite\n")
 
     def test_empty_block_part_skipped(self, tmp_path):
         outputs = []
@@ -526,9 +559,19 @@ class TestFileInput:
         assert outputs[0] == outputs[1]
         assert outputs[1][0] == 0 and outputs[1][1].startswith("case=case1 k=0 delta=w^2\n")
 
-    @pytest.mark.parametrize("content", [b"0 x\n", b"0 1\n1 2.5\n", b"bits: 1,x\n"])
+    @pytest.mark.parametrize(
+        "content",
+        # int() would read the last four: a number is ASCII digits only
+        [b"0 x\n", b"0 1\n1 2.5\n", b"bits: 1,x\n",
+         b"-3 0\n", b"1_0 2\n", b"+1 3\n", b"bits: 1, -2\n"],
+    )
     def test_bad_well_order_number(self, tmp_path, content):
         assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
+
+    def test_well_order_number_past_the_int_limit(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_text(f"0 {_LONG_NATURAL}\n")
+        assert run("decode-wo", str(path)) == (0, "2\n")
 
     @pytest.mark.parametrize("content", [b"0 1 2\n", b"0\n", b"0 1\n1, 2, 3\n"])
     def test_well_order_line_not_a_pair(self, tmp_path, content):

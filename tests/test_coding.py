@@ -12,8 +12,6 @@ from ordkit.carriers import QueryableSet
 from ordkit.cli import main
 from ordkit.coding import (
     _embed,
-    _tuple_decode,
-    _unembed,
     MapSpec,
     CsbBijection,
     OmegaPowerBijection,
@@ -40,6 +38,7 @@ from ordkit.core import (
 )
 from ordkit.errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
+from reference import _dict_fin_decode, _dict_pair_decode, _quadratic_pair_encode, _validating_from_digits
 from strategies import nested_ordinals
 
 
@@ -169,83 +168,6 @@ class TestPairEncode:
     def test_decode_off_range(self):
         # w^2's own degree slot cannot appear in a pair code below w^2
         assert pair_decode(o("w^2"), o("w^2")) is None
-
-
-def _validating_from_digits(digits):
-    """from_digits as it was: rebuild the ordinal through full CNF validation."""
-    nonzero = [(e, d) for e, d in digits.items() if d]
-    return Ordinal.from_terms(sorted(nonzero, key=lambda t: t[0].key, reverse=True))
-
-
-def _quadratic_pair_encode(alpha, x, y):
-    """pair_encode as it was: both term dicts rebuilt for every exponent."""
-    if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
-        raise BoundViolation("pair components must lie below alpha")
-    u, v = _embed(alpha, x), _embed(alpha, y)
-    digits = {}
-    for e in set(dict(u.terms)) | set(dict(v.terms)):
-        du = dict(u.terms).get(e, 0)
-        dv = dict(v.terms).get(e, 0)
-        digits[e] = cantor_pair(du, dv)
-    return _validating_from_digits(digits)
-
-
-def _dict_unembed(alpha, u):
-    """_unembed as it was: through the digit dict, rebuilt by arithmetic."""
-    if len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
-        return u if compare(u, alpha) < 0 else None
-    mu = alpha.degree
-    if u.terms and compare(u.degree, mu) >= 0:
-        return None
-    digits = dict(u.terms)
-    q, d0 = cantor_unpair(digits.pop(ZERO, 0))
-    digits[ZERO] = d0
-    x = add(multiply(omega_power(mu), Ordinal(q)), _validating_from_digits(digits))
-    return x if compare(x, alpha) < 0 else None
-
-
-def _dict_pair_decode(alpha, z):
-    """pair_decode as it was: each half gathered in a digit dict."""
-    if compare(z, alpha) >= 0 or (z.terms and compare(z.degree, alpha.degree) >= 0):
-        return None
-    halves = ({}, {})
-    for e, c in z.terms:
-        for half, d in zip(halves, cantor_unpair(c)):
-            half[e] = d
-    x, y = (_dict_unembed(alpha, _validating_from_digits(half)) for half in halves)
-    return None if x is None or y is None else (x, y)
-
-
-def _dict_fin_decode(alpha, z):
-    """fin_decode as it was: a digit dict per member, sorted back into an
-    ordinal by from_digits."""
-    if z.is_zero():
-        return []
-    if compare(z, alpha) >= 0:
-        return None
-    digits = dict(z.terms)
-    arity, d0 = cantor_unpair(digits.pop(ZERO, 0))
-    if d0:
-        digits[ZERO] = d0
-    if arity < 1 or arity > 2 + max(digits.values(), default=0).bit_length():
-        return None
-    per_member = [dict() for _ in range(arity)]
-    for e, code in digits.items():
-        for u_digits, d in zip(per_member, _tuple_decode(code, arity)):
-            if d:
-                u_digits[e] = d
-    members = []
-    for u_digits in per_member:
-        x = _unembed(alpha, _validating_from_digits(u_digits))
-        if x is None:
-            return None
-        members.append(x)
-    if len(set(members)) != len(members):
-        return None
-    members.sort(key=attrgetter("key"), reverse=True)
-    if compare(fin_encode(alpha, members), z) != 0:
-        return None
-    return members
 
 
 # the first three are powers of omega, under which pairing embeds no digit

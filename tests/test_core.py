@@ -33,6 +33,7 @@ from ordkit.cli import main
 from ordkit.errors import BoundViolation, OutOfRangeError, ParseError
 from ordkit.eventual import _lift, _Raises, _Row
 
+from reference import _recursive_compare, _reference_ast, _reference_bounds, _reference_eval
 from strategies import interval_set_texts, nested_ordinals, tail_templates
 
 
@@ -147,148 +148,6 @@ class TestNestingLimit:
             parse(_nested(depth))
         with pytest.raises(ParseError):
             parse_template("w*(" * depth + "n" + ")" * depth)
-
-
-class _ReferenceLexer:
-    """core._Lexer as it was: every call skips spaces and tabs first."""
-
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch in core._DIGITS:
-            return "nat"
-        return ch
-
-    def take_nat(self):
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in core._DIGITS:
-            self.pos += 1
-        return core._nat_int(self.text[start:self.pos]), start
-
-    def expect(self, ch):
-        self._skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-
-def _reference_expr(lx):
-    """core._parse_expr as it was, over the reference lexer: an unfolded
-    AST of ('nat', k, pos), ('var', pos), ('w', pos), ('term', exp_ast|None,
-    coeff_ast|None, pos) and ('add', [term_asts]) nodes."""
-    terms = [_reference_term(lx)]
-    while lx.peek() == "+":
-        lx.expect("+")
-        terms.append(_reference_term(lx))
-    return ("add", terms)
-
-
-def _reference_term(lx):
-    tok = lx.peek()
-    pos = lx.pos
-    if tok != "w":
-        if tok == "(":
-            raise ParseError("expected a term", pos)
-        return _reference_atom(lx, "expected a term")
-    lx.expect("w")
-    exp_ast = coeff_ast = None
-    if lx.peek() == "^":
-        lx.expect("^")
-        if lx.peek() == "w":
-            exp_ast = ("w", lx.pos)
-            lx.expect("w")
-        else:
-            exp_ast = _reference_atom(lx, "expected an exponent atom")
-    if lx.peek() == "*":
-        lx.expect("*")
-        coeff_ast = _reference_atom(lx, "expected a coefficient")
-        if coeff_ast[0] == "nat" and coeff_ast[1] == 0:
-            raise ParseError("coefficient 0 is not allowed", coeff_ast[2])
-    return ("term", exp_ast, coeff_ast, pos)
-
-
-def _reference_atom(lx, expected):
-    tok = lx.peek()
-    pos = lx.pos
-    if tok == "nat":
-        value, npos = lx.take_nat()
-        return ("nat", value, npos)
-    if tok == "n":
-        lx.expect("n")
-        return ("var", pos)
-    if tok != "(":
-        raise ParseError(expected, pos)
-    lx.expect("(")
-    lx.depth += 1
-    if lx.depth > MAX_NESTING:
-        raise ParseError(f"more than {MAX_NESTING} nested parentheses", pos)
-    inner = _reference_expr(lx)
-    lx.expect(")")
-    lx.depth -= 1
-    return inner
-
-
-def _reference_ast(text):
-    lx = _ReferenceLexer(text)
-    ast = _reference_expr(lx)
-    if lx.peek() is not None:
-        raise ParseError("trailing input", lx.pos)
-    return ast
-
-
-def _reference_bounds(text):
-    """core._parse_bounds as it was: the list of ``(lo, hi)`` ASTs."""
-    lx = _ReferenceLexer(text)
-    asts = []
-    while lx.peek() is not None:
-        lx.expect("[")
-        lo = _reference_expr(lx)
-        lx.expect(",")
-        hi = _reference_expr(lx)
-        lx.expect(")")
-        asts.append((lo, hi))
-        if lx.peek() is not None:
-            lx.expect(",")
-    return asts
-
-
-def _reference_eval(ast, n):
-    """core._eval_ast as it was: through omega_power, multiply and a sum
-    from 0."""
-    kind = ast[0]
-    if kind == "nat":
-        return Ordinal(ast[1])
-    if kind == "w":
-        return OMEGA
-    if kind == "var":
-        if n is None:
-            raise ParseError("variable n outside template", ast[1])
-        return Ordinal(n)
-    if kind == "add":
-        value = ZERO
-        for term in ast[1]:
-            value = add(value, _reference_eval(term, n))
-        return value
-    _, exp_ast, coeff_ast, pos = ast
-    base = omega_power(ONE if exp_ast is None else _reference_eval(exp_ast, n))
-    if coeff_ast is None:
-        return base
-    coeff = _reference_eval(coeff_ast, n)
-    if not coeff.is_nat() or coeff.nat_value() < 1:
-        raise ParseError("coefficient must be a natural number >= 1", pos)
-    return multiply(base, coeff)
 
 
 def _outcome(fn, *args):
@@ -634,18 +493,6 @@ class TestCompare:
         assert compare(a, b) == -compare(b, a)
         if compare(a, b) <= 0 and compare(b, c) <= 0:
             assert compare(a, c) <= 0
-
-
-def _recursive_compare(a, b):
-    """The term-walking compare that the cached key replaced."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = _recursive_compare(ea, eb)
-        if c:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    la, lb = len(a.terms), len(b.terms)
-    return 0 if la == lb else (-1 if la < lb else 1)
 
 
 class TestCompareReference:

@@ -7,9 +7,10 @@ command set is acceptance criterion 10's, ``refute`` in both modes at
 ``--check 100``, ``reduce`` on every instance at two or three bounds,
 ``refute`` in both modes at three check bounds on three more instances
 (infpset fails with ``certificate-error`` on two of them), ``cnfbij`` at two
-more alphas and ``selftest --size 3``.  Error exits are pinned too.  To record
-the file again (only when an output is meant to change), run from the
-repository root::
+more alphas and ``selftest --size 3``.  Error exits are pinned too.  The
+claims of each successful ``reduce`` are also derived again from the
+reference models in ``reference.py``.  To record the file again (only when
+an output is meant to change), run from the repository root::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +18,7 @@ repository root::
 import hashlib
 import io
 import json
+import re
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -26,8 +28,16 @@ import pytest
 from families import CARRIER, infinite_powerset_families, powerset_families
 from ordkit.carriers import load_instance
 from ordkit.cli import _distinct_table, _fiber_listing, main
-from ordkit.core import fmt
+from ordkit.core import ZERO, compare, fmt
 from ordkit.reduction import refute_infinite_powerset, refute_powerset
+from reference import (
+    _ref_canonical,
+    _ref_difference,
+    _ref_image_of,
+    _ref_intersect,
+    _reference_ast,
+    _reference_eval,
+)
 
 INSTANCES = Path(__file__).parent / "instances"
 GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
@@ -104,6 +114,51 @@ def test_usage_error_leaves_the_parser_intact():
     argv = ("reduce", "--instance", "case2_tower.txt", "--verify-below", "w^3")
     expected = _load()[argv]
     assert _run(argv) == (expected["status"], expected["stdout"])
+
+
+def _read(text):
+    """A printed ordinal, read by the reference parser and evaluation."""
+    return _reference_eval(_reference_ast(text), None)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv, entry in _load().items() if argv[0] == "reduce" and entry["status"] == 0],
+    ids=" ".join,
+)
+def test_reduce_claims(argv):
+    """Each claim a successful ``reduce`` prints, derived again from the
+    reference models: every ``interval=[a,b) row=n`` lies inside row n's
+    reference image and meets none of rows 0..n-1; the intervals come in
+    row order, each row's ascending, and tile [0, bound); and each
+    ``target=g ... value=v`` has g inside the interval above it and v == g.
+
+    Still engine-checked: the engine's ``parse_instance`` reads the
+    instance and ``SurjectionFamily.row`` builds its rows, each ``value``
+    is the engine's own evaluation of the witness, and the header's case
+    and delta are not checked."""
+    status, stdout = _run(argv)
+    assert status == 0
+    fam = load_instance(INSTANCES / argv[2])
+    images = []  # images[n]: row n's reference image, as (lo, hi) pairs
+    tiles = []  # (row, lo, hi) as printed
+    for line in stdout.splitlines()[1:]:
+        if line.startswith("interval="):
+            lo, hi, n = re.fullmatch(r"interval=\[(.*),(.*)\) row=(\d+)", line).groups()
+            lo, hi, n = _read(lo), _read(hi), int(n)
+            while len(images) <= n:
+                images.append(_ref_image_of(fam.row(len(images)), fam.carrier).intervals)
+            assert _ref_difference(((lo, hi),), images[n]) == ()
+            assert all(_ref_intersect(((lo, hi),), image) == () for image in images[:n])
+            tiles.append((n, lo, hi))
+        else:
+            target, value = re.fullmatch(r"target=(.*) witness=.* value=(.*)", line).groups()
+            _, lo, hi = tiles[-1]
+            gamma = _read(target)
+            assert compare(lo, gamma) <= 0 and compare(gamma, hi) < 0 and value == target
+    for (m, _, hi_m), (n, lo_n, _) in zip(tiles, tiles[1:]):
+        assert m < n or (m == n and compare(hi_m, lo_n) < 0)
+    assert _ref_canonical([(lo, hi) for _, lo, hi in tiles]) == ((ZERO, _read(argv[4])),)
 
 
 # sha256 of every distinguisher (not only the ten the CLI prints) at

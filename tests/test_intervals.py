@@ -6,12 +6,10 @@ from ordkit.core import (
     MAX_NESTING,
     OMEGA,
     ZERO,
-    Ordinal,
     add,
     compare,
     left_subtract,
     parse,
-    parse_template,
 )
 from ordkit.errors import OutOfRangeError, ParseError, PartitionError
 from ordkit.intervals import (
@@ -21,6 +19,16 @@ from ordkit.intervals import (
     parse_interval_set,
 )
 
+from reference import (
+    _ref_canonical,
+    _ref_difference,
+    _ref_intersect,
+    _ref_positions_of,
+    _ref_select,
+    _ref_slice,
+    _reference_bounds,
+    _reference_eval,
+)
 from strategies import flat_ordinals, interval_set_texts, nested_ordinals, paired_off
 
 
@@ -60,88 +68,6 @@ class TestAlgebra:
         _assert_canonical(OrdinalSet(pairs))
 
 
-# -- the nested-loop, sort-and-merge set algebra the linear sweeps replaced ----
-
-
-def _ref_canonical(intervals):
-    pairs = [(lo, hi) for lo, hi in intervals if compare(lo, hi) < 0]
-    pairs.sort(key=lambda pair: (pair[0].key, pair[1].key))
-    merged = []
-    for lo, hi in pairs:
-        if merged and compare(lo, merged[-1][1]) <= 0:
-            if compare(hi, merged[-1][1]) > 0:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
-
-
-def _ref_union(a, b):
-    return _ref_canonical(a + b)
-
-
-def _ref_intersect(a, b):
-    out = []
-    for alo, ahi in a:
-        for blo, bhi in b:
-            lo = alo if compare(alo, blo) >= 0 else blo
-            hi = ahi if compare(ahi, bhi) <= 0 else bhi
-            if compare(lo, hi) < 0:
-                out.append((lo, hi))
-    return _ref_canonical(out)
-
-
-def _ref_difference(a, b):
-    out = []
-    for lo, hi in a:
-        segments = [(lo, hi)]
-        for blo, bhi in b:
-            next_segments = []
-            for slo, shi in segments:
-                cut_lo = slo if compare(slo, blo) >= 0 else blo
-                cut_hi = shi if compare(shi, bhi) <= 0 else bhi
-                if compare(cut_lo, cut_hi) >= 0:
-                    next_segments.append((slo, shi))
-                    continue
-                if compare(slo, cut_lo) < 0:
-                    next_segments.append((slo, cut_lo))
-                if compare(cut_hi, shi) < 0:
-                    next_segments.append((cut_hi, shi))
-            segments = next_segments
-        out.extend(segments)
-    return _ref_canonical(out)
-
-
-def _ref_slice(a, p_lo, p_hi):
-    out = []
-    cum = ZERO
-    for lo, hi in a:
-        nxt = add(cum, left_subtract(lo, hi))
-        s_lo = p_lo if compare(p_lo, cum) >= 0 else cum
-        s_hi = p_hi if compare(p_hi, nxt) <= 0 else nxt
-        if compare(s_lo, s_hi) < 0:
-            out.append((add(lo, left_subtract(cum, s_lo)), add(lo, left_subtract(cum, s_hi))))
-        cum = nxt
-    return _ref_canonical(out)
-
-
-def _ref_select(a, positions):
-    out = ()
-    for p_lo, p_hi in positions:
-        out = _ref_union(out, _ref_slice(a, p_lo, p_hi))
-    return out
-
-
-def _ref_positions_of(a, subset):
-    out = []
-    cum = ZERO
-    for lo, hi in a:
-        for slo, shi in _ref_intersect(subset, ((lo, hi),)):
-            out.append((add(cum, left_subtract(lo, slo)), add(cum, left_subtract(lo, shi))))
-        cum = add(cum, left_subtract(lo, hi))
-    return _ref_canonical(out)
-
-
 _bound_pairs = st.one_of(
     st.lists(st.tuples(nested_ordinals(), nested_ordinals()), max_size=5),
     st.lists(nested_ordinals(), max_size=10).map(paired_off),
@@ -157,7 +83,7 @@ class TestSetAlgebraReference:
         ref_a, ref_b = _ref_canonical(pairs_a), _ref_canonical(pairs_b)
         assert a.intervals == ref_a and b.intervals == ref_b
         for got, want in (
-            (a.union(b), _ref_union(ref_a, ref_b)),
+            (a.union(b), _ref_canonical(ref_a + ref_b)),
             (a.intersect(b), _ref_intersect(ref_a, ref_b)),
             (a.difference(b), _ref_difference(ref_a, ref_b)),
             (a.positions_of(b), _ref_positions_of(ref_a, ref_b)),
@@ -317,56 +243,6 @@ class TestText:
             parse_interval_set(deep, template=True)
 
 
-# -- the bracket scanner that core's parser replaced --------------------------
-
-
-def _ref_parse_interval_set(text, template=False):
-    """Split each ``[lo,hi)`` at the first comma and the first ``)`` outside
-    parentheses, and parse each bound on its own."""
-    text = text.strip()
-    if not text:
-        return (lambda n: OrdinalSet()) if template else OrdinalSet()
-    specs = []
-    pos = 0
-    while pos < len(text):
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-        if pos >= len(text):
-            break
-        if text[pos] != "[":
-            raise ParseError("expected '[' in interval set", pos)
-        depth = 0
-        comma_at = None
-        end_at = None
-        scan = pos + 1
-        while scan < len(text):
-            ch = text[scan]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    end_at = scan
-                    break
-                depth -= 1
-            elif ch == "," and depth == 0 and comma_at is None:
-                comma_at = scan
-            scan += 1
-        if end_at is None or comma_at is None:
-            raise ParseError("interval needs '[lo,hi)'", pos)
-        specs.append((text[pos + 1:comma_at], text[comma_at + 1:end_at]))
-        pos = end_at + 1
-        while pos < len(text) and text[pos] in " \t":
-            pos += 1
-        if pos < len(text):
-            if text[pos] != ",":
-                raise ParseError("expected ',' between intervals", pos)
-            pos += 1
-    if template:
-        bounds = [(parse_template(lo), parse_template(hi)) for lo, hi in specs]
-        return lambda n: OrdinalSet((lo(n), hi(n)) for lo, hi in bounds)
-    return OrdinalSet((parse(lo), parse(hi)) for lo, hi in specs)
-
-
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -377,21 +253,29 @@ def _outcome(fn, *args):
 _TEMPLATE_NS = (0, 1, 2, 5)
 
 
+def _parsed_at(text, n, template):
+    s = parse_interval_set(text, template)
+    return (s(n) if template else s).intervals
+
+
+def _reference_at(text, n):
+    pairs = [(_reference_eval(lo, n), _reference_eval(hi, n)) for lo, hi in _reference_bounds(text)]
+    return _ref_canonical(pairs)
+
+
 def _same_parse(text, template=False):
-    """Both parsers raise ParseError on ``text``, or give the same set
-    (for a template: the same outcome at each of a few ``n``)."""
-    got = _outcome(parse_interval_set, text, template)
-    want = _outcome(_ref_parse_interval_set, text, template)
-    if not template or got is ParseError or want is ParseError:
-        assert got == want
-        return got
-    for n in _TEMPLATE_NS:
-        assert _outcome(got, n) == _outcome(want, n)
+    """parse_interval_set and the reference parser and evaluation both
+    raise ParseError on ``text``, or give the same intervals (for a
+    template: at each of a few ``n``).  Returns the last outcome."""
+    for n in _TEMPLATE_NS if template else (None,):
+        got = _outcome(_parsed_at, text, n, template)
+        assert got == _outcome(_reference_at, text, n)
     return got
 
 
 class TestParserReference:
-    """parse_interval_set on core's lexer against the scanner it replaced."""
+    """parse_interval_set against the token-level reference parser and
+    evaluation that core's parser replaced."""
 
     @given(interval_set_texts())
     def test_plain_texts(self, text):

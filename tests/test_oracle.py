@@ -1,16 +1,6 @@
-import itertools
-
 import pytest
 
-from ordkit.core import Ordinal, add, compare, multiply
 from ordkit.oracle import VecOverflow, exhaustive_check, vec_add, vec_cmp, vec_mul
-
-
-def embed(vec):
-    """Structural embedding of a width-k vector into the main notation."""
-    k = len(vec)
-    terms = [(Ordinal(k - 1 - i), c) for i, c in enumerate(vec) if c]
-    return Ordinal.from_terms(terms)
 
 
 class TestVectorModel:
@@ -31,20 +21,6 @@ class TestVectorModel:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             vec_add((1, 0), (1, 0, 0))
-
-    def test_agreement_with_main_implementation(self):
-        """Full cross product with entries < 6 at width 3."""
-        vectors = list(itertools.product(range(6), repeat=3))
-        for a in vectors:
-            for b in vectors:
-                ea, eb = embed(a), embed(b)
-                assert embed(vec_add(a, b)) == add(ea, eb)
-                assert vec_cmp(a, b) == compare(ea, eb)
-                try:
-                    product = vec_mul(a, b)
-                except VecOverflow:
-                    continue
-                assert embed(product) == multiply(ea, eb)
 
 
 class TestExhaustive:

@@ -25,7 +25,7 @@ from ordkit.carriers import (
     parse_instance,
 )
 from ordkit.cli import main
-from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, fmt, multiply, omega_power, parse
+from ordkit.core import OMEGA, ONE, ZERO, Ordinal, add, compare, multiply, omega_power, parse
 from ordkit.errors import (
     BoundViolation,
     CertificateError,
@@ -40,8 +40,6 @@ from ordkit.errors import (
 from ordkit.eventual import _key, settle_point
 from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import (
-    _COVERAGE_WINDOW,
-    _STAGE_SEARCH,
     ReductionResult,
     RefutationWitness,
     Stage,
@@ -64,6 +62,7 @@ from ordkit.reduction import (
 )
 
 from families import CARRIER, infinite_powerset_families
+from reference import _literal_settle, _ref_coverage_ok, _ReferenceStages, _three_pass_order_type
 from strategies import tail_templates
 
 INSTANCES = Path(__file__).parent / "instances"
@@ -305,27 +304,6 @@ class TestTailForms:
             assert [(lo.key, hi.key) for lo, hi in image.intervals] == [
                 (_key(lo, n), _key(hi, n)) for lo, hi in forms
             ]
-
-
-# The settle point that eventual.settle_point replaced, kept as the
-# reference: start + L + 1, where L sums every decimal literal in the tail
-# row, in alpha and in the block order types.  (The parser counted a
-# literal of six or more digits as past the 4096 cap, unread; the drawn
-# literals are short enough to read, and the sum refuses them all the same.)
-_DIGIT_RUN = re.compile("[0-9]+")
-
-
-def _literal_settle(text: str) -> int:
-    lines = dict(line.split(":", 1) for line in text.splitlines() if not line.startswith("#"))
-    spec, _, row_text = lines["tail"].partition(":")
-    start = int(spec.split(">=")[1])
-    shapes = [part.split(":", 1)[1] for part in lines["carrier"].split(";")]
-    texts = [
-        row_text,
-        fmt(parse(lines["alpha"])),
-        *(fmt(parse_interval_set(shape).order_type()) for shape in shapes),
-    ]
-    return start + sum(map(int, _DIGIT_RUN.findall(" ".join(texts)))) + 1
 
 
 # large literals in the blocks and in alpha: some pass 64 (more rows than
@@ -648,92 +626,6 @@ class TestReduceCase2:
         fam = SurjectionFamily(carrier, o("w^w"), [tail(0)], tail=(1, tail))
         with pytest.raises(PreconditionViolated):
             reduce_omega_product(fam)
-
-
-def _ref_coverage_ok(report: list) -> bool:
-    best = ZERO
-    best_qual = ZERO
-    for _, delta_m, qualifies in report:
-        if compare(delta_m, best) > 0:
-            best = delta_m
-        if qualifies and compare(delta_m, best_qual) > 0:
-            best_qual = delta_m
-    return compare(best, best_qual) == 0
-
-
-class _ReferenceStages(ReductionResult):
-    """The stage construction as it was before row strength had one test
-    and before the record was derived on demand: every window row is
-    imaged on the chunk and on B_(n+1), the coverage condition compares
-    the window's largest delta_m with its largest qualifying one, and each
-    stage's q_map and coverage are built eagerly."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._peeled = [ZERO]  # cumulative chunk lengths
-
-    def _stage_coverage(self, restriction: dict) -> list:
-        report = []
-        for m in range(_COVERAGE_WINDOW):
-            delta_m = self._kept.delta(m)
-            image = image_of(self._kept.row(m), self.carrier, restriction)
-            report.append((m, delta_m, compare(image.order_type(), delta_m) == 0))
-        return report
-
-    def _ref_chunk_iso(self, chunk: dict) -> BlockwiseMap:
-        pieces = []
-        acc = ZERO
-        for label in self.carrier.labels:
-            dom = chunk[label]
-            if dom.is_empty():
-                continue
-            length = dom.order_type()
-            target = OrdinalSet.interval(acc, add(acc, length))
-            pieces.append(Piece(label, "monotone", target=target, dom=dom))
-            acc = add(acc, length)
-        return BlockwiseMap(pieces)
-
-    def ensure_stage(self, n: int):
-        while len(self.stages) <= n:
-            index = len(self.stages)
-            beta_n = omega_power(self._kept.delta(index))
-            b_lo = add(self.beta, self._peeled[index])
-            b_restriction = self.stages[-1].b_next if index else self.carrier.full_restriction()
-            search = max(_STAGE_SEARCH, index + 8)
-            k = None
-            for cand in range(search):
-                delta_c = self._kept.delta(cand)
-                if compare(self._kept.delta(index), delta_c) >= 0:
-                    continue
-                image = image_of(self._kept.row(cand), self.carrier, b_restriction)
-                if compare(image.order_type(), delta_c) == 0:
-                    k = cand
-                    break
-            if k is None:
-                raise CoverageBroken(
-                    f"no qualifying row above beta_{index} within {search} rows"
-                )
-            beta_k = omega_power(self._kept.delta(k))
-            if compare(multiply(beta_n, Ordinal(2)), beta_k) >= 0:
-                raise CoverageBroken(f"beta_{index}*2 < beta_k fails at stage {index}")
-            chunk_lo = b_lo
-            chunk_hi = add(chunk_lo, beta_n)
-            chunk = self.carrier.global_range_restriction(chunk_lo, chunk_hi)
-            if _ref_coverage_ok(self._stage_coverage(chunk)):
-                raise CoverageBroken("reserve chunk unexpectedly carries full row strength")
-            b_next = {label: b_restriction[label].difference(chunk[label]) for label in chunk}
-            after = self._stage_coverage(b_next)
-            if not _ref_coverage_ok(after):
-                raise CoverageBroken(f"coverage condition fails after stage {index}")
-            q_map = self._ref_chunk_iso(chunk)
-            reach = max([beta_n] + [s.beta for s in self.stages])
-            stage = Stage(
-                index, k, beta_n, reach, chunk_lo, chunk_hi, b_restriction, b_next, self._kept
-            )
-            # hand over the eagerly computed record in place of the derived one
-            stage.q_map, stage.coverage = q_map, after
-            self.stages.append(stage)
-            self._peeled.append(add(self._peeled[index], beta_n))
 
 
 # tail targets [0, T(n)) by template, with the supremum delta of T(n) over
@@ -1638,6 +1530,18 @@ class TestRefuterFailures:
         with pytest.raises(PreconditionViolated, match=r"^carrier must be infinite$"):
             refute_powerset(lambda n, x: self.E0, finite, [self.E0], check_bound=16)
 
+    @pytest.mark.parametrize("refuter", [refute_powerset, refute_infinite_powerset])
+    def test_finite_carrier_asks_no_set(self, refuter):
+        # the arguments are checked before any set is asked: a repeated
+        # entry is not reached, nor is the entry's certificate
+        asked = []
+        entry = QueryableSet(lambda x: asked.append(x) or True,
+                             ("infinite", lambda k: ("m", Ordinal(k))))
+        finite = Carrier([("m", iv("0", "5"))])
+        with pytest.raises(PreconditionViolated, match=r"^carrier must be infinite$"):
+            refuter(lambda n, x: entry, finite, [entry, entry], check_bound=16)
+        assert asked == []
+
     def test_entry_enumerating_malformed_points(self, carrier):
         # an enumerated ("m", k) with an int k is no carrier element
         ints = QueryableSet(lambda x: True, ("infinite", lambda k: ("m", k)))
@@ -1681,31 +1585,6 @@ class TestKuratowski:
         carrier = Carrier([("m", iv("0", "w"))])
         with pytest.raises(EmptyFiber):
             kuratowski_witness(lambda x: ZERO, carrier, 2)
-
-
-def _three_pass_order_type(pairs: list) -> int:
-    """The strict-order check that the rank check replaced, kept as the
-    reference: irreflexive, then total and asymmetric, then transitive."""
-    field_points = set()
-    relation = set()
-    for a, b in pairs:
-        field_points.add(a)
-        field_points.add(b)
-        relation.add((a, b))
-    for a in field_points:
-        if (a, a) in relation:
-            return 0
-    for a in field_points:
-        for b in field_points:
-            if a == b:
-                continue
-            if ((a, b) in relation) == ((b, a) in relation):
-                return 0
-    for a, b in relation:
-        for c in field_points:
-            if (b, c) in relation and (a, c) not in relation:
-                return 0
-    return len(field_points)
 
 
 @st.composite
