@@ -546,7 +546,7 @@ def parse_instance(text: str) -> SurjectionFamily:
         if not sep:
             raise ParseError(f"expected 'key: value' line, got {line!r}")
         key = key.strip()
-        if key.startswith("row"):
+        if key.startswith("row") and not key[3:4].isalpha():  # not rows, rowing
             n = _nat(key[len("row"):], key)
             key = f"row {_nat_str(n)}"
         if key in seen:
@@ -565,7 +565,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             carrier = Carrier(blocks)
         elif key == "alpha":
             alpha = parse(value.strip())
-        elif key.startswith("row"):
+        elif key.startswith("row "):
             rows[n] = _build_row(_parse_row(value), None)
         elif key == "tail":
             spec, tsep, row_text = value.partition(":")

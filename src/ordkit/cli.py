@@ -224,7 +224,7 @@ def _parse_wo_file(content: str):
             body = line[len("bits:"):].strip()
             bits = [_nat(part, line) for part in body.split(",")] if body else []
             continue
-        parts = line.replace(",", " ").split()
+        parts = line.split(",") if "," in line else line.split()  # no empty field
         if len(parts) != 2:
             raise ParseError(f"bad well-order line: {line!r}")
         pairs.append((_nat(parts[0], line), _nat(parts[1], line)))

@@ -106,16 +106,9 @@ def _is_omega_power(alpha: Ordinal) -> bool:
     return len(t) == 1 and t[0][1] == 1
 
 
-def _embed(alpha: Ordinal, x: Ordinal) -> Ordinal:
-    """Injection [0, alpha) -> [0, w**mu); identity when alpha = w**mu."""
-    if compare(x, alpha) >= 0:
-        raise BoundViolation(f"{x} is not below {alpha}")
-    return x if _is_omega_power(alpha) else Ordinal._raw(_embed_terms(alpha, x.terms))
-
-
 def _embed_terms(alpha: Ordinal, terms: tuple) -> tuple:
-    """The terms of :func:`_embed` from the terms of an x below alpha (not
-    checked)."""
+    """Injection [0, alpha) -> [0, w**mu) on the terms of an x below alpha
+    (not checked); identity when alpha = w**mu."""
     if _is_omega_power(alpha):
         return terms
     # x = w**mu * q + r with q a natural (alpha < w**(mu+1) forces q < w):
@@ -130,16 +123,9 @@ def _embed_terms(alpha: Ordinal, terms: tuple) -> tuple:
     return terms
 
 
-def _unembed(alpha: Ordinal, u: Ordinal) -> Optional[Ordinal]:
-    """Inverse of :func:`_embed` on its range; None off the range."""
-    terms = u.terms
-    if terms and compare(terms[0][0], alpha.degree) >= 0:
-        return None  # u is not below w**mu
-    return _unembed_terms(alpha, terms)
-
-
 def _unembed_terms(alpha: Ordinal, terms: tuple) -> Optional[Ordinal]:
-    """:func:`_unembed` from the terms of a u below w**mu (not checked)."""
+    """Inverse of :func:`_embed_terms` on the terms of a u below w**mu (not
+    checked); None off its range."""
     if _is_omega_power(alpha):
         return Ordinal._raw(terms)
     code = 0
@@ -234,8 +220,13 @@ def fin_encode(alpha: Ordinal, elements: Iterable) -> Ordinal:
             raise BoundViolation("finite-set coding needs distinct elements")
     if not members:
         return ZERO
-    embedded = [_embed(alpha, x) for x in members]
-    embedded.sort(key=attrgetter("key"), reverse=True)
+    if compare(members[0], alpha) >= 0:
+        raise BoundViolation(f"{members[0]} is not below {alpha}")
+    # under alpha = w**mu the members are their own embeddings, in order
+    embedded = members
+    if not _is_omega_power(alpha):
+        embedded = [Ordinal._raw(_embed_terms(alpha, x.terms)) for x in members]
+        embedded.sort(key=attrgetter("key"), reverse=True)
     arity = len(embedded)
     member_digits = [dict(u.terms) for u in embedded]
     support = {ZERO}.union(*member_digits)
@@ -284,9 +275,14 @@ def fin_decode(alpha: Ordinal, z: Ordinal) -> Optional[list]:
                 terms.append((e, d))
     embedded = [Ordinal._raw(tuple(terms)) for terms in per_member]
     # fin_encode writes the embedded members strictly decreasing, so distinct
+    # and below w**mu when the first one is
     if any(u.key <= v.key for u, v in zip(embedded, embedded[1:])):
         return None
-    members = [_unembed(alpha, u) for u in embedded]
+    if embedded[0].terms and compare(embedded[0].degree, alpha.degree) >= 0:
+        return None
+    if _is_omega_power(alpha):
+        return embedded  # the members themselves
+    members = [_unembed_terms(alpha, u.terms) for u in embedded]
     if any(x is None for x in members):
         return None
     members.sort(key=attrgetter("key"), reverse=True)
@@ -403,7 +399,9 @@ class OmegaPowerBijection:
         _require_infinite(alpha)
         self.alpha = alpha
         self.bound = omega_power(alpha)
-        self._decoded: dict = {}  # z -> _decode(z): the range test and the inverse both ask
+        # the range test and the inverse both ask; read at call time, so
+        # that _decode_digits can be replaced on an instance
+        self._decode = functools.cache(lambda z: self._decode_digits(z))
 
         def encode(v: Ordinal) -> Ordinal:
             pairs = [pair_encode(alpha, e, Ordinal(c)) for e, c in v.terms]
@@ -426,11 +424,6 @@ class OmegaPowerBijection:
             MapSpec(omega_power, in_power_range, attrgetter("degree"), "omega-power"),
             fuel=fuel,
         )
-
-    def _decode(self, z: Ordinal) -> Optional[Ordinal]:
-        if z not in self._decoded:
-            self._decoded[z] = self._decode_digits(z)
-        return self._decoded[z]
 
     def _decode_digits(self, z: Ordinal) -> Optional[Ordinal]:
         codes = fin_decode(self.alpha, z)

@@ -563,9 +563,9 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     sample is inverted through the construction and the resulting witness
     re-evaluated.
 
-    Past the row scan, rows are taken while later rows may still cover
-    what is left (see :func:`_still_coverable`).  The rows settle the
-    coverage first, so a refusal samples nothing.
+    Rows are taken while there are any and, past the row scan, while later
+    rows may still cover what is left (see :func:`_still_coverable`).  The
+    rows settle the coverage first, so a refusal samples nothing.
     """
     if compare(bound, result.alpha) > 0:
         raise BoundViolation("bound must be at most alpha")
@@ -577,10 +577,8 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
     for n in itertools.count():
         if rest.is_empty():
             break
-        if n >= scan and not _still_coverable(result.fam, rest, n):
+        if not result.fam.has_row(n) or n >= scan and not _still_coverable(result.fam, rest, n):
             raise WitnessNotFound(f"rows 0..{n - 1} do not cover [0, {fmt(bound)})")
-        if not result.fam.has_row(n):
-            raise WitnessNotFound(f"targets below {fmt(bound)} not covered by {scan} rows")
         fresh = result.fam.row_image(n).intersect(rest)
         first_covers.append((n, fresh))
         rest = rest.difference(fresh)
@@ -709,10 +707,6 @@ class TransferResult:
                 continue
             return y if self.route == "row" else _code_point(self.carrier, j, y)
         raise WitnessNotFound(f"no row reaches {fmt(gamma)}")
-
-    def verify(self, bound: Ordinal) -> list:
-        """Sampled bounded surjectivity check; returns report lines."""
-        return verify_surjective(self, bound).lines()
 
 
 def finite_to_one_transfer(f: CarrierMap, g: BlockwiseMap, alpha: Ordinal) -> TransferResult:
@@ -849,9 +843,10 @@ def _listing_pairs(bound: int, width: int):
             yield n, level - n
 
 
-def _check_arguments(carrier: Carrier, table: list, check_bound: int):
+def _check_arguments(carrier: Carrier, table: list, check_bound: int) -> _SampleAnswers:
     """What both refuters need before any set is asked: a check bound in
-    range, an infinite carrier and a nonempty table."""
+    range, an infinite carrier and a nonempty table.  Returns the answers
+    on the carrier's sample points, none asked yet."""
     if not 1 <= check_bound <= _MAX_CHECK:
         side = "least 1" if check_bound < 1 else f"most {_MAX_CHECK}"
         raise BoundViolation(f"check bound must be at {side}, not {check_bound}")
@@ -859,27 +854,24 @@ def _check_arguments(carrier: Carrier, table: list, check_bound: int):
         raise PreconditionViolated("carrier must be infinite")
     if not table:
         raise PreconditionViolated("table must be nonempty")
+    return _SampleAnswers(carrier.sample_elements(_REFUTER_SAMPLES))
 
 
-def _table_signatures(table: list, answers: _SampleAnswers) -> dict:
-    """Each entry's index keyed by its signature, which no other entry has."""
+def _induced_index(phi: Callable, table: list, answers: _SampleAnswers) -> tuple:
+    """The cached maps (n, x) -> phi(n, x), and (n, x) -> the table index
+    whose entry agrees with phi(n, x) on the sample points, 0 when none
+    does.  Signs the table first: no two entries may agree there."""
     signatures = [answers.signature(entry) for entry in table]
     for i, signature in enumerate(signatures):
         if signature in signatures[i + 1:]:
             j = signatures.index(signature, i + 1)
             raise TableNotInjective(f"table entries {i} and {j} agree on all samples")
-    return {signature: i for i, signature in enumerate(signatures)}
-
-
-def _induced_index(phi: Callable, signatures: dict, answers: _SampleAnswers) -> tuple:
-    """The cached maps (n, x) -> phi(n, x), and (n, x) -> the table index
-    whose entry agrees with phi(n, x) on the sample points, 0 when none
-    does."""
+    index = {signature: i for i, signature in enumerate(signatures)}
     listed = cache(phi)
 
     @cache
     def induced(n: int, x) -> int:
-        return signatures.get(answers.signature(listed(n, x)), 0)  # extended by zero
+        return index.get(answers.signature(listed(n, x)), 0)  # extended by zero
 
     return listed, induced
 
@@ -947,12 +939,10 @@ def refute_powerset(
     differs from it, or failing that at its own code point, the element
     that collapses to (n, y).
     """
-    _check_arguments(carrier, table, check_bound)
-    points = carrier.sample_elements(_REFUTER_SAMPLES)
-    answers = _SampleAnswers(points)
-    signatures = _table_signatures(table, answers)
+    answers = _check_arguments(carrier, table, check_bound)
+    points = answers.points
     theta = carrier.order_type
-    listed, induced = _induced_index(phi, signatures, answers)
+    listed, induced = _induced_index(phi, table, answers)
 
     @cache
     def collapse(x) -> int:
@@ -1001,14 +991,12 @@ def refute_infinite_powerset(
     omega is provably infinite (it contains every index beyond the table),
     and its image is returned with an infinite certificate.
     """
-    _check_arguments(carrier, table, check_bound)
-    points = carrier.sample_elements(_REFUTER_SAMPLES)
-    answers = _SampleAnswers(points)
+    answers = _check_arguments(carrier, table, check_bound)
+    points = answers.points
     for i, entry in enumerate(table):
         if entry.certificate is None or entry.certificate[0] != "infinite":
             raise CertificateError(f"table entry {i} lacks an infinite certificate")
         answers.confirm(entry, entry.validate_certificate(carrier.is_element, samples=8))
-    signatures = _table_signatures(table, answers)
     theta = carrier.order_type
     size = len(table)
 
@@ -1018,7 +1006,7 @@ def refute_infinite_powerset(
             raise CertificateError("listed sets must be infinite")
         return listed
 
-    listed, induced = _induced_index(infinite_phi, signatures, answers)
+    listed, induced = _induced_index(infinite_phi, table, answers)
 
     # g and the coding steps below are pure: each is computed once per call
     @cache

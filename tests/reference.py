@@ -10,7 +10,7 @@ from operator import attrgetter
 
 from ordkit import core
 from ordkit.carriers import BlockwiseMap, Piece
-from ordkit.coding import _embed, _tuple_decode, _unembed, cantor_pair, cantor_unpair, fin_encode
+from ordkit.coding import _embed_terms, _tuple_decode, cantor_pair, cantor_unpair, fin_encode
 from ordkit.core import (
     MAX_NESTING,
     OMEGA,
@@ -293,10 +293,10 @@ def _validating_from_digits(digits):
 
 def _quadratic_pair_encode(alpha, x, y):
     """pair_encode as it was: both term dicts rebuilt for every exponent.
-    Calls ``cantor_pair`` and the engine's ``_embed``."""
+    Calls ``cantor_pair`` and the engine's ``_embed_terms``."""
     if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
         raise BoundViolation("pair components must lie below alpha")
-    u, v = _embed(alpha, x), _embed(alpha, y)
+    u, v = (Ordinal.from_terms(_embed_terms(alpha, c.terms)) for c in (x, y))
     digits = {}
     for e in set(dict(u.terms)) | set(dict(v.terms)):
         du = dict(u.terms).get(e, 0)
@@ -306,7 +306,8 @@ def _quadratic_pair_encode(alpha, x, y):
 
 
 def _dict_unembed(alpha, u):
-    """_unembed as it was: via the digit dict, rebuilt by arithmetic; calls ``cantor_unpair``."""
+    """The inverse embedding as it was: via the digit dict, rebuilt by
+    arithmetic; calls ``cantor_unpair``."""
     if len(alpha.terms) == 1 and alpha.terms[0][1] == 1:
         return u if compare(u, alpha) < 0 else None
     mu = alpha.degree
@@ -334,7 +335,7 @@ def _dict_pair_decode(alpha, z):
 def _dict_fin_decode(alpha, z):
     """fin_decode as it was: a digit dict per member, sorted back into an
     ordinal by from_digits.  Calls ``cantor_unpair`` and the engine's
-    ``_tuple_decode`` and ``_unembed``, and range-tests through ``fin_encode``."""
+    ``_tuple_decode``, and range-tests through ``fin_encode``."""
     if z.is_zero():
         return []
     if compare(z, alpha) >= 0:
@@ -352,7 +353,7 @@ def _dict_fin_decode(alpha, z):
                 u_digits[e] = d
     members = []
     for u_digits in per_member:
-        x = _unembed(alpha, _validating_from_digits(u_digits))
+        x = _dict_unembed(alpha, _validating_from_digits(u_digits))
         if x is None:
             return None
         members.append(x)

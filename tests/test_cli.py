@@ -518,6 +518,8 @@ class TestFileInput:
                 "carrier: a:[0,w^2)\nrow 1_0: a -> monotone [0,w)",
                 "expected a natural number in 'row 1_0'",
             ),
+            ("carrier: a:[0,w^2)\nrows: a -> constant 0", "unknown instance key 'rows'"),
+            ("carrier: a:[0,w^2)\nrowing: a -> constant 0", "unknown instance key 'rowing'"),
             pytest.param(
                 f"carrier: a:[0,w^2)\nrow {_LONG_NATURAL}: a -> monotone [0,w)",
                 "row 0 is missing (rows must be consecutive from 0)",
@@ -573,7 +575,7 @@ class TestFileInput:
         path.write_text(f"0 {_LONG_NATURAL}\n")
         assert run("decode-wo", str(path)) == (0, "2\n")
 
-    @pytest.mark.parametrize("content", [b"0 1 2\n", b"0\n", b"0 1\n1, 2, 3\n"])
+    @pytest.mark.parametrize("content", [b"0 1 2\n", b"0\n", b"0 1\n1, 2, 3\n", b"0,,1\n"])
     def test_well_order_line_not_a_pair(self, tmp_path, content):
         assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
 

@@ -11,7 +11,6 @@ from ordkit import coding
 from ordkit.carriers import QueryableSet
 from ordkit.cli import main
 from ordkit.coding import (
-    _embed,
     MapSpec,
     CsbBijection,
     OmegaPowerBijection,
@@ -232,7 +231,7 @@ class TestCodecReference:
             assert pair_encode(alpha, *decoded) == z
         if compare(z, alpha) >= 0:
             with pytest.raises(BoundViolation, match=re.escape(f"{z} is not below {alpha}")):
-                _embed(alpha, z)
+                fin_encode(alpha, [z])
 
     @given(
         nested_ordinals(),
@@ -451,6 +450,17 @@ class TestFinEncode:
     def test_duplicates_rejected(self):
         with pytest.raises(BoundViolation):
             fin_encode(OMEGA, [ONE, ONE])
+
+    def test_largest_member_bounds_the_set(self):
+        # one bound test per set: fin_encode checks the largest member, and
+        # fin_decode the degree of the largest embedded member
+        with pytest.raises(BoundViolation, match="w is not below w"):
+            fin_encode(OMEGA, [Ordinal(3), OMEGA])
+        # below alpha = w*2, but its first embedded member, w, is not below
+        # w^mu = w: the w column codes (1, 0), the constant one (arity 2, 0, 1)
+        z = Ordinal.from_terms([(ONE, cantor_pair(1, 0)), (ZERO, cantor_pair(2, cantor_pair(0, 1)))])
+        assert fin_decode(o("w*2"), z) is None
+        assert _dict_fin_decode(o("w*2"), z) is None
 
     def test_codes_past_the_int_str_limit(self):
         alpha = o(INT_STR_LIMIT_ALPHA)

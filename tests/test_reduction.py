@@ -484,6 +484,15 @@ class TestReduceCase1:
         result = reduce_omega_product(fam)
         assert result.case_taken == ("case1", 0)
 
+    def test_explicit_rows_that_miss_a_target(self):
+        # no row takes w^2: verification names the rows there are, not the scan
+        carrier = Carrier([("m", iv("0", "w^2"))])
+        row = BlockwiseMap([Piece("m", "monotone", target=iv("0", "w^2"))])
+        zero = BlockwiseMap([Piece("m", "constant", value=ZERO)])
+        result = reduce_omega_product(SurjectionFamily(carrier, o("w^2+1"), [row, zero]))
+        with pytest.raises(WitnessNotFound, match=re.escape("rows 0..1 do not cover [0, w^2 + 1)")):
+            verify_surjective(result, o("w^2+1"))
+
 
 @pytest.fixture(scope="module")
 def tower():
@@ -989,7 +998,7 @@ class TestTransfer:
             ]
         )
         result = finite_to_one_transfer(f, g, o("w*2"))
-        lines = result.verify(o("w*2"))
+        lines = verify_surjective(result, o("w*2")).lines()
         assert lines and all("MISMATCH" not in line for line in lines)
 
     def test_duplicate_fiber_values_collapse(self):
@@ -1010,7 +1019,7 @@ class TestTransfer:
             ]
         )
         result = finite_to_one_transfer(f, g, OMEGA)
-        assert result.verify(Ordinal(10))
+        assert verify_surjective(result, Ordinal(10)).lines()
 
     def test_verify_reaches_every_fiber_row(self):
         # 70 singleton fiber rows come before the row that covers [1, w)
@@ -1032,7 +1041,7 @@ class TestTransfer:
         )
         result = finite_to_one_transfer(f, g, o("w+70"))
         assert len(result.fam.rows) == 71
-        lines = result.verify(o("w+70"))
+        lines = verify_surjective(result, o("w+70")).lines()
         assert "interval=[1,w) row=70" in lines
 
     def test_zero_extension_adds_no_value(self):
@@ -1054,7 +1063,7 @@ class TestTransfer:
         result = finite_to_one_transfer(f, g, OMEGA)
         assert [result.fam.row_image(j) for j in range(2)] == [iv("1", "w"), iv("0", "1")]
         assert result.route == "sweep"
-        assert "interval=[0,1) row=1" in result.verify(OMEGA)
+        assert "interval=[0,1) row=1" in verify_surjective(result, OMEGA).lines()
 
     def test_reduce_route(self):
         # an identity f on a carrier of type w^2*2 leaves g's one row, of
@@ -1069,7 +1078,7 @@ class TestTransfer:
         g = BlockwiseMap([Piece("n", "monotone", target=iv("0", "w^2"))])
         result = finite_to_one_transfer(f, g, o("w^2"))
         assert result.route == "reduce" and result.reduction.case_taken == ("case1", 0)
-        lines = result.verify(o("w^2"))
+        lines = verify_surjective(result, o("w^2")).lines()
         assert len(lines) == 7 and lines[0] == "interval=[0,w^2) row=0"
         for line in lines[1:]:
             target, value = re.fullmatch(r"target=(.*) witness=.* value=(.*)", line).groups()
@@ -1110,7 +1119,7 @@ class TestTransfer:
         assert result.route == "sweep"
         witness = result.witness_for(o("w+1"))
         assert result.surjection(witness) == o("w+1")
-        assert result.verify(Ordinal(6))
+        assert verify_surjective(result, Ordinal(6)).lines()
 
 
 class TestRefuters:
