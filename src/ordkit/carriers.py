@@ -118,7 +118,8 @@ class Carrier:
             raise OutOfRangeError(f"{element!r} is not a carrier element")
 
     def global_position(self, element) -> Ordinal:
-        self.check_element(element)
+        if not self.is_element(element):  # check_element's test, one call fewer
+            raise OutOfRangeError(f"{element!r} is not a carrier element")
         label, pos = element
         return add(self._spans[label][0], pos)
 
@@ -145,18 +146,24 @@ class Carrier:
 
     def sample_elements(self, count: int) -> list:
         """A deterministic spread of elements: small naturals plus a few
-        limit-scale positions per block, round-robin across blocks."""
-        ladders = []
-        for label, _ in self.blocks:
+        limit-scale positions per block, round-robin across blocks.  Each
+        point is built when the round robin takes it, so only ``count`` are."""
+
+        def ladder(label):  # label is a parameter, bound once per ladder
             theta = self._ot[label]
             naturals = min(count, theta.nat_value()) if theta.is_nat() else count
-            ladder = [(label, Ordinal(k)) for k in range(naturals)]
+            yield from ((label, Ordinal(k)) for k in range(naturals))
             for p in _LADDER:
                 if compare(p, theta) < 0:
-                    ladder.append((label, p))
-            ladders.append(ladder)
-        rounds = itertools.zip_longest(*ladders)
-        return list(itertools.islice((w for r in rounds for w in r if w is not None), count))
+                    yield label, p
+
+        points = []
+        ladders = map(ladder, self.labels)
+        # each pass cycles through the unfinished ladders until one ends
+        for active in range(len(self.labels), 0, -1):
+            ladders = itertools.cycle(itertools.islice(ladders, active))
+            points += itertools.islice(map(next, ladders), count - len(points))
+        return points
 
 
 @dataclass(frozen=True)

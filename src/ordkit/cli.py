@@ -85,11 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fiber_listing(fam):
     """phi(n, x) = the row-n fiber of x, as an exactly certified set; x
-    enters only through its row-n value, so each fiber is built once."""
+    enters only through its row-n value, and equal fibers are one set."""
+    shared: dict = {}  # a fiber's interval keys, block by block -> its set
 
     @functools.cache
     def fiber(n: int, value) -> QueryableSet:
         restriction = preimage_of(fam.row(n), fam.carrier, OrdinalSet.point(value))
+        # keys, not the sets: hashing an OrdinalSet hashes each of its ordinals
+        key = tuple(tuple((lo.key, hi.key) for lo, hi in s.intervals) for s in restriction.values())
+        found = shared.get(key)
+        if found is not None:
+            return found
 
         def membership(y) -> bool:
             label, pos = y
@@ -107,7 +113,8 @@ def _fiber_listing(fam):
             label, part = infinite[0], restriction[infinite[0]]
             certificate = ("infinite", lambda k: (label, part.enumerate(Ordinal(k))))
         # the set, not its answers: membership reads the restriction each time
-        return QueryableSet(membership, certificate)
+        found = shared[key] = QueryableSet(membership, certificate)
+        return found
 
     def phi(n: int, x) -> QueryableSet:
         return fiber(n, fam.row(n)(fam.carrier, x))

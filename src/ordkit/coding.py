@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .carriers import QueryableSet
-from .core import ONE, ZERO, Ordinal, add, compare, omega_power
+from .core import ONE, ZERO, Ordinal, _natural, add, compare, omega_power
 from .errors import BoundViolation, CertificateError, FuelExhausted, InconsistentMapSpec
 
 __all__ = [
@@ -127,11 +127,15 @@ def _unembed_terms(alpha: Ordinal, terms: tuple) -> Optional[Ordinal]:
     """Inverse of :func:`_embed_terms` on the terms of a u below w**mu (not
     checked); None off its range."""
     if _is_omega_power(alpha):
-        return Ordinal._raw(terms)
+        if len(terms) > 1 or terms and terms[0][0]._terms:
+            return Ordinal._raw(terms)
+        return _natural(terms[0][1] if terms else 0)
     code = 0
     if terms and terms[-1][0].is_zero():
         code, terms = terms[-1][1], terms[:-1]
     q, d0 = cantor_unpair(code)
+    if not (terms or q):  # a natural
+        return _natural(d0)
     if d0:
         terms += ((ZERO, d0),)
     if not q:
@@ -152,11 +156,12 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
     Two naturals, which lie below every infinite alpha, pair in closed form.
     """
     _require_infinite(alpha)
-    if x.is_nat() and y.is_nat():
-        m, n = x.nat_value(), y.nat_value()
+    tx, ty = x._terms, y._terms  # a natural has no term, or one of exponent 0
+    if len(tx) < 2 and len(ty) < 2 and not (tx and tx[0][0]._terms or ty and ty[0][0]._terms):
+        m, n = tx[0][1] if tx else 0, ty[0][1] if ty else 0
         if not _is_omega_power(alpha):
             m, n = cantor_pair(0, m), cantor_pair(0, n)  # as _embed_terms does
-        return Ordinal(cantor_pair(m, n))
+        return _natural(cantor_pair(m, n))
     if compare(x, alpha) >= 0 or compare(y, alpha) >= 0:
         raise BoundViolation("pair components must lie below alpha")
     u, v = _embed_terms(alpha, x.terms), _embed_terms(alpha, y.terms)
@@ -176,13 +181,14 @@ def pair_encode(alpha: Ordinal, x: Ordinal, y: Ordinal) -> Ordinal:
 def pair_decode(alpha: Ordinal, z: Ordinal) -> Optional[tuple]:
     """Inverse of :func:`pair_encode` on its range; None off the range."""
     _require_infinite(alpha)
-    if z.is_nat():
-        du, dv = cantor_unpair(z.nat_value())
+    t = z._terms
+    if not t or len(t) == 1 and not t[0][0]._terms:  # a natural
+        du, dv = cantor_unpair(t[0][1] if t else 0)
         if _is_omega_power(alpha):
-            return Ordinal(du), Ordinal(dv)
+            return _natural(du), _natural(dv)
         (qu, du), (qv, dv) = cantor_unpair(du), cantor_unpair(dv)
         if not qu and not qv:
-            return Ordinal(du), Ordinal(dv)
+            return _natural(du), _natural(dv)
         # a half with a w**mu digit is compared with alpha below
     # pair codes, and so both halves, lie strictly below w**mu; a z of degree
     # mu or more is also every z that is not below alpha

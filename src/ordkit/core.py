@@ -252,6 +252,11 @@ for _x in (*_NATS, OMEGA):
 del _x
 
 
+def _natural(k: int) -> Ordinal:
+    """The natural ``k >= 0`` without the constructor call: shared below _SMALL."""
+    return _NATS[k] if k < _SMALL else Ordinal._raw(((ZERO, k),))
+
+
 def compare(a: Ordinal, b: Ordinal) -> int:
     """Standard ordinal order: -1, 0, or 1."""
     ka, kb = a._key, b._key  # the slot skips the property call once the key is built
@@ -279,8 +284,10 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     while i < len(ta) and ta[i][0].key > kb:
         i += 1
     if i < len(ta) and ta[i][0].key == kb:
-        merged = (eb, ta[i][1] + b._terms[0][1])
-        return Ordinal._raw(ta[:i] + (merged,) + b._terms[1:])
+        c = ta[i][1] + b._terms[0][1]
+        if not (i or kb):  # two naturals
+            return _natural(c)
+        return Ordinal._raw(ta[:i] + ((eb, c),) + b._terms[1:])
     return Ordinal._raw(ta[:i] + b._terms)
 
 
@@ -333,12 +340,14 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     while i < len(ta) and i < len(tb) and ta[i] == tb[i]:
         i += 1
     if i == len(ta):
-        return Ordinal._raw(tb[i:])
+        return _natural(tb[i][1]) if not tb[i][0]._terms else Ordinal._raw(tb[i:])
     ea, ca = ta[i]
     eb, cb = tb[i]
     if ea.key < eb.key:
         return Ordinal._raw(tb[i:])
     # compare(a, b) < 0 forces ea == eb with ca < cb here
+    if not eb._terms:  # the constants: b's last term
+        return _natural(cb - ca)
     return Ordinal._raw(((eb, cb - ca),) + tb[i + 1:])
 
 
@@ -497,9 +506,7 @@ def _parse_atom(lx: _Lexer, expected: str):
     tok = lx.tok
     pos = lx.pos
     if tok == "nat":
-        k = lx.take_nat()
-        # Ordinal(k) without the constructor call, which slowed codec about 2%
-        return _NATS[k] if k < _SMALL else Ordinal._raw(((ZERO, k),))
+        return _natural(lx.take_nat())
     if tok == "n":
         lx.advance(pos + 1)
         return ("var", pos)

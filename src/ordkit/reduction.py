@@ -414,9 +414,10 @@ def _nat_pair(theta: Ordinal, p: Ordinal) -> Optional[tuple]:
     """(n, q) when p codes a pair (n, q) below theta with n a natural, as
     an int; None otherwise."""
     decoded = pair_decode(theta, p)
-    if decoded is None or not decoded[0].is_nat():
+    t = decoded[0]._terms if decoded else None
+    if t is None or t and (len(t) > 1 or t[0][0]._terms):  # no pair, or n is not a natural
         return None
-    return decoded[0].nat_value(), decoded[1]
+    return (t[0][1] if t else 0), decoded[1]
 
 
 def _code_point(carrier: Carrier, n: int, y):

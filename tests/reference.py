@@ -5,6 +5,7 @@ build ordinals and call core's ``compare``, ``add``, ``left_subtract``,
 function its model calls, so what stays engine-checked can be read off
 here.  pytest does not collect this module."""
 
+import itertools
 import re
 from operator import attrgetter
 
@@ -417,6 +418,23 @@ def _ref_preimage_of(map_, carrier, target_set):
                 overflow = OrdinalSet.interval(length, total)
                 out[piece.label] = out[piece.label].union(dom.select_positions(overflow))
     return out
+
+
+def _ref_sample_elements(carrier, count):
+    """Carrier.sample_elements as it was: every block's whole ladder built
+    first, then taken round-robin.  Reads ``Carrier.blocks`` and the block
+    order types."""
+    ladders = []
+    for label, shape in carrier.blocks:
+        theta = shape.order_type()
+        naturals = min(count, theta.nat_value()) if theta.is_nat() else count
+        ladder = [(label, Ordinal(k)) for k in range(naturals)]
+        for text in ("w", "w+1", "w*2", "w^2", "w^2+w", "w^3"):
+            if compare(parse(text), theta) < 0:
+                ladder.append((label, parse(text)))
+        ladders.append(ladder)
+    rounds = itertools.zip_longest(*ladders)
+    return list(itertools.islice((w for r in rounds for w in r if w is not None), count))
 
 
 def _ref_fiber(cmap, element):

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from ordkit import carriers
 from ordkit.carriers import (
     BlockwiseMap,
     Carrier,
@@ -29,7 +30,13 @@ from ordkit.errors import (
 from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import _compose_monotone
 
-from reference import _ref_compose_monotone, _ref_fiber, _ref_image_of, _ref_preimage_of
+from reference import (
+    _ref_compose_monotone,
+    _ref_fiber,
+    _ref_image_of,
+    _ref_preimage_of,
+    _ref_sample_elements,
+)
 from strategies import nested_ordinals, paired_off
 
 
@@ -121,6 +128,39 @@ class TestCarrier:
         carrier = Carrier([("a", iv("0", "2")), ("b", iv("0", "3"))])
         expected = [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("b", 2)]
         assert carrier.sample_elements(30) == expected
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [("a", "[0,w)"), ("b", "[0,w^2)")],  # the fixture's carrier
+            [("a", "[0,3)"), ("b", "[0,w^2)")],
+            [("a", "[0,2)"), ("b", "[0,3)")],
+            [("a", "[0,3)"), ("b", "[0,w^3+1)"), ("c", "[0,2)")],
+            [("x", "[0,w+1)"), ("y", "[5,9)"), ("z", "[w,w^3)"), ("t", "[0,70)")],
+            [("m", "[0,1)")],
+        ],
+    )
+    def test_sample_elements_match_the_eager_ladders(self, blocks):
+        # the lazy ladders give the points the eager ones gave, in order:
+        # each keeps its own block's label, and a finite block's ladder
+        # ends while the others go on
+        carrier = Carrier([(label, parse_interval_set(text)) for label, text in blocks])
+        for count in range(71):
+            assert carrier.sample_elements(count) == _ref_sample_elements(carrier, count)
+
+    def test_sample_elements_build_only_the_points_taken(self, monkeypatch):
+        # the eager ladders built count naturals per block and compared
+        # each block's order type with every limit-scale position
+        built, compared = [], []
+        monkeypatch.setattr(carriers, "Ordinal", lambda k: built.append(k) or Ordinal(k))
+        monkeypatch.setattr(carriers, "compare", lambda a, b: compared.append(a) or compare(a, b))
+        carrier = Carrier([("a", iv("0", "w")), ("b", iv("0", "w^2")), ("c", iv("w", "w^3"))])
+        points = carrier.sample_elements(64)
+        assert len(points) == 64 and len(built) == 64 and compared == []
+        built.clear()
+        finite = Carrier([("a", iv("0", "2")), ("b", iv("0", "w*2"))])
+        assert finite.sample_elements(10)[:5] == [("a", 0), ("b", 0), ("a", 1), ("b", 1), ("b", 2)]
+        assert len(built) == 10 and len(compared) == len(carriers._LADDER)
 
 
 class TestMaps:

@@ -12,6 +12,10 @@ from ordkit import errors
 from ordkit.carriers import load_instance
 from ordkit.cli import _fiber_listing, main
 from ordkit.core import Ordinal
+from ordkit.intervals import OrdinalSet
+from ordkit.reduction import _REFUTER_SAMPLES
+
+from reference import _ref_image_of, _ref_preimage_of, _ref_sample_elements
 
 INSTANCES = Path(__file__).parent / "instances"
 ROOT = Path(__file__).parent.parent
@@ -424,6 +428,23 @@ class TestEngineCommands:
         assert phi(0, a0) is phi(0, b5)
         assert phi(1, a0) is not phi(1, b5)
         assert phi(1, b5).contains(a0) is False and phi(1, b5).contains(b5) is True
+
+    @pytest.mark.parametrize("instance", ["refute_demo.txt", "refute_split_row0.txt"])
+    def test_equal_fibers_are_one_set(self, instance):
+        # phi(n, x) and phi(m, y) are one object exactly when the reference
+        # fibers, the preimages of the points' values, are equal sets
+        fam = load_instance(INSTANCES / instance)
+        carrier, phi = fam.carrier, _fiber_listing(fam)
+        sets, objects = {}, {}  # id -> reference fiber, reference fiber -> object
+        for n in range(6):
+            row = fam.row(n)
+            for label, pos in _ref_sample_elements(carrier, _REFUTER_SAMPLES):
+                value = _ref_image_of(row, carrier, {label: OrdinalSet.point(pos)})
+                fiber = tuple(_ref_preimage_of(row, carrier, value).items())
+                listed = phi(n, (label, pos))
+                assert sets.setdefault(id(listed), fiber) == fiber
+                assert objects.setdefault(fiber, listed) is listed
+        assert len(objects) < 6 * _REFUTER_SAMPLES
 
     def test_decode_wo(self, tmp_path):
         path = tmp_path / "rel.txt"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, event, example, given
 import hypothesis.strategies as st
 
-from ordkit import coding
+from ordkit import coding, core
 from ordkit.carriers import QueryableSet
 from ordkit.cli import main
 from ordkit.coding import (
@@ -293,6 +293,29 @@ class TestCodecReference:
         if decoded is not None:
             assert [part.terms for part in decoded] == [part.terms for part in expected]
             assert pair_encode(alpha, *decoded) == z
+
+    @given(
+        st.integers(0, 10**6) | st.integers(0, 7),
+        st.integers(0, 10**6) | st.integers(0, 7),
+        st.sampled_from(["w", "w^2", "w^w", "w+1", "w*5+2", "w^2*2"]),
+    )
+    @example(2**64 + 3, 1, "w*5+2")  # a component past 2**64
+    def test_natural_codes_are_the_shared_naturals(self, m, n, alpha_text):
+        # naturals are read from their term slots and come back, as codes
+        # and as halves, through core's one natural builder: the shared
+        # naturals below 64; a half paired with w takes the general path
+        alpha, x, y = o(alpha_text), Ordinal(m), Ordinal(n)
+        z = pair_encode(alpha, x, y)
+        assert z.terms == _quadratic_pair_encode(alpha, x, y).terms
+        decoded = pair_decode(alpha, z)
+        assert decoded == (x, y)
+        values = [z, *decoded]
+        if alpha != OMEGA:
+            values.append(pair_decode(alpha, pair_encode(alpha, OMEGA, y))[1])
+        for value in values:
+            k = value.nat_value()
+            assert value == Ordinal(k) and (k >= core._SMALL or value is core._NATS[k])
+        assert pair_encode(OMEGA, ONE, Ordinal(2)) is Ordinal(8)
 
     @pytest.mark.parametrize(
         "argv, code, out",

@@ -422,6 +422,22 @@ class TestSharedNaturals:
         for x, (key, h) in zip(core._NATS, _IMPORT_SLOTS):
             assert x._key is key and x._hash is h
 
+    @given(st.integers(0, 70), st.integers(0, 70), nested_ordinals())
+    def test_natural_sums_and_differences_are_shared(self, a, b, head):
+        # a sum of two naturals, and a left difference that is a natural
+        # (head + a to head + a + b, or head to head + b), is the shared
+        # natural below 64, whatever terms stood above the constants
+        head = head or ZERO  # a drawn 0 is a zero of its own, handed back as given
+        x, y = Ordinal(a), Ordinal(b)
+        low = add(head, x)
+        results = [
+            (add(x, y), a + b),
+            (left_subtract(low, add(low, y)), b),
+            (left_subtract(head, add(head, y)), b),
+        ]
+        for value, k in results:
+            assert value == Ordinal(k) and (k >= core._SMALL or value is core._NATS[k])
+
     @pytest.mark.parametrize("k", [62, 63, 64, 65])
     def test_boundary(self, k):
         cases = [
