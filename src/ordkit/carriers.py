@@ -393,7 +393,8 @@ class SurjectionFamily:
     ``start + 1`` decide the supremum of its order types.  Every tail that
     :func:`parse_instance` makes meets this; a tail built in code must.
     A parsed tail also comes with its ``tail_image``, the
-    :class:`~ordkit.eventual.TailImage` that :meth:`first_reach` reads.
+    :class:`~ordkit.eventual.TailImage` that :meth:`row_image` and
+    :meth:`first_reach` read.
     """
 
     def __init__(
@@ -433,12 +434,17 @@ class SurjectionFamily:
         return self._row_cache[n]
 
     def row_image(self, n: int) -> OrdinalSet:
-        """The image of row n; one that leaves [0, alpha) is an error."""
+        """The image of row n; one that leaves [0, alpha) is an error.  A
+        parsed tail's rows are read off its ``tail_image`` forms, which
+        exist only where no tail row leaves alpha."""
         image = self._image_cache.get(n)
         if image is None:
-            image = image_of(self.row(n), self.carrier)
-            if image and ORDINALS.lt(self.alpha, image.intervals[-1][1]):
-                raise CoverageBroken(f"row {n} maps outside [0, {fmt(self.alpha)})")
+            if self.tail_image is not None and n >= self.tail_start:
+                image = OrdinalSet._of(self.tail_image.at(n))
+            else:
+                image = image_of(self.row(n), self.carrier)
+                if image and ORDINALS.lt(self.alpha, image.intervals[-1][1]):
+                    raise CoverageBroken(f"row {n} maps outside [0, {fmt(self.alpha)})")
             self._image_cache[n] = image
         return image
 

@@ -405,13 +405,18 @@ class OmegaPowerBijection:
         _require_infinite(alpha)
         self.alpha = alpha
         self.bound = omega_power(alpha)
-        # the range test and the inverse both ask; read at call time, so
-        # that _decode_digits can be replaced on an instance
-        self._decode = functools.cache(lambda z: self._decode_digits(z))
+        # both memos are keyed by Ordinal.key: a key tuple hashes no ordinal
+        self._decoded: dict = {}  # the digit map per code, None off the range
+        codes: dict = {}  # the code per digit map
 
         def encode(v: Ordinal) -> Ordinal:
-            pairs = [pair_encode(alpha, e, Ordinal(c)) for e, c in v.terms]
-            return fin_encode(alpha, pairs)
+            # an inverse check, its answer and the walk back ask for one code
+            key = v.key
+            z = codes.get(key)
+            if z is None:
+                pairs = [pair_encode(alpha, e, Ordinal(c)) for e, c in v.terms]
+                z = codes[key] = fin_encode(alpha, pairs)
+            return z
 
         def in_encode_range(z: Ordinal) -> bool:
             return self._decode(z) is not None
@@ -430,6 +435,16 @@ class OmegaPowerBijection:
             MapSpec(omega_power, in_power_range, attrgetter("degree"), "omega-power"),
             fuel=fuel,
         )
+
+    def _decode(self, z: Ordinal) -> Optional[Ordinal]:
+        # the range test and the inverse both ask; _decode_digits is read at
+        # call time, so that it can be replaced on an instance
+        key = z.key
+        try:
+            return self._decoded[key]
+        except KeyError:
+            v = self._decoded[key] = self._decode_digits(z)
+            return v
 
     def _decode_digits(self, z: Ordinal) -> Optional[Ordinal]:
         codes = fin_decode(self.alpha, z)

@@ -99,7 +99,10 @@ class Ordinal:
             terms = tuple(value)
         except TypeError:
             raise BoundViolation(f"not an ordinal: {value!r}") from None
-        return cls._raw(_validate(terms))
+        terms = _validate(terms)
+        if len(terms) == 1 and not terms[0][0]._terms:  # a natural: shared below _SMALL
+            return _natural(terms[0][1])
+        return cls._raw(terms) if terms else ZERO
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, a natural from its

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from operator import eq, ge, gt, lt
 
-from .core import Ordinal
+from .core import ZERO, Ordinal, _natural
 from .intervals import canonical, monotone_image, order_type, point, union
 
 __all__ = ["settle_point", "TailImage"]
@@ -43,6 +43,15 @@ _ONE = ((_ZERO, (0, 1)),)
 def _lift(x) -> tuple:
     """The constant eventual form of an ordinal."""
     return tuple((_lift(e), (0, c)) for e, c in x.terms)
+
+
+def _value(x: tuple, n: int) -> Ordinal:
+    """The form's value at ``n``, where it is a valid CNF; 0 and the naturals
+    below 64 are the shared ones that :mod:`core` returns."""
+    if len(x) == 1 and not x[0][0]:  # a natural
+        a, b = x[0][1]
+        return _natural(a * n + b)
+    return Ordinal._raw(tuple([(_value(e, n), a * n + b) for e, (a, b) in x])) if x else ZERO
 
 
 def _key(x: tuple, n: int) -> tuple:
@@ -203,6 +212,10 @@ class TailImage:
     def __init__(self, start: int, intervals: list):
         self.start = start
         self.intervals = intervals
+
+    def at(self, n: int) -> tuple:
+        """The image of row ``n >= start`` as canonical ordinal bound pairs."""
+        return tuple([(_value(lo, n), _value(hi, n)) for lo, hi in self.intervals])
 
     def first_reach(self, s, n: int):
         """The least row ``m >= n`` whose image holds ``[x, s)`` for some

@@ -644,6 +644,31 @@ class TestOmegaPowerBijection:
             assert bij.down(bij.up(z)) == z
         assert len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("alpha_text", ["w^w", "w^3 + w", "w*2"])
+    def test_round_trip_encodes_each_digit_map_once(self, monkeypatch, alpha_text):
+        # down's answer, the inverse check of up's walk, and up's answer ask
+        # for one digit map's code: fin_encode runs once per map
+        alpha = o(alpha_text)
+        bij = OmegaPowerBijection(alpha)
+        calls = []
+        encode = coding.fin_encode
+        monkeypatch.setattr(
+            coding, "fin_encode",
+            lambda a, members: calls.append(frozenset(m.key for m in members)) or encode(a, members),
+        )
+        below_alpha = ["0", "1", "5", "w", "w+3", "w*2+1"]
+        below_power = ["0", "7", "w", "w^2*3+w+1", "w^(w+1)*2+w^w+4"]
+        for text in below_alpha:
+            z = o(text)
+            if compare(z, alpha) < 0:
+                assert bij.down(bij.up(z)) == z
+        for text in below_power:
+            v = o(text)
+            if compare(v, bij.bound) < 0:
+                assert bij.up(bij.down(v)) == v
+                assert bij.up(bij.down(v)) == v  # again: every code is memoized
+        assert calls and len(calls) == len(set(calls))
+
     def test_direction_dispatch(self, capsys):
         assert main(["cnfbij", "--alpha", "w", "--dir", "down", "w*2+1"]) == 0
         value = capsys.readouterr().out.strip()

@@ -393,6 +393,24 @@ class TestSharedNaturals:
         assert Ordinal(64) is not Ordinal(64) and Ordinal(64) == Ordinal(64)
         assert Ordinal(True) is ONE and Ordinal(False) is ZERO and Ordinal() is ZERO
 
+    def test_term_lists_return_the_shared_naturals(self):
+        # a term list that makes 0 or a natural below 64 is the shared one,
+        # whatever zero object stands for its exponent
+        own_zero = Ordinal._raw(())
+        assert Ordinal.from_terms([]) is ZERO and Ordinal([]) is ZERO and Ordinal(()) is ZERO
+        for k in range(1, 64):
+            for exp in (0, ZERO, own_zero):
+                assert Ordinal.from_terms([(exp, k)]) is core._NATS[k]
+                assert Ordinal([(exp, k)]) is core._NATS[k]
+        big = Ordinal.from_terms([(own_zero, 64)])
+        assert big == Ordinal(64) and big.terms[0][0] is ZERO
+        assert Ordinal.from_terms([(1, 2), (0, 3)]) == parse("w*2+3")
+        # add and left_subtract return a zero operand's partner as given, so
+        # the zero a term list makes must be ZERO itself
+        for zero in (Ordinal.from_terms([]), Ordinal([])):
+            assert add(zero, ZERO) is ZERO and add(ZERO, zero) is ZERO
+            assert left_subtract(ZERO, zero) is ZERO
+
     @pytest.mark.parametrize(
         "text", ["0", "1", "63", "64", "10000000000000000000000", "w^2+3", "w^(w^w+1)*3 + w + 7"]
     )
@@ -427,7 +445,6 @@ class TestSharedNaturals:
         # a sum of two naturals, and a left difference that is a natural
         # (head + a to head + a + b, or head to head + b), is the shared
         # natural below 64, whatever terms stood above the constants
-        head = head or ZERO  # a drawn 0 is a zero of its own, handed back as given
         x, y = Ordinal(a), Ordinal(b)
         low = add(head, x)
         results = [

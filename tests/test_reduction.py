@@ -62,7 +62,13 @@ from ordkit.reduction import (
 )
 
 from families import CARRIER, infinite_powerset_families
-from reference import _literal_settle, _ref_coverage_ok, _ReferenceStages, _three_pass_order_type
+from reference import (
+    _literal_settle,
+    _ref_coverage_ok,
+    _ref_image_of,
+    _ReferenceStages,
+    _three_pass_order_type,
+)
 from strategies import tail_templates
 
 INSTANCES = Path(__file__).parent / "instances"
@@ -218,7 +224,8 @@ _REACH_TARGETS = tuple(
 
 class TestFirstReach:
     """The tail forms' first row holding a left neighbourhood of a target,
-    against the rows themselves."""
+    against the rows themselves, imaged by the reference (row_image reads
+    the forms too)."""
 
     @settings(max_examples=60, deadline=None)
     @given(_tail_instances(), st.integers(0, 5))
@@ -228,11 +235,10 @@ class TestFirstReach:
             fam = parse_instance(text)
         except ToolkitError:
             return
-        n = fam.tail_start + offset
-        try:
-            images = [fam.row_image(m) for m in range(n, n + 40)]
-        except CoverageBroken:
+        if fam.tail_image is None:  # its rows leave alpha: first_reach reads no forms
             return
+        n = fam.tail_start + offset
+        images = [_ref_image_of(fam.row(m), fam.carrier) for m in range(n, n + 40)]
         for s in _REACH_TARGETS:
             rows = [
                 m
@@ -280,7 +286,8 @@ class TestFirstReach:
 
 
 class TestTailForms:
-    """A parsed tail's image forms, read at a row, against that row's image."""
+    """A parsed tail's image forms, read at a row, against that row's image
+    as the reference makes it from the row's pieces."""
 
     @settings(max_examples=200, deadline=None)
     @given(_tail_instances())
@@ -296,11 +303,9 @@ class TestTailForms:
             return
         forms = fam.tail_image.intervals
         for n in range(fam.tail_start, fam.tail_start + 40):
-            try:
-                image = fam.row_image(n)
-            except CoverageBroken:
-                event("leaves alpha")
-                return
+            image = _ref_image_of(fam.row(n), fam.carrier)
+            # a tail with forms never leaves alpha
+            assert not image or image.intervals[-1][1] <= fam.alpha
             assert [(lo.key, hi.key) for lo, hi in image.intervals] == [
                 (_key(lo, n), _key(hi, n)) for lo, hi in forms
             ]
@@ -317,6 +322,43 @@ _LARGE_BLOCKS = (
     "[0,w*123456)",
 )
 _LARGE_ALPHAS = ("w^(w^(w^w))*300", "w^(w^(w^w)+70)", "w^(w^(w^w)) + 123456", "w^70", "w^w*70")
+
+
+class TestTailRowImages:
+    """row_image and delta past the settle point, which a parsed tail reads
+    off its forms, against the reference image of the row itself."""
+
+    @staticmethod
+    def _check_rows(fam):
+        for n in range(fam.tail_start, fam.tail_start + 64):
+            want = _ref_image_of(fam.row(n), fam.carrier)
+            if want and want.intervals[-1][1] > fam.alpha:
+                assert fam.tail_image is None
+                with pytest.raises(CoverageBroken):
+                    fam.row_image(n)
+                continue
+            got = fam.row_image(n)
+            assert got == want and fam.row_image(n) is got
+            assert fam.delta(n) == want.order_type()
+
+    @pytest.mark.parametrize(
+        "name",
+        sorted(p.name for p in INSTANCES.glob("*.txt") if "\ntail:" in "\n" + p.read_text()),
+    )
+    def test_shipped_tails(self, name):
+        self._check_rows(load(name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tail_instances(_LARGE_BLOCKS, _LARGE_ALPHAS))
+    def test_large_literal_tails(self, drawn):
+        text, _ = drawn
+        try:
+            fam = parse_instance(text)
+        except ToolkitError:
+            event("refused")
+            return
+        event("no forms" if fam.tail_image is None else "forms")
+        self._check_rows(fam)
 
 
 def _settle_answers(path, bound):
