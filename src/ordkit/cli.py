@@ -228,6 +228,8 @@ def _parse_wo_file(content: str):
         if not line or line.startswith("#"):
             continue
         if line.startswith("bits:"):
+            if bits is not None:
+                raise ParseError("'bits:' line appears more than once")
             body = line[len("bits:"):].strip()
             bits = [_nat(part, line) for part in body.split(",")] if body else []
             continue

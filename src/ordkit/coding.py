@@ -127,15 +127,11 @@ def _unembed_terms(alpha: Ordinal, terms: tuple) -> Optional[Ordinal]:
     """Inverse of :func:`_embed_terms` on the terms of a u below w**mu (not
     checked); None off its range."""
     if _is_omega_power(alpha):
-        if len(terms) > 1 or terms and terms[0][0]._terms:
-            return Ordinal._raw(terms)
-        return _natural(terms[0][1] if terms else 0)
+        return Ordinal._raw(terms)
     code = 0
     if terms and terms[-1][0].is_zero():
         code, terms = terms[-1][1], terms[:-1]
     q, d0 = cantor_unpair(code)
-    if not (terms or q):  # a natural
-        return _natural(d0)
     if d0:
         terms += ((ZERO, d0),)
     if not q:

@@ -88,7 +88,7 @@ class Ordinal:
 
     def __new__(cls, value: int | Iterable = 0):
         if type(value) is int:
-            if 0 <= value < _SMALL:  # _NATS exists: the constants below use _raw
+            if 0 <= value < _SMALL:  # the shared natural _raw returns, read inline
                 return _NATS[value]
             if value < 0:
                 raise BoundViolation("ordinals are non-negative")
@@ -99,10 +99,7 @@ class Ordinal:
             terms = tuple(value)
         except TypeError:
             raise BoundViolation(f"not an ordinal: {value!r}") from None
-        terms = _validate(terms)
-        if len(terms) == 1 and not terms[0][0]._terms:  # a natural: shared below _SMALL
-            return _natural(terms[0][1])
-        return cls._raw(terms) if terms else ZERO
+        return cls._raw(_validate(terms))  # 0 and small naturals come back shared
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, a natural from its
@@ -112,6 +109,13 @@ class Ordinal:
 
     @classmethod
     def _raw(cls, terms: tuple) -> "Ordinal":
+        # every construction comes here: trusted CNF terms, ZERO for none and the
+        # shared natural below _SMALL (a first term of exponent 0 is the only one)
+        if not terms:
+            return ZERO
+        e, c = terms[0]
+        if not e._terms and c < _SMALL:
+            return _NATS[c]
         self = object.__new__(cls)
         self._terms = terms
         self._hash = None
@@ -240,19 +244,20 @@ def _validate(terms: tuple) -> tuple:
     return tuple(fixed)
 
 
-ZERO = Ordinal._raw(())
-ONE = Ordinal._raw(((ZERO, 1),))
-OMEGA = Ordinal._raw(((ONE, 1),))
-
 # The naturals below _SMALL, the atoms that make up most exponents,
-# coefficients, positions and pair codes, are the ones the constructor and
-# the parser return.  Their keys and hashes (and OMEGA's) are built here, so
+# coefficients, positions and pair codes, are the only 0 and small naturals
+# there are: Ordinal._raw returns them, and every construction goes through
+# it.  They are built here, with their keys and hashes (and OMEGA's), so
 # nothing is written to a shared ordinal after import.
 _SMALL = 64
-_NATS = (ZERO, ONE, *(Ordinal._raw(((ZERO, k),)) for k in range(2, _SMALL)))
+_NATS = tuple(object.__new__(Ordinal) for _ in range(_SMALL))
+ZERO, ONE = _NATS[0], _NATS[1]
+for _k, _x in enumerate(_NATS):
+    _x._terms, _x._hash, _x._key = ((ZERO, _k),) if _k else (), None, None
+OMEGA = Ordinal._raw(((ONE, 1),))
 for _x in (*_NATS, OMEGA):
     _x._key, _x._hash = _x.key, hash(_x)
-del _x
+del _k, _x
 
 
 def _natural(k: int) -> Ordinal:
@@ -287,10 +292,7 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
     while i < len(ta) and ta[i][0].key > kb:
         i += 1
     if i < len(ta) and ta[i][0].key == kb:
-        c = ta[i][1] + b._terms[0][1]
-        if not (i or kb):  # two naturals
-            return _natural(c)
-        return Ordinal._raw(ta[:i] + ((eb, c),) + b._terms[1:])
+        return Ordinal._raw(ta[:i] + ((eb, ta[i][1] + b._terms[0][1]),) + b._terms[1:])
     return Ordinal._raw(ta[:i] + b._terms)
 
 
@@ -343,14 +345,12 @@ def left_subtract(a: Ordinal, b: Ordinal) -> Ordinal:
     while i < len(ta) and i < len(tb) and ta[i] == tb[i]:
         i += 1
     if i == len(ta):
-        return _natural(tb[i][1]) if not tb[i][0]._terms else Ordinal._raw(tb[i:])
+        return Ordinal._raw(tb[i:])
     ea, ca = ta[i]
     eb, cb = tb[i]
     if ea.key < eb.key:
         return Ordinal._raw(tb[i:])
     # compare(a, b) < 0 forces ea == eb with ca < cb here
-    if not eb._terms:  # the constants: b's last term
-        return _natural(cb - ca)
     return Ordinal._raw(((eb, cb - ca),) + tb[i + 1:])
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from operator import eq, ge, gt, lt
 
-from .core import ZERO, Ordinal, _natural
+from .core import Ordinal
 from .intervals import canonical, monotone_image, order_type, point, union
 
 __all__ = ["settle_point", "TailImage"]
@@ -46,12 +46,9 @@ def _lift(x) -> tuple:
 
 
 def _value(x: tuple, n: int) -> Ordinal:
-    """The form's value at ``n``, where it is a valid CNF; 0 and the naturals
-    below 64 are the shared ones that :mod:`core` returns."""
-    if len(x) == 1 and not x[0][0]:  # a natural
-        a, b = x[0][1]
-        return _natural(a * n + b)
-    return Ordinal._raw(tuple([(_value(e, n), a * n + b) for e, (a, b) in x])) if x else ZERO
+    """The form's value at ``n``, where it is a valid CNF; built through
+    ``Ordinal._raw``, so 0 and the naturals below 64 are the shared ones."""
+    return Ordinal._raw(tuple([(_value(e, n), a * n + b) for e, (a, b) in x]))
 
 
 def _key(x: tuple, n: int) -> tuple:
@@ -214,7 +211,8 @@ class TailImage:
         self.intervals = intervals
 
     def at(self, n: int) -> tuple:
-        """The image of row ``n >= start`` as canonical ordinal bound pairs."""
+        """The image of row ``n >= start`` as canonical ordinal bound pairs,
+        built through ``Ordinal._raw``: 0 and small naturals are shared."""
         return tuple([(_value(lo, n), _value(hi, n)) for lo, hi in self.intervals])
 
     def first_reach(self, s, n: int):

@@ -600,6 +600,14 @@ class TestFileInput:
     def test_well_order_line_not_a_pair(self, tmp_path, content):
         assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
 
+    @pytest.mark.parametrize("content", [b"bits: 0,2,4,5\nbits: 0,1,2,4,5\n", b"bits:\n# x\nbits: 1\n"])
+    def test_second_bits_line(self, tmp_path, content):
+        # one bits: line codes the order; a second is refused, not read over the first
+        assert self._error_name(tmp_path, "decode-wo", content) == "syntax-error"
+        path = tmp_path / "input.txt"
+        path.write_bytes(content.split(b"\n")[-2] + b"\n")
+        assert run("decode-wo", str(path))[0] == 0
+
 
 _TOOLKIT_ERROR_NAMES = {
     cls.name for cls in vars(errors).values()

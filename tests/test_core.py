@@ -31,10 +31,11 @@ from ordkit.core import (
 from ordkit.carriers import parse_instance
 from ordkit.cli import main
 from ordkit.errors import BoundViolation, OutOfRangeError, ParseError
-from ordkit.eventual import _lift, _Raises, _Row
+from ordkit.coding import OmegaPowerBijection, fin_decode, fin_encode
+from ordkit.eventual import TailImage, _lift, _Raises, _Row
 
-from reference import _recursive_compare, _reference_ast, _reference_bounds, _reference_eval
-from strategies import interval_set_texts, nested_ordinals, tail_templates
+from reference import _recursive_compare, _reference_ast, _reference_eval
+from strategies import nested_ordinals, tail_templates
 
 
 INSTANCES = Path(__file__).parent / "instances"
@@ -161,35 +162,24 @@ def _outcome(fn, *args):
 _ROWS = (None, 0, 1, 3)
 
 
-def _same_as_reference(text, bounds=False):
+def _same_as_reference(text):
     """core reads ``text`` to the values, or the ParseError (message and
     position), that the reference parser and evaluation give: through
-    ``parse`` and ``parse_template(text)(n)``, or through ``_parse_bounds``
-    and ``_eval_bounds``, at each of ``_ROWS``.  Returns the reference
-    parse: its AST (its list of bound ASTs) or its error."""
-    if bounds:
-        read = _outcome(_reference_bounds, text)
+    ``parse`` and ``parse_template(text)(n)`` at each of ``_ROWS``.
+    Returns the reference parse: its AST or its error.  (Interval-set
+    texts are checked in test_intervals.TestParserReference.)"""
+    read = _outcome(_reference_ast, text)
 
-        def expected(n):
-            pairs = [(_reference_eval(lo, n), _reference_eval(hi, n)) for lo, hi in read]
-            return [(lo.terms, hi.terms) for lo, hi in pairs]
+    def expected(n):
+        return _reference_eval(read, n).terms
 
-        def got(n):
-            pairs = core._eval_bounds(core._parse_bounds(text), n)
-            return [(lo.terms, hi.terms) for lo, hi in pairs]
-    else:
-        read = _outcome(_reference_ast, text)
+    def got(n):
+        return parse_template(text)(n).terms
 
-        def expected(n):
-            return _reference_eval(read, n).terms
-
-        def got(n):
-            return parse_template(text)(n).terms
-
-        assert _outcome(lambda: parse(text).terms) == (
-            read if read[0] == "error" else _outcome(expected, None)
-        )
-    if read and read[0] == "error":  # an empty set text reads as no bounds
+    assert _outcome(lambda: parse(text).terms) == (
+        read if read[0] == "error" else _outcome(expected, None)
+    )
+    if read[0] == "error":
         assert _outcome(got, None) == read
         return read
     for n in _ROWS:
@@ -234,11 +224,6 @@ class TestLexerReference:
     def test_one_character_edits(self, text, data):
         _same_as_reference(_edited(data, text))
         _same_as_reference(_edited(data, _edited(data, text)))
-
-    @given(st.one_of(interval_set_texts(), interval_set_texts(template=True)), st.data())
-    def test_interval_set_texts(self, text, data):
-        _same_as_reference(text, bounds=True)
-        _same_as_reference(_edited(data, text), bounds=True)
 
     @pytest.mark.parametrize(
         "text,error",
@@ -395,21 +380,52 @@ class TestSharedNaturals:
 
     def test_term_lists_return_the_shared_naturals(self):
         # a term list that makes 0 or a natural below 64 is the shared one,
-        # whatever zero object stands for its exponent
-        own_zero = Ordinal._raw(())
+        # whatever zero object stands for its exponent (_raw itself would
+        # return ZERO, so this zero is built by hand)
+        own_zero = object.__new__(Ordinal)
+        own_zero._terms, own_zero._hash, own_zero._key = (), None, None
         assert Ordinal.from_terms([]) is ZERO and Ordinal([]) is ZERO and Ordinal(()) is ZERO
         for k in range(1, 64):
             for exp in (0, ZERO, own_zero):
                 assert Ordinal.from_terms([(exp, k)]) is core._NATS[k]
                 assert Ordinal([(exp, k)]) is core._NATS[k]
-        big = Ordinal.from_terms([(own_zero, 64)])
-        assert big == Ordinal(64) and big.terms[0][0] is ZERO
+        # from 64 on the exponent is kept as given, and every zero a path
+        # can build is ZERO
+        assert Ordinal.from_terms([(own_zero, 64)]) == Ordinal(64)
+        assert Ordinal.from_terms([(Ordinal([]), 64)]).terms[0][0] is ZERO
         assert Ordinal.from_terms([(1, 2), (0, 3)]) == parse("w*2+3")
         # add and left_subtract return a zero operand's partner as given, so
         # the zero a term list makes must be ZERO itself
         for zero in (Ordinal.from_terms([]), Ordinal([])):
             assert add(zero, ZERO) is ZERO and add(ZERO, zero) is ZERO
             assert left_subtract(ZERO, zero) is ZERO
+
+    def test_every_construction_path_returns_the_shared_naturals(self):
+        # Ordinal._raw returns them, so no path builds a 0 or a natural
+        # below 64 of its own; from 64 on each is built per call
+        bijection = OmegaPowerBijection(OMEGA)
+        tail = TailImage(0, [(_lift(ZERO), ((_lift(ZERO), (1, 1)),))])  # [0, n+1)
+        assert bijection.up(ZERO) is ZERO and tail.at(0)[0][0] is ZERO
+        assert Ordinal.from_terms([]) is ZERO and classify(ONE)[1] is ZERO
+        for k in range(1, 70):
+            x = Ordinal(k)
+            high, low = fin_decode(OMEGA, fin_encode(OMEGA, [x, Ordinal(k + 1)]))
+            cases = [
+                (bijection.up(bijection.down(x)), k),
+                (classify(Ordinal(k + 1))[1], k),
+                (multiply(Ordinal(2), x), 2 * k),
+                (multiply(x, Ordinal(3)), 3 * k),
+                (parse(f"w^0*{k}"), k),
+                (parse_template("w^0*n")(k), k),
+                (Ordinal.from_terms([(ZERO, k)]), k),
+                (tail.at(k)[0][1], k + 1),
+                (low, k),
+                (high, k + 1),
+            ]
+            for value, expected in cases:
+                assert value == Ordinal(expected)
+                assert expected >= 64 or value is core._NATS[expected], (k, value)
+        assert multiply(Ordinal(2), Ordinal(32)) is not multiply(Ordinal(2), Ordinal(32))
 
     @pytest.mark.parametrize(
         "text", ["0", "1", "63", "64", "10000000000000000000000", "w^2+3", "w^(w^w+1)*3 + w + 7"]

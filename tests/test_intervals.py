@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from ordkit import core
 from ordkit.core import (
     MAX_NESTING,
     OMEGA,
@@ -244,18 +245,32 @@ class TestText:
 
 
 def _outcome(fn, *args):
+    """``fn(*args)``, or the ParseError's message and position."""
     try:
         return fn(*args)
-    except ParseError:
-        return ParseError
+    except ParseError as error:
+        return ("error", str(error), error.position)
 
 
-_TEMPLATE_NS = (0, 1, 2, 5)
+# n=None reads a text as a plain set; every text is read at every n, as a
+# text with one character edited may gain or lose an n
+_ROWS = (None, 0, 1, 2, 3, 5)
+
+# an edit inserts one of these, or (None) deletes a character
+_EDIT_CHARS = [None, *" \t\n[](),^*+wn0123456789x"]
 
 
-def _parsed_at(text, n, template):
-    s = parse_interval_set(text, template)
-    return (s(n) if template else s).intervals
+def _bounds_at(text, n):
+    return [(lo.terms, hi.terms) for lo, hi in core._eval_bounds(core._parse_bounds(text), n)]
+
+
+def _reference_bounds_at(text, n):
+    return [(_reference_eval(lo, n).terms, _reference_eval(hi, n).terms)
+            for lo, hi in _reference_bounds(text)]
+
+
+def _parsed_at(text, n):
+    return parse_interval_set(text, template=True)(n).intervals
 
 
 def _reference_at(text, n):
@@ -263,35 +278,36 @@ def _reference_at(text, n):
     return _ref_canonical(pairs)
 
 
-def _same_parse(text, template=False):
-    """parse_interval_set and the reference parser and evaluation both
-    raise ParseError on ``text``, or give the same intervals (for a
-    template: at each of a few ``n``).  Returns the last outcome."""
-    for n in _TEMPLATE_NS if template else (None,):
-        got = _outcome(_parsed_at, text, n, template)
-        assert got == _outcome(_reference_at, text, n)
-    return got
+def _same_parse(text):
+    """core's bound parsing (``_parse_bounds`` then ``_eval_bounds``) reads
+    ``text``, and parse_interval_set on top of it the stripped text, to the
+    bounds or the ParseError (message and position) that the reference
+    parser and evaluation give, at each of ``_ROWS``.  Returns the plain
+    set's outcome."""
+    for n in _ROWS:
+        assert _outcome(_bounds_at, text, n) == _outcome(_reference_bounds_at, text, n)
+        got = _outcome(_parsed_at, text, n)
+        assert got == _outcome(_reference_at, text.strip(), n)
+        if n is None:
+            plain = got
+    return plain
 
 
 class TestParserReference:
-    """parse_interval_set against the token-level reference parser and
-    evaluation that core's parser replaced."""
+    """parse_interval_set, and core's bound parsing under it, against the
+    token-level reference parser and evaluation that core's parser
+    replaced."""
 
     @given(interval_set_texts())
     def test_plain_texts(self, text):
-        assert _same_parse(text) is not ParseError
+        assert _same_parse(text)[:1] != ("error",)  # no ParseError
 
     @given(interval_set_texts(template=True))
     def test_template_texts(self, text):
-        _same_parse(text, template=True)
+        _same_parse(text)
 
-    @given(interval_set_texts(), st.data())
+    @given(st.one_of(interval_set_texts(), interval_set_texts(template=True)), st.data())
     def test_one_character_edits(self, text, data):
         at = data.draw(st.integers(0, len(text)))
-        insert = data.draw(st.sampled_from([None, *"[](),^*+wn0123456789"]))
-        if insert is None:
-            edited = text[:at] + text[at + 1:]
-        else:
-            edited = text[:at] + insert + text[at:]
-        _same_parse(edited)
-        _same_parse(edited, template=True)
+        insert = data.draw(st.sampled_from(_EDIT_CHARS))
+        _same_parse(text[:at] + text[at + 1:] if insert is None else text[:at] + insert + text[at:])
