@@ -293,7 +293,7 @@ def add(a: Ordinal, b: Ordinal) -> Ordinal:
         i += 1
     if i < len(ta) and ta[i][0].key == kb:
         return Ordinal._raw(ta[:i] + ((eb, ta[i][1] + b._terms[0][1]),) + b._terms[1:])
-    return Ordinal._raw(ta[:i] + b._terms)
+    return Ordinal._raw(ta[:i] + b._terms) if i else b  # all of a absorbed: b itself
 
 
 def multiply(a: Ordinal, b: Ordinal) -> Ordinal:

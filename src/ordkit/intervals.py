@@ -17,8 +17,9 @@ tail forms of :mod:`eventual` alike (see below).
 
 The text form ``[lo,hi),[lo,hi)`` is written by
 :func:`format_interval_set` and read by :func:`parse_interval_set`, whose
-bounds (plain, or templates in ``n``) go through :mod:`core`'s expression
-parser; this module scans no text itself.
+bounds go through :mod:`core`'s expression parser (the instance parser
+reads templates in ``n`` through it directly); this module scans no text
+itself.
 """
 
 from __future__ import annotations
@@ -367,18 +368,9 @@ def indecomposable_split(s: OrdinalSet, b: OrdinalSet, c: OrdinalSet) -> str:
 # -- text form ---------------------------------------------------------------
 
 
-def parse_interval_set(text: str, template: bool = False):
-    """Parse ``"[lo,hi),[lo,hi)"``; empty/blank input denotes the empty set.
-
-    With ``template=True`` returns a function of ``n`` producing an
-    OrdinalSet (bounds may use the variable ``n``).
-    """
-    bounds = _parse_bounds(text.strip())
-
-    def build(n):
-        return OrdinalSet(_eval_bounds(bounds, n))
-
-    return build if template else build(None)
+def parse_interval_set(text: str) -> OrdinalSet:
+    """Parse ``"[lo,hi),[lo,hi)"``; empty/blank input denotes the empty set."""
+    return OrdinalSet(_eval_bounds(_parse_bounds(text.strip()), None))
 
 
 def format_interval_set(s: OrdinalSet) -> str:

@@ -298,25 +298,27 @@ class ReductionResult:
                 index, k, beta_n, reach, chunk_lo, chunk_hi, b_restriction, b_next, self._kept
             ))
 
-    def _first_stage(self, fuel: int, x: Ordinal, bound: Callable) -> Optional[Stage]:
-        """The first stage n < ``fuel`` (not negative) with ``x < bound(stage
-        n)``, a bound that never falls from stage to stage: a bisection over
-        the stages built, then the next stages, built one at a time."""
-        built = min(fuel, len(self.stages))
+    def _first_stage(self, x: Ordinal, bound: Callable) -> Stage:
+        """The first stage n < _FUEL with ``x < bound(stage n)``, a bound
+        that never falls from stage to stage: a bisection over the stages
+        built, then the next stages, built one at a time."""
+        built = min(_FUEL, len(self.stages))
         n = bisect_right(self.stages, x, hi=built, key=bound)
         if n < built:
             return self.stages[n]
-        for n in range(built, fuel):
+        for n in range(built, _FUEL):
             self.ensure_stage(n)
             if x < bound(self.stages[n]):
                 return self.stages[n]
-        return None
+        raise FuelExhausted(f"no stage reaches {fmt(x)} within fuel {_FUEL}")
 
     # -- evaluation -------------------------------------------------------
 
-    def _delta_value(self, element, fuel: int) -> Optional[Ordinal]:
-        """The M -> [0, delta) value of ``element``; None when the stages
-        within ``fuel`` do not reach it."""
+    def surjection(self, element) -> Ordinal:
+        return self._alpha_value(self.m_to_delta(element))
+
+    def m_to_delta(self, element) -> Ordinal:
+        """The intermediate surjection M -> [0, delta)."""
         if self.case_taken[0] == "case1":
             k = self.case_taken[1]
             value = self._kept.row(k)(self.carrier, element)
@@ -327,27 +329,8 @@ class ReductionResult:
             # sends it to zero
             return self._bij.down(ZERO)
         # the chunks are adjacent and increasing
-        stage = self._first_stage(fuel, p, attrgetter("chunk_hi"))
-        return None if stage is None else self._bij.down(left_subtract(stage.chunk_lo, p))
-
-    def evaluate_point(self, element, fuel: int = _FUEL) -> tuple:
-        """('determined', value) or ('unresolved', None) under the fuel."""
-        if fuel < 0:
-            raise BoundViolation(f"fuel must be non-negative, not {fuel}")
-        z = self._delta_value(element, fuel)
-        if z is None:
-            return ("unresolved", None)
-        return ("determined", self._alpha_value(z))
-
-    def surjection(self, element) -> Ordinal:
-        return self._alpha_value(self.m_to_delta(element))
-
-    def m_to_delta(self, element) -> Ordinal:
-        """The intermediate surjection M -> [0, delta)."""
-        z = self._delta_value(element, _FUEL)
-        if z is None:
-            raise FuelExhausted(f"point {element!r} unresolved within fuel {_FUEL}")
-        return z
+        stage = self._first_stage(p, attrgetter("chunk_hi"))
+        return self._bij.down(left_subtract(stage.chunk_lo, p))
 
     def _alpha_value(self, z: Ordinal) -> Ordinal:
         """The pairing-decoded step from delta onto alpha, extended by zero."""
@@ -375,9 +358,7 @@ class ReductionResult:
             return found
         w = self._bij.up(z)
         # the first stage with w < beta_n is the first whose running largest beta passes w
-        stage = self._first_stage(_FUEL, w, attrgetter("reach"))
-        if stage is None:
-            raise FuelExhausted(f"no stage reaches {fmt(w)} within fuel {_FUEL}")
+        stage = self._first_stage(w, attrgetter("reach"))
         return self.carrier.element_at(add(stage.chunk_lo, w))
 
     def witness_for(self, gamma: Ordinal):
@@ -520,15 +501,11 @@ class VerificationReport:
     bound: Ordinal
     entries: list = field(default_factory=list)  # (interval, row, samples)
 
-    def ok(self) -> bool:
-        return all(ok for _, _, samples in self.entries for *_, ok in samples)
-
     def lines(self) -> list:
         out = []
         for (lo, hi), row, samples in self.entries:
             out.append(f"interval=[{fmt(lo)},{fmt(hi)}) row={row}")
-            # verify_surjective returns no report with a failed sample
-            for target, (label, pos), value, _ in samples:
+            for target, (label, pos), value in samples:
                 out.append(f"target={fmt(target)} witness={label}:{fmt(pos)} value={fmt(value)}")
         return out
 
@@ -590,10 +567,10 @@ def verify_surjective(result, bound: Ordinal) -> VerificationReport:
             for target in _interval_samples(lo, hi):
                 witness = result.witness_for(target)
                 value = result.surjection(witness)
-                samples.append((target, witness, value, compare(value, target) == 0))
+                if compare(value, target) != 0:
+                    raise WitnessNotFound("a witness failed re-evaluation")
+                samples.append((target, witness, value))
             report.entries.append(((lo, hi), n, samples))
-    if not report.ok():
-        raise WitnessNotFound("a witness failed re-evaluation")
     return report
 
 

@@ -457,10 +457,9 @@ class TestSurjectionFamily:
 
     def test_tail_row_outside_alpha_rejected(self):
         carrier = Carrier([("m", iv("0", "w^w"))])
-        target = parse_interval_set("[0,w^n)", template=True)
 
         def tail(n):
-            return BlockwiseMap([Piece("m", "monotone", target=target(n))])
+            return BlockwiseMap([Piece("m", "monotone", target=iv("0", f"w^{n}"))])
 
         fam = SurjectionFamily(carrier, o("w^20"), [], tail=(0, tail))
         fam.check_coverage()  # with a tail, coverage is left to verification

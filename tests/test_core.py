@@ -586,6 +586,12 @@ class TestArithmetic:
     def test_absorption(self):
         assert add(OMEGA, o("w^2")) == o("w^2")
 
+    def test_absorbed_sum_is_the_right_summand(self):
+        assert add(ONE, OMEGA) is OMEGA
+        x = parse("w^2+3")
+        assert add(Ordinal(5), x) is x
+        assert add(o("w*3+7"), x) is x
+
     def test_multiply_reassociates(self):
         assert multiply(o("w*2"), OMEGA) == o("w^2")
 

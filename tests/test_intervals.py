@@ -219,13 +219,14 @@ class TestText:
         with pytest.raises(ParseError):
             parse_interval_set("[w,w*2")
 
-    def test_template(self):
-        rule = parse_interval_set("[w*n,w*(n+1))", template=True)
-        assert rule(3) == iv("w*3", "w*4")
+    def test_plain_set_refuses_n(self):
+        with pytest.raises(ParseError, match="variable n outside template") as err:
+            parse_interval_set("[w*n,w*(n+1))")
+        assert err.value.position == 3
 
     def test_trailing_comma_accepted(self):
         assert parse_interval_set("[0,w),") == iv("0", "w")
-        assert parse_interval_set("[0,w), ", template=True)(1) == iv("0", "w")
+        assert parse_interval_set("[0,w), ") == iv("0", "w")
 
     def test_error_position_counts_from_the_set_text(self):
         with pytest.raises(ParseError) as err:
@@ -240,8 +241,6 @@ class TestText:
         deep = head + "w^(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1) + ")"
         with pytest.raises(ParseError):
             parse_interval_set(deep)
-        with pytest.raises(ParseError):
-            parse_interval_set(deep, template=True)
 
 
 def _outcome(fn, *args):
@@ -270,7 +269,8 @@ def _reference_bounds_at(text, n):
 
 
 def _parsed_at(text, n):
-    return parse_interval_set(text, template=True)(n).intervals
+    # parse_interval_set's pipeline, read at n
+    return OrdinalSet(core._eval_bounds(core._parse_bounds(text.strip()), n)).intervals
 
 
 def _reference_at(text, n):
@@ -280,16 +280,17 @@ def _reference_at(text, n):
 
 def _same_parse(text):
     """core's bound parsing (``_parse_bounds`` then ``_eval_bounds``) reads
-    ``text``, and parse_interval_set on top of it the stripped text, to the
+    ``text``, and the same on the stripped text into a set, to the
     bounds or the ParseError (message and position) that the reference
-    parser and evaluation give, at each of ``_ROWS``.  Returns the plain
-    set's outcome."""
+    parser and evaluation give, at each of ``_ROWS``; parse_interval_set
+    reads it as the plain set.  Returns the plain set's outcome."""
     for n in _ROWS:
         assert _outcome(_bounds_at, text, n) == _outcome(_reference_bounds_at, text, n)
         got = _outcome(_parsed_at, text, n)
         assert got == _outcome(_reference_at, text.strip(), n)
         if n is None:
             plain = got
+    assert _outcome(lambda t: parse_interval_set(t).intervals, text) == plain
     return plain
 
 

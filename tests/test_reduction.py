@@ -31,6 +31,7 @@ from ordkit.errors import (
     CertificateError,
     CoverageBroken,
     EmptyFiber,
+    FuelExhausted,
     PreconditionViolated,
     TableNotInjective,
     TailLimitUndecided,
@@ -498,14 +499,24 @@ class TestReduceCase1:
         result = reduce_omega_product(load("case1_identity.txt"))
         assert result.case_taken == ("case1", 0)
         assert result.delta == o("w^2")
-        report = verify_surjective(result, o("w^2"))
-        assert report.ok()
+        verify_surjective(result, o("w^2"))
 
     def test_mixed_instance_least_index(self):
         result = reduce_omega_product(load("case1_mixed.txt"))
         assert result.case_taken == ("case1", 0)
         assert result.delta == o("w^3")
-        assert verify_surjective(result, o("w^3")).ok()
+        verify_surjective(result, o("w^3"))
+
+    def test_failed_re_evaluation_is_refused(self):
+        # the instance's surjection answers zero where it should answer w;
+        # the other sampled targets still come back as themselves
+        result = reduce_omega_product(load("case1_identity.txt"))
+        surjection = result.surjection
+        result.surjection = lambda x: ZERO if surjection(x) == OMEGA else surjection(x)
+        with pytest.raises(WitnessNotFound, match="^a witness failed re-evaluation$"):
+            verify_surjective(result, o("w^2"))
+        for text in ("0", "1", "5", "w*2+1"):
+            assert result.surjection(result.witness_for(o(text))) == o(text)
 
     def test_surjection_hits_target(self):
         result = reduce_omega_product(load("case1_identity.txt"))
@@ -578,28 +589,29 @@ class TestReduceCase2:
             assert stage.q_map(tower.carrier, element) == target
 
     def test_point_evaluation(self, tower):
-        inside = ("m", ZERO)  # below the reserve zone: determined, value of 0-route
-        status, value = tower.evaluate_point(inside)
-        assert status == "determined"
+        inside = ("m", ZERO)  # below the reserve zone: the glued map's zero
+        assert tower.m_to_delta(inside) == tower._bij.down(ZERO)
         zone = ("m", add(tower.beta, o("w^(w^3)")))  # peeled at a later stage
-        status, _ = tower.evaluate_point(zone)
-        assert status == "determined"
+        assert compare(tower.m_to_delta(zone), tower.delta) < 0
 
-    def test_point_evaluation_unresolved_under_tiny_fuel(self, tower):
-        late = ("m", add(tower.beta, o("w^(w^5)")))
-        assert tower.evaluate_point(late, fuel=1) == ("unresolved", None)
-        status, _ = tower.evaluate_point(late)
-        assert status == "determined"
-
-    def test_negative_fuel_is_refused(self, tower):
-        # a stage-0 point: no fuel builds nothing, and a negative fuel is an error
-        point = tower.carrier.element_at(tower.stages[0].chunk_lo)
-        assert tower.evaluate_point(point, fuel=0) == ("unresolved", None)
-        with pytest.raises(BoundViolation, match="fuel must be non-negative"):
-            tower.evaluate_point(point, fuel=-5)
+    def test_fuel_bounds_the_stages(self, monkeypatch):
+        # a fresh result has built stages 0..2; the point lies w^w into
+        # stage 5's chunk, and its value's witness lies in stage 1's
+        result = reduce_omega_product(load("case2_tower.txt"))
+        late = ("m", add(result.beta, o("w^(w^5)+w^w")))
+        z = result._bij.down(o("w^w"))
+        for fuel in (0, 1):
+            monkeypatch.setattr(reduction, "_FUEL", fuel)
+            for ask in (lambda: result.m_to_delta(late), lambda: result.delta_witness(z)):
+                with pytest.raises(FuelExhausted, match=f"within fuel {fuel}$") as caught:
+                    ask()
+                assert caught.value.name == "fuel-exhausted"
+        monkeypatch.undo()
+        assert result.m_to_delta(late) == z
+        assert result.m_to_delta(result.delta_witness(z)) == z
 
     def test_verified_below_w3(self, tower):
-        assert verify_surjective(tower, o("w^3")).ok()
+        verify_surjective(tower, o("w^3"))
 
     def test_refusal_samples_nothing(self, monkeypatch, tmp_path):
         # no tail row reaches w^2, and the rows say so before any sample
@@ -629,7 +641,7 @@ class TestReduceCase2:
         for name in ("case2_blocks.txt", "case2_slow.txt", "case2_filtered.txt"):
             result = reduce_omega_product(load(name))
             assert result.case_taken[0] == "case2"
-            assert verify_surjective(result, o("w^3")).ok()
+            verify_surjective(result, o("w^3"))
 
     def test_filtered_rows_renumbered(self):
         result = reduce_omega_product(load("case2_filtered.txt"))
@@ -664,7 +676,7 @@ class TestReduceCase2:
         stage = result.stages[0]
         assert len(stage.q_map.pieces) == 2
         assert {p.label for p in stage.q_map.pieces} == {"a", "b"}
-        assert verify_surjective(result, o("w^3")).ok()
+        verify_surjective(result, o("w^3"))
 
     def test_carrier_too_small(self):
         carrier = Carrier([("m", iv("0", "w^(w^w)"))])  # no reserve room
@@ -903,7 +915,7 @@ class TestStageCost:
         result = reduce_omega_product(load("case2_tower.txt"))
         result.ensure_stage(4)
         stage = result.stages[3]
-        result.evaluate_point(result.carrier.element_at(add(stage.chunk_lo, ONE)))
+        result.m_to_delta(result.carrier.element_at(add(stage.chunk_lo, ONE)))
         ref = weakref.ref(result)
         gc.disable()
         try:
@@ -997,10 +1009,10 @@ class TestStageCost:
         for name in _CASE2_INSTANCES:
             result = reduce_omega_product(load(name))
             zone = result.carrier.element_at(add(result.beta, o("w^(w^3)")))
-            assert result.evaluate_point(zone)[0] == "determined"
+            assert compare(result.m_to_delta(zone), result.delta) < 0
             for text in ("0", "w", "w^2+3"):
                 assert result.m_to_delta(result.delta_witness(o(text))) == o(text)
-            assert verify_surjective(result, o("w^3")).ok()
+            verify_surjective(result, o("w^3"))
 
 
 class TestTransfer:
