@@ -388,36 +388,38 @@ class QueryableSet:
 class SurjectionFamily:
     """A presented surjection f: omega x M -> alpha given by rows.
 
-    A ``tail`` ``(start, rule)`` gives row ``n >= start`` as ``rule(n)``.
-    Its CNF shape must be settled from ``start`` on: rows ``start`` and
-    ``start + 1`` decide the supremum of its order types.  Every tail that
-    :func:`parse_instance` makes meets this; a tail built in code must.
-    A parsed tail also comes with its ``tail_image``, the
-    :class:`~ordkit.eventual.TailImage` that :meth:`row_image` and
-    :meth:`first_reach` read.
+    A ``tail`` ``(start, pieces)`` gives every row from ``start``, right
+    after the explicit rows, by one template: ``pieces`` are the ``(label,
+    kind, ast)`` triples of :func:`_parse_row`.  The family finds where the
+    tail settles (see :func:`~ordkit.eventual.settle_point`) and reads the
+    rows before that point as explicit rows.  Later rows are built by
+    ``tail_rule``, and their images, the supremum of their order types and
+    :meth:`first_reach` are read off the forms in ``tail_image``, which a
+    tail whose rows leave alpha does not have.
     """
 
     def __init__(
-        self,
-        carrier: Carrier,
-        alpha: Ordinal,
-        rows: Iterable,
-        tail: Optional[tuple] = None,
-        tail_image=None,
+        self, carrier: Carrier, alpha: Ordinal, rows: Iterable, tail: Optional[tuple] = None
     ):
         self.carrier = carrier
         self.alpha = alpha
-        self.rows = tuple(rows)
-        self.tail_image = tail_image
+        rows = list(rows)
+        self.tail_start = self.tail_rule = self.tail_image = None
         if tail is not None:
-            start, rule = tail
-            if start != len(self.rows):
-                raise BoundViolation("tail must start right after the explicit rows")
-            self.tail_start = start
-            self.tail_rule = rule
-        else:
-            self.tail_start = None
-            self.tail_rule = None
+            start, pieces = tail
+            if start != len(rows):
+                raise ParseError(f"tail must start at row {len(rows)}, not {_nat_str(start)}")
+            # every tail row has the pieces' labels, so row start speaks for all
+            _check_blocks(start, [label for label, _, _ in pieces], carrier)
+            settle, self.tail_image = settle_point(start, pieces, carrier._ot, alpha)
+            if settle - start > _MAX_SETTLE + 1:
+                raise TailLimitUndecided(
+                    f"tail settles at row {settle - 1}, more than {_MAX_SETTLE} rows past its start"
+                )
+            self.tail_rule = functools.partial(_build_row, pieces)
+            rows += map(self.tail_rule, range(start, settle))
+            self.tail_start = settle
+        self.rows = tuple(rows)
         self._row_cache: dict = {}
         self._image_cache: dict = {}
 
@@ -434,9 +436,8 @@ class SurjectionFamily:
         return self._row_cache[n]
 
     def row_image(self, n: int) -> OrdinalSet:
-        """The image of row n; one that leaves [0, alpha) is an error.  A
-        parsed tail's rows are read off its ``tail_image`` forms, which
-        exist only where no tail row leaves alpha."""
+        """The image of row n; one that leaves [0, alpha) is an error.  Tail
+        rows are read off the ``tail_image`` forms where there are any."""
         image = self._image_cache.get(n)
         if image is None:
             if self.tail_image is not None and n >= self.tail_start:
@@ -454,7 +455,7 @@ class SurjectionFamily:
     def first_reach(self, s: Ordinal, n: int) -> Optional[int]:
         """The least tail row ``m >= n`` whose image holds ``[x, s)`` for
         some ``x < s`` (``s`` itself need not be below alpha); None if no
-        row does, or if the tail has no ``tail_image``."""
+        row does, or if there are no tail forms."""
         if self.tail_image is None:
             return None
         return self.tail_image.first_reach(s, n)
@@ -599,22 +600,7 @@ def parse_instance(text: str) -> SurjectionFamily:
             raise ParseError(f"row {i} is missing (rows must be consecutive from 0)")
         _check_blocks(i, [piece.label for piece in rows[i].pieces], carrier)
         row_maps.append(rows[i])
-    tail_image = None
-    if tail is not None:
-        start, pieces = tail
-        if start != len(row_maps):
-            raise ParseError(f"tail must start at row {len(row_maps)}, not {_nat_str(start)}")
-        # every tail row has the pieces' labels, so row start speaks for all
-        _check_blocks(start, [label for label, _, _ in pieces], carrier)
-        settle, tail_image = settle_point(start, pieces, carrier._ot, alpha)
-        if settle - start > _MAX_SETTLE + 1:
-            raise TailLimitUndecided(
-                f"tail settles at row {settle - 1}, more than {_MAX_SETTLE} rows past its start"
-            )
-        rule = functools.partial(_build_row, pieces)
-        row_maps += [rule(n) for n in range(start, settle)]
-        tail = (settle, rule)
-    return SurjectionFamily(carrier, alpha, row_maps, tail, tail_image)
+    return SurjectionFamily(carrier, alpha, row_maps, tail)
 
 
 def read_ascii_file(path) -> str:

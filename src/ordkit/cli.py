@@ -237,9 +237,9 @@ def _parse_wo_file(content: str):
         if len(parts) != 2:
             raise ParseError(f"bad well-order line: {line!r}")
         pairs.append((_nat(parts[0], line), _nat(parts[1], line)))
-    if bits is not None:
-        return bits
-    return pairs
+    if bits is not None and pairs:
+        raise ParseError("a well-order file has pair lines or one 'bits:' line, not both")
+    return pairs if bits is None else bits
 
 
 def _law_spot_checks(out):

@@ -619,7 +619,10 @@ def fmt(x: Ordinal) -> str:
         elif len(t) == 1 and t[0][1] == 1 and _is_one(t[0][0]):
             body = "w^w"
         else:
-            body = f"w^({fmt(e)})"
+            try:
+                body = f"w^({fmt(e)})"
+            except RecursionError:  # built in code past MAX_NESTING
+                raise BoundViolation("ordinal nested too deep to format") from None
         if c > 1:
             body += "*" + _nat_str(c)
         parts.append(body)

@@ -19,9 +19,10 @@ has for all large ``n``, and raises ``_Row.at`` to the least ``n`` from
 which it has that outcome.  From ``at`` on, every concrete row takes the
 same steps, so its image and its order type keep one CNF shape with
 coefficients affine in ``n``, and a check that raises there raises on
-every later row.
+every later row.  :class:`TailImage` keeps those forms, and the supremum
+of the tail's order types is read off the order type's form.
 
-The parser checks a tail's block names once, as its first row, before it
+The family checks a tail's block names once, as its first row, before it
 asks where the tail settles, so this module reads only the blocks' order
 types and never which blocks a carrier has.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from operator import eq, ge, gt, lt
 
-from .core import Ordinal
+from .core import ONE, Ordinal, add, omega_power
 from .intervals import canonical, monotone_image, order_type, point, union
 
 __all__ = ["settle_point", "TailImage"]
@@ -197,18 +198,36 @@ class _Row:
         return ((exp, coeff[0][1]),)
 
 
+def _supremum(x: tuple, n: int) -> tuple:
+    """``(supremum, attained)`` of the values of a form valid from ``n`` on:
+    a constant form is attained; otherwise, at its first term that moves, a
+    growing coefficient climbs to the next power and a growing exponent to
+    the power of its own supremum."""
+    for i, (e, (a, _)) in enumerate(x):
+        limit, constant = _supremum(e, n)
+        if a or not constant:
+            top = omega_power(add(limit, ONE) if constant else limit)
+            return add(_value(x[:i], n), top), False
+    return _value(x, n), True
+
+
 class TailImage:
     """The image of every tail row from ``start`` on, as the eventual forms
-    of its intervals' bounds.
+    of its intervals' bounds, and the form of its order type.
 
     From the settle point on, each bound is a valid form at every row, so
     each of its coefficients ``a*n + b`` has ``a >= 0``: a bound never
     falls as ``n`` grows, and one that moves at all rises at every row.
     """
 
-    def __init__(self, start: int, intervals: list):
+    def __init__(self, start: int, intervals: list, order_type: tuple):
         self.start = start
         self.intervals = intervals
+        self.order_type = order_type
+
+    def supremum(self) -> tuple:
+        """``(supremum, attained)`` of the rows' order types from ``start`` on."""
+        return _supremum(self.order_type, self.start)
 
     def at(self, n: int) -> tuple:
         """The image of row ``n >= start`` as canonical ordinal bound pairs,
@@ -269,7 +288,7 @@ def settle_point(start: int, pieces: list, block_types: dict, alpha) -> tuple:
             image = union(row, image, piece_image)
         if image and row.lt(_lift(alpha), image[-1][1]):
             raise _Raises
-        order_type(row, image)  # its comparisons fix the shape of the row's delta
+        delta = order_type(row, image)
     except _Raises:
         return row.at + 1, None
-    return row.at + 1, TailImage(row.at + 1, image)
+    return row.at + 1, TailImage(row.at + 1, image, delta)

@@ -2,15 +2,16 @@
 
 The centerpiece turns a presented surjection f: omega x M -> alpha into an
 evaluable surjection M -> alpha.  The supremum delta of the rows' order
-types is exact: the explicit rows give their largest, and a tail, settled
-from its start (see :class:`~ordkit.carriers.SurjectionFamily`), gives its
-supremum from two rows.  Case 1 (some row's order type attains the
-supremum delta) composes the row isomorphism with the pairing-based step
-from delta onto alpha.  Case 2 realizes the stage recursion at the order-type
-level: q_n is the unique isomorphism from a peeled chunk of the carrier onto
-[0, beta_n), the chunks live in a reserve zone [beta, beta*2) of the carrier
-so that row strength (the coverage condition) survives every stage, and the
-glued map sends everything outside the chunks to zero.
+types is exact: the explicit rows give their largest, and a tail the
+supremum read off its order-type form, which keeps one shape from the
+tail's settle point on (see :meth:`~ordkit.eventual.TailImage.supremum`).
+Case 1 (some row's order type attains the supremum delta) composes the
+row isomorphism with the pairing-based step from delta onto alpha.  Case 2
+realizes the stage recursion at the order-type level: q_n is the unique
+isomorphism from a peeled chunk of the carrier onto [0, beta_n), the chunks
+live in a reserve zone [beta, beta*2) of the carrier so that row strength
+(the coverage condition) survives every stage, and the glued map sends
+everything outside the chunks to zero.
 
 Also here: the diagonal set operation, the finite-to-one transfer, the
 one-step refuters for listings of (infinite) subsets, the fiber witness of
@@ -58,7 +59,6 @@ from .errors import (
     FuelExhausted,
     PreconditionViolated,
     TableNotInjective,
-    TailLimitUndecided,
     ToolkitError,
     WitnessNotFound,
 )
@@ -75,7 +75,6 @@ _KURATOWSKI_SAMPLES = 256  # carrier sample points searched for a fiber
 
 __all__ = [
     "cantor_diagonal",
-    "ordinal_sequence_limit",
     "ReductionResult",
     "Stage",
     "reduce_omega_product",
@@ -109,32 +108,6 @@ def cantor_diagonal(
         return not (listed.contains(x) if ask is None else ask(listed, x))
 
     return QueryableSet(membership)
-
-
-# -- the supremum of a settled tail ----------------------------------------------
-
-
-def ordinal_sequence_limit(seq: Callable[[int], Ordinal], start: int = 0) -> tuple:
-    """Supremum of a sequence settled from ``start`` on (see
-    :class:`~ordkit.carriers.SurjectionFamily`), with attainment flag.
-    Rows ``start`` and ``start + 1`` decide it: equal rows are constant;
-    else, at the first term where they differ, a growing coefficient climbs
-    to the next power and a growing exponent to the power of its own
-    supremum.  Rows that fall or change shape raise."""
-    a, b = seq(start), seq(start + 1)
-    if a == b:
-        return a, True
-    if compare(a, b) > 0 or len(a.terms) != len(b.terms):
-        raise TailLimitUndecided(
-            f"sequence is not settled at {start}: {fmt(a)} then {fmt(b)}"
-        )
-    i = next(i for i, (x, y) in enumerate(zip(a.terms, b.terms)) if x != y)
-    prefix = Ordinal.from_terms(a.terms[:i])
-    exponent = a.terms[i][0]
-    if exponent == b.terms[i][0]:
-        return add(prefix, omega_power(add(exponent, ONE))), False
-    e_limit, _ = ordinal_sequence_limit(lambda n: seq(n).terms[i][0], start)
-    return add(prefix, omega_power(e_limit)), False
 
 
 # -- the omega-product reduction --------------------------------------------------
@@ -417,26 +390,21 @@ def _row_scan(fam: SurjectionFamily) -> int:
 
 
 class _KeptRows:
-    """Renumbered view of the family with finite-order-type rows dropped."""
+    """Renumbered view of the family with finite-order-type rows dropped:
+    the explicit rows of infinite order type, then every tail row if the
+    first is infinite, as a settled tail keeps one shape."""
 
     def __init__(self, fam: SurjectionFamily):
         self.fam = fam
-        self._kept: list = []
-        self._next_original = 0
-
-    def _extend_to(self, j: int):
-        while len(self._kept) <= j:
-            n = self._next_original
-            if self.fam.has_row(n) and self.fam.delta(n).is_infinite():
-                self._kept.append(n)
-            elif not self.fam.has_row(n) or n >= len(self.fam.rows):
-                # a settled tail keeps one shape: once a tail row is finite, all are
-                raise CoverageBroken(f"fewer than {j + 1} rows with infinite order type")
-            self._next_original += 1
+        self._explicit = [n for n in range(len(fam.rows)) if fam.delta(n).is_infinite()]
+        self._tail = fam.tail_rule is not None and fam.delta(fam.tail_start).is_infinite()
 
     def original(self, j: int) -> int:
-        self._extend_to(j)
-        return self._kept[j]
+        if j < len(self._explicit):
+            return self._explicit[j]
+        if not self._tail:
+            raise CoverageBroken(f"fewer than {j + 1} rows with infinite order type")
+        return self.fam.tail_start + j - len(self._explicit)
 
     def row(self, j: int) -> BlockwiseMap:
         return self.fam.row(self.original(j))
@@ -464,7 +432,8 @@ def _compute_delta(fam: SurjectionFamily) -> tuple:
         if compare(d, best) > 0:
             best, best_at = d, j
     if fam.tail_rule is not None:
-        limit, attained = ordinal_sequence_limit(fam.delta, fam.tail_start)
+        # a tail without forms leaves alpha on its last explicit row, imaged above
+        limit, attained = fam.tail_image.supremum()
         if limit.is_infinite() and compare(limit, best) > 0:
             # every tail row has the shape of the first, so all are kept
             return limit, (len(explicit) if attained else None)
@@ -1149,10 +1118,10 @@ def wellorder_decode(code) -> Ordinal:
     """
     items = list(code)
     if items and all(
-        isinstance(item, (tuple, list)) and len(item) == 2 for item in items
+        isinstance(item, (tuple, list)) and len(item) == 2
+        and all(isinstance(v, int) and v >= 0 for v in item) for item in items
     ):
-        pairs = [(int(a), int(b)) for a, b in items]
-        return Ordinal(_finite_strict_order_type(pairs))
+        return Ordinal(_finite_strict_order_type(list(map(tuple, items))))
     if all(isinstance(item, int) for item in items):
         return bits_to_ordinal(items)
     return ZERO

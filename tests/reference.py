@@ -10,7 +10,7 @@ import re
 from operator import attrgetter
 
 from ordkit import core
-from ordkit.carriers import BlockwiseMap, Piece
+from ordkit.carriers import BlockwiseMap, Carrier, Piece, _build_row
 from ordkit.coding import _embed_terms, _tuple_decode, cantor_pair, cantor_unpair, fin_encode
 from ordkit.core import (
     MAX_NESTING,
@@ -26,7 +26,7 @@ from ordkit.core import (
     omega_power,
     parse,
 )
-from ordkit.errors import BoundViolation, CoverageBroken, ParseError
+from ordkit.errors import BoundViolation, CoverageBroken, ParseError, TailLimitUndecided
 from ordkit.intervals import OrdinalSet, parse_interval_set
 from ordkit.reduction import _COVERAGE_WINDOW, _STAGE_SEARCH, ReductionResult, Stage
 
@@ -513,6 +513,28 @@ def _ref_compose_monotone(f_piece, g_piece, source):
 # -- reduction -----------------------------------------------------------------
 
 
+def ordinal_sequence_limit(seq, start=0) -> tuple:
+    """The supremum of a sequence settled from ``start`` on, with its
+    attainment flag, read off two rows as the engine did before it read
+    a tail's supremum off its order-type form (``TailImage.supremum``).
+    Rows ``start`` and ``start + 1`` decide it: equal rows are constant;
+    else, at the first term where they differ, a growing coefficient climbs
+    to the next power and a growing exponent to the power of its own
+    supremum.  Rows that fall or change shape raise."""
+    a, b = seq(start), seq(start + 1)
+    if a == b:
+        return a, True
+    if compare(a, b) > 0 or len(a.terms) != len(b.terms):
+        raise TailLimitUndecided(f"sequence is not settled at {start}: {fmt(a)} then {fmt(b)}")
+    i = next(i for i, (x, y) in enumerate(zip(a.terms, b.terms)) if x != y)
+    prefix = Ordinal.from_terms(a.terms[:i])
+    exponent = a.terms[i][0]
+    if exponent == b.terms[i][0]:
+        return add(prefix, omega_power(add(exponent, ONE))), False
+    e_limit, _ = ordinal_sequence_limit(lambda n: seq(n).terms[i][0], start)
+    return add(prefix, omega_power(e_limit)), False
+
+
 # The settle point that eventual.settle_point replaced, kept as the
 # reference: start + L + 1, where L sums every decimal literal in the tail
 # row, in alpha and in the block order types.  (The parser counted a
@@ -534,6 +556,33 @@ def _literal_settle(text: str) -> int:
         *(fmt(parse_interval_set(shape).order_type()) for shape in shapes),
     ]
     return start + sum(map(int, _DIGIT_RUN.findall(" ".join(texts)))) + 1
+
+
+class _RowsTail:
+    """What a tail from the literal settle point ``start`` answered before
+    it had forms, in the place of its ``TailImage``: each row imaged from
+    its pieces and refused past alpha, the supremum off rows ``start`` and
+    ``start + 1`` (:func:`ordinal_sequence_limit`), and no first reach, so
+    verification scans only the rows it always scans.  Takes
+    ``settle_point``'s arguments; builds rows with ``carriers._build_row``,
+    images them with :func:`_ref_image_of` on a ``Carrier`` of the block
+    order types, and reads ``OrdinalSet`` order types."""
+
+    def __init__(self, start, pieces, block_types, alpha):
+        self.start, self.pieces, self.alpha = start, pieces, alpha
+        self.carrier = Carrier([(label, OrdinalSet.interval(ZERO, t)) for label, t in block_types.items()])
+
+    def at(self, n) -> tuple:
+        image = _ref_image_of(_build_row(self.pieces, n), self.carrier)
+        if image and compare(self.alpha, image.intervals[-1][1]) < 0:
+            raise CoverageBroken(f"row {n} maps outside [0, {fmt(self.alpha)})")
+        return image.intervals
+
+    def supremum(self) -> tuple:
+        return ordinal_sequence_limit(lambda n: OrdinalSet._of(self.at(n)).order_type(), self.start)
+
+    def first_reach(self, s, n):
+        return None
 
 
 def _ref_coverage_ok(report: list) -> bool:

@@ -389,14 +389,12 @@ class TestSurjectionFamily:
         assert fam.delta(0) == o("w^2")
 
     def test_tail_rule(self):
-        carrier = Carrier([("m", iv("0", "w^2"))])
-
-        def tail(n):
-            return BlockwiseMap([Piece("m", "constant", value=Ordinal(n))])
-
-        fam = SurjectionFamily(carrier, OMEGA, [tail(0)], tail=(1, tail))
+        fam = parse_instance(
+            "carrier: m:[0,w^2)\nalpha: w\nrow 0: m -> constant 0\ntail: n >= 1: m -> constant n\n"
+        )
         assert fam.delta(7) == ONE
         assert fam.row_image(3) == iv("3", "4")
+        assert fam.row(9)(fam.carrier, ("m", o("w+5"))) == Ordinal(9)
 
     def test_missing_row(self):
         carrier = Carrier([("m", iv("0", "w"))])
@@ -440,49 +438,45 @@ class TestSurjectionFamily:
     def test_coverage_unions_only_without_a_tail(self, monkeypatch):
         # with a tail the union of the explicit rows is never read, but
         # each explicit row is still checked against alpha
-        carrier = Carrier([("m", iv("0", "w"))])
-        row = BlockwiseMap([Piece("m", "monotone", target=iv("0", "w"))])
-        outside = BlockwiseMap([Piece("m", "monotone", target=iv("w", "w*2"))])
+        head = "carrier: m:[0,w)\nalpha: w\nrow 0: m -> monotone [0,w)\n"
+        rows, tail = head + "row 1: m -> monotone [0,w)\n", "tail: n >= 2: m -> monotone [0,w)\n"
         with pytest.raises(CoverageBroken, match="row 1 maps outside"):
-            SurjectionFamily(carrier, OMEGA, [row, outside], tail=(2, lambda n: row)).check_coverage()
+            parse_instance(head + "row 1: m -> monotone [w,w*2)\n" + tail).check_coverage()
         unions = []
         union = OrdinalSet.union
         monkeypatch.setattr(OrdinalSet, "union", lambda *args: unions.append(1) or union(*args))
-        for tail, made in ((2, lambda n: row), 0), (None, 2):
-            fam = SurjectionFamily(carrier, OMEGA, [row, row], tail=tail)
-            fam.row_image(0), fam.row_image(1)  # imaging a row makes unions of its own
+        for text, made in (rows + tail, 0), (rows, 2):
+            fam = parse_instance(text)
+            for n in range(len(fam.rows)):
+                fam.row_image(n)  # imaging a row makes unions of its own
             unions.clear()
             fam.check_coverage()
             assert len(unions) == made
 
     def test_tail_row_outside_alpha_rejected(self):
-        carrier = Carrier([("m", iv("0", "w^w"))])
-
-        def tail(n):
-            return BlockwiseMap([Piece("m", "monotone", target=iv("0", f"w^{n}"))])
-
-        fam = SurjectionFamily(carrier, o("w^20"), [], tail=(0, tail))
-        fam.check_coverage()  # with a tail, coverage is left to verification
+        # row 21 is the first to leave alpha, so the tail has no forms and
+        # rows 0..21 are explicit rows
+        fam = parse_instance(
+            "carrier: m:[0,w^w)\nalpha: w^20\ntail: n >= 0: m -> monotone [0,w^n)\n"
+        )
+        assert fam.tail_image is None and len(fam.rows) == 22
         assert fam.delta(20) == o("w^20")
         with pytest.raises(CoverageBroken, match="row 21 maps outside"):
             fam.row_image(21)
+        with pytest.raises(CoverageBroken, match="row 21 maps outside"):
+            fam.check_coverage()
 
     def test_tail_must_start_right_after_the_rows(self):
         # a tail from row 1 under three explicit rows would have the supremum
         # read off rows 1 and 2 (w^2), though row n >= 3 has type w^(n+1)
-        carrier = Carrier([("m", iv("0", "w^(w^w)*2"))])
-
-        def row(hi):
-            return BlockwiseMap([Piece("m", "monotone", target=iv("0", hi))])
-
-        def tail(n):
-            return row(f"w^{n + 1}")
-
-        rows = [row("w"), row("w^2"), row("w^2")]
+        rows = (
+            "carrier: m:[0,w^(w^w)*2)\nalpha: w^w\nrow 0: m -> monotone [0,w)\n"
+            "row 1: m -> monotone [0,w^2)\nrow 2: m -> monotone [0,w^2)\n"
+        )
         for start in (1, 4):
-            with pytest.raises(BoundViolation, match="right after the explicit rows"):
-                SurjectionFamily(carrier, o("w^w"), rows, tail=(start, tail))
-        fam = SurjectionFamily(carrier, o("w^w"), rows, tail=(3, tail))
+            with pytest.raises(ParseError, match=f"^tail must start at row 3, not {start}$"):
+                parse_instance(rows + f"tail: n >= {start}: m -> monotone [0,w^(n+1))\n")
+        fam = parse_instance(rows + "tail: n >= 3: m -> monotone [0,w^(n+1))\n")
         assert fam.delta(9) == o("w^10")
 
 

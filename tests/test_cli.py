@@ -608,6 +608,16 @@ class TestFileInput:
         path.write_bytes(content.split(b"\n")[-2] + b"\n")
         assert run("decode-wo", str(path))[0] == 0
 
+    @pytest.mark.parametrize("content", [b"0,1\n1,2\nbits: 1,2\n", b"bits:\n0 1\n"])
+    def test_pairs_and_bits_mixed(self, tmp_path, content):
+        # a file codes its order by pairs or by bits: one that has both is
+        # refused, not read by its bits with the pairs dropped
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        assert run("decode-wo", str(path)) == (
+            1, "syntax-error\na well-order file has pair lines or one 'bits:' line, not both\n"
+        )
+
 
 _TOOLKIT_ERROR_NAMES = {
     cls.name for cls in vars(errors).values()

@@ -122,6 +122,8 @@ class TestNestingLimit:
             lambda: x < y,
             lambda: x >= y,
             lambda: hash(x),
+            lambda: fmt(x),
+            lambda: str(x),
         ):
             with pytest.raises(BoundViolation, match="nested too deep"):
                 op()
@@ -404,7 +406,8 @@ class TestSharedNaturals:
         # Ordinal._raw returns them, so no path builds a 0 or a natural
         # below 64 of its own; from 64 on each is built per call
         bijection = OmegaPowerBijection(OMEGA)
-        tail = TailImage(0, [(_lift(ZERO), ((_lift(ZERO), (1, 1)),))])  # [0, n+1)
+        succ = ((_lift(ZERO), (1, 1)),)  # n + 1
+        tail = TailImage(0, [(_lift(ZERO), succ)], succ)  # [0, n+1), of order type n + 1
         assert bijection.up(ZERO) is ZERO and tail.at(0)[0][0] is ZERO
         assert Ordinal.from_terms([]) is ZERO and classify(ONE)[1] is ZERO
         for k in range(1, 70):

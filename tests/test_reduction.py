@@ -39,7 +39,7 @@ from ordkit.errors import (
     WitnessNotFound,
 )
 from ordkit.eventual import _key, settle_point
-from ordkit.intervals import OrdinalSet, parse_interval_set
+from ordkit.intervals import OrdinalSet
 from ordkit.reduction import (
     ReductionResult,
     RefutationWitness,
@@ -53,7 +53,6 @@ from ordkit.reduction import (
     finite_to_one_transfer,
     fiber_family_values,
     kuratowski_witness,
-    ordinal_sequence_limit,
     ordinal_to_bits,
     reduce_omega_product,
     refute_infinite_powerset,
@@ -68,7 +67,9 @@ from reference import (
     _ref_coverage_ok,
     _ref_image_of,
     _ReferenceStages,
+    _RowsTail,
     _three_pass_order_type,
+    ordinal_sequence_limit,
 )
 from strategies import tail_templates
 
@@ -119,6 +120,8 @@ class TestDiagonal:
 
 
 class TestSequenceLimit:
+    """The two-row reference that TestTailSupremum checks the form walk against."""
+
     def test_constant(self):
         assert ordinal_sequence_limit(lambda n: o("w^2")) == (o("w^2"), True)
 
@@ -196,18 +199,49 @@ def _tail_instances(draw, shapes=_TAIL_BLOCKS, alphas=("w^(w^(w^w))",)):
     return "\n".join(lines) + "\n", explicit
 
 
+# the shipped instances with a tail, one of them (tail_past_alpha.txt)
+# without forms
+_SHIPPED_TAILS = sorted(p.name for p in INSTANCES.glob("*.txt") if "\ntail:" in "\n" + p.read_text())
+
+
+def _ref_delta(fam):
+    """Row n's order type as the reference images the row itself."""
+    return lambda n: _ref_image_of(fam.row(n), fam.carrier).order_type()
+
+
 class TestTailSupremum:
-    """The tail's supremum from its settle point, against rows far past it."""
+    """The supremum read off a tail's order-type form, against the
+    two-row reference on the rows themselves, at the settle point and far
+    past it."""
+
+    @staticmethod
+    def _check_walk(fam):
+        supremum = fam.tail_image.supremum()
+        assert supremum == ordinal_sequence_limit(_ref_delta(fam), fam.tail_start)
+        assert supremum == ordinal_sequence_limit(_ref_delta(fam), fam.tail_start + 500)
+
+    @pytest.mark.parametrize("name", _SHIPPED_TAILS)
+    def test_shipped_tails(self, name):
+        fam = load(name)
+        if fam.tail_image is None:
+            # its last explicit row leaves alpha, before the tail is read
+            assert name == "tail_past_alpha.txt"
+            with pytest.raises(CoverageBroken, match="row 11 maps outside"):
+                _compute_delta(fam)
+            return
+        self._check_walk(fam)
+
+    @settings(max_examples=400)
+    @given(_tail_instances())
+    def test_supremum_matches_late_rows(self, drawn):
+        self._check_walk(parse_instance(drawn[0]))
 
     @settings(max_examples=100)
     @given(_tail_instances())
-    def test_supremum_matches_late_rows(self, drawn):
+    def test_supremum_bounds_late_rows(self, drawn):
         text, start = drawn
         fam = parse_instance(text)
         late = fam.tail_start + 500
-        assert ordinal_sequence_limit(fam.delta, fam.tail_start) == ordinal_sequence_limit(
-            fam.delta, late
-        )
         kept = _KeptRows(fam)
         delta, attained_at = _compute_delta(fam)
         for n in range(start, late + 1):
@@ -279,11 +313,10 @@ class TestFirstReach:
         assert result.surjection(result.witness_for(target)) == target
 
     def test_no_forms_no_reach(self):
-        # a tail built in code has no forms: the row scan is all there is
-        carrier = Carrier([("m", parse_interval_set("[0,w^2)"))])
-        row = BlockwiseMap([Piece("m", "monotone", target=OrdinalSet.interval(ZERO, OMEGA))])
-        fam = SurjectionFamily(carrier, OMEGA, [row], tail=(1, lambda n: row))
-        assert fam.first_reach(ONE, 1) is None
+        # a tail whose rows leave alpha has no forms: the row scan is all there is
+        fam = load("tail_past_alpha.txt")
+        assert fam.tail_image is None
+        assert fam.first_reach(ONE, fam.tail_start) is None
 
 
 class TestTailForms:
@@ -342,10 +375,7 @@ class TestTailRowImages:
             assert got == want and fam.row_image(n) is got
             assert fam.delta(n) == want.order_type()
 
-    @pytest.mark.parametrize(
-        "name",
-        sorted(p.name for p in INSTANCES.glob("*.txt") if "\ntail:" in "\n" + p.read_text()),
-    )
+    @pytest.mark.parametrize("name", _SHIPPED_TAILS)
     def test_shipped_tails(self, name):
         self._check_rows(load(name))
 
@@ -384,8 +414,9 @@ class TestLiteralSettleReference:
     """The exact settle point against the literal-sum one it replaced: never
     later, and the same answers wherever the literal sum gave one.
 
-    The reference runs with no tail forms, so its row scan reaches the
-    literal settle point, as the parser's did, and stops there."""
+    The reference reads its tail off the rows (``reference._RowsTail``),
+    with no forms, so its row scan reaches the literal settle point, as
+    the parser's did, and stops there."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -447,9 +478,9 @@ class TestLiteralSettleReference:
         literal = _literal_settle(text)
         exact = []
 
-        def literal_point(*args):
-            exact.append(settle_point(*args)[0])
-            return literal, None
+        def literal_point(start, *args):
+            exact.append(settle_point(start, *args)[0])
+            return literal, _RowsTail(literal, *args)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "tail.txt"
@@ -654,23 +685,11 @@ class TestReduceCase2:
     def test_chunk_spanning_block_boundary(self):
         # first block ends mid reserve zone, so the first peeled chunk
         # must split into pieces across two blocks
-        beta = o("w^(w^w)")
-        carrier = Carrier(
-            [
-                ("a", OrdinalSet.interval(ZERO, add(beta, OMEGA))),
-                ("b", OrdinalSet.interval(ZERO, beta)),
-            ]
+        fam = parse_instance(
+            "carrier: a:[0,w^(w^w)+w); b:[0,w^(w^w))\nalpha: w^w\n"
+            "row 0: a -> monotone [0,w) ; b -> constant 0\n"
+            "tail: n >= 1: a -> monotone [0,w^(n+1)) ; b -> constant 0\n"
         )
-
-        def row(n):
-            return BlockwiseMap(
-                [
-                    Piece("a", "monotone", target=iv("0", omega_power(Ordinal(n + 1)))),
-                    Piece("b", "constant", value=ZERO),
-                ]
-            )
-
-        fam = SurjectionFamily(carrier, o("w^w"), [row(0)], tail=(1, row))
         result = reduce_omega_product(fam)
         result.ensure_stage(0)
         stage = result.stages[0]
@@ -679,14 +698,10 @@ class TestReduceCase2:
         verify_surjective(result, o("w^3"))
 
     def test_carrier_too_small(self):
-        carrier = Carrier([("m", iv("0", "w^(w^w)"))])  # no reserve room
-
-        def tail(n):
-            return BlockwiseMap(
-                [Piece("m", "monotone", target=iv("0", omega_power(Ordinal(n + 1))))]
-            )
-
-        fam = SurjectionFamily(carrier, o("w^w"), [tail(0)], tail=(1, tail))
+        fam = parse_instance(
+            "carrier: m:[0,w^(w^w))\nalpha: w^w\n"  # no reserve room
+            "row 0: m -> monotone [0,w)\ntail: n >= 1: m -> monotone [0,w^(n+1))\n"
+        )
         with pytest.raises(PreconditionViolated):
             reduce_omega_product(fam)
 
@@ -765,51 +780,36 @@ def _stage_record(s: Stage) -> tuple:
             s.q_map.pieces, s.coverage)
 
 
-def _chunk_dependent_family(low_target, chunk_target: tuple, chunk_len: str):
-    """A case-2 family on m:[0, beta*2), beta = w^(w^w), whose tail rows
-    n >= 1 map onto [0, w^(n+1)).  Row 0 maps [0, beta) onto the interval
-    ``low_target`` (to 0 when None), the first chunk [beta, beta + chunk_len)
-    onto the interval ``chunk_target``, and the rest to 0."""
-    beta = o("w^(w^w)")
-    chunk_hi, zone_end = add(beta, o(chunk_len)), multiply(beta, Ordinal(2))
-    low = OrdinalSet.interval(ZERO, beta)
-    row0 = BlockwiseMap([
-        Piece("m", "constant", value=ZERO, dom=low) if low_target is None
-        else Piece("m", "monotone", target=iv(*low_target), dom=low),
-        Piece("m", "monotone", target=iv(*chunk_target), dom=OrdinalSet.interval(beta, chunk_hi)),
-        Piece("m", "constant", value=ZERO, dom=OrdinalSet.interval(chunk_hi, zone_end)),
-    ])
-
-    def tail(n):
-        return BlockwiseMap(
-            [Piece("m", "monotone", target=iv("0", omega_power(Ordinal(n + 1))))]
-        )
-
-    carrier = Carrier([("m", OrdinalSet.interval(ZERO, zone_end))])
-    return SurjectionFamily(carrier, o("w^w"), [row0], tail=(1, tail))
+def _chunk_dependent_family(low_target, chunk_target: str, chunk_len: str):
+    """A case-2 family on the global positions [0, beta*2), beta = w^(w^w),
+    as the blocks lo = [0, beta), c = [beta, beta + chunk_len) and r for the
+    rest (order type beta); its tail rows n >= 1 map onto [0, w^(n+1)), so
+    c and r to 0.  Row 0 maps lo onto the interval ``low_target`` (to 0
+    when None), c onto the interval ``chunk_target``, and r to 0."""
+    low = "constant 0" if low_target is None else f"monotone {low_target}"
+    return parse_instance(
+        f"carrier: lo:[0,w^(w^w)); c:[0,{chunk_len}); r:[0,w^(w^w))\nalpha: w^w\n"
+        f"row 0: lo -> {low} ; c -> monotone {chunk_target} ; r -> constant 0\n"
+        "tail: n >= 1: lo -> monotone [0,w^(n+1)) ; c -> constant 0 ; r -> constant 0\n"
+    )
 
 
 def _unpeeled_zone_family(zone_row: int):
-    """A case-2 family on m:[0, beta*2), beta = w^(w^w), whose rows n map
-    monotone onto [0, w^(n+1)), so that every row but one sends the reserve
-    zone Z = [beta, beta*2) to 0.  Row ``zone_row`` takes its values only on
-    [beta + w^(w^7), beta*2), the part of Z that six stages leave unpeeled,
-    and is 0 elsewhere: strong on B_0 to B_6 but not on M \\ Z."""
-    beta = o("w^(w^w)")
-    zone_lo, zone_end = add(beta, o("w^(w^7)")), multiply(beta, Ordinal(2))
-
-    def row(n):
-        target = iv("0", omega_power(Ordinal(n + 1)))
-        if n != zone_row:
-            return BlockwiseMap([Piece("m", "monotone", target=target)])
-        return BlockwiseMap([
-            Piece("m", "constant", value=ZERO, dom=OrdinalSet.interval(ZERO, zone_lo)),
-            Piece("m", "monotone", target=target, dom=OrdinalSet.interval(zone_lo, zone_end)),
-        ])
-
-    carrier = Carrier([("m", OrdinalSet.interval(ZERO, zone_end))])
-    explicit = [row(n) for n in range(zone_row + 1)]
-    return SurjectionFamily(carrier, o("w^w"), explicit, tail=(zone_row + 1, row))
+    """A case-2 family on the global positions [0, beta*2), beta = w^(w^w),
+    whose rows n map onto [0, w^(n+1)), so that every row but one sends the
+    reserve zone Z = [beta, beta*2) to 0.  Row ``zone_row`` takes its
+    values only on [beta + w^(w^7), beta*2), the part of Z that six stages
+    leave unpeeled, and is 0 elsewhere: strong on B_0 to B_6 but not on
+    M \\ Z.  The blocks are a = [0, beta + w^(w^7)) and b for the rest."""
+    rows = [
+        f"row {n}: a -> monotone [0,w^{n + 1}) ; b -> constant 0" if n != zone_row
+        else f"row {n}: a -> constant 0 ; b -> monotone [0,w^{n + 1})"
+        for n in range(zone_row + 1)
+    ]
+    return parse_instance(
+        "carrier: a:[0,w^(w^w)+w^(w^7)); b:[0,w^(w^w))\nalpha: w^w\n" + "\n".join(rows)
+        + f"\ntail: n >= {zone_row + 1}: a -> monotone [0,w^(n+1)) ; b -> constant 0\n"
+    )
 
 
 class TestStageReference:
@@ -833,7 +833,7 @@ class TestStageReference:
     def test_window_row_weakened_by_its_chunk(self):
         # row 0 (delta w) takes its values only on the first chunk: strong
         # on B_0, weak on B_1, so stage 0's record shows it weak
-        fam = lambda: _chunk_dependent_family(None, ("0", "w"), "w^w")
+        fam = lambda: _chunk_dependent_family(None, "[0,w)", "w^w")
         reference = _stage_records(_ReferenceStages, fam())
         assert [q for _, _, q in reference[0][-1]] == [False] + [True] * 5
         assert _stage_records(ReductionResult, fam()) == reference
@@ -842,7 +842,7 @@ class TestStageReference:
     def test_top_row_weakened_by_its_chunk(self):
         # row 0 (delta w^6*2, the top row) needs the first chunk for its
         # second half, so the coverage condition fails after stage 0
-        fam = lambda: _chunk_dependent_family(("0", "w^6"), ("w^6", "w^6*2"), "w^(w^6*2)")
+        fam = lambda: _chunk_dependent_family("[0,w^6)", "[w^6,w^6*2)", "w^(w^6*2)")
         reference = _stage_records(_ReferenceStages, fam())
         assert reference == [(CoverageBroken, "coverage condition fails after stage 0")]
         assert _stage_records(ReductionResult, fam()) == reference
@@ -1702,6 +1702,17 @@ class TestWellorderDecode:
 
     def test_garbage_bits(self):
         assert wellorder_decode([2, 3, 5, 700]) == ZERO
+
+    @pytest.mark.parametrize(
+        "code",
+        [[("a", "b")], [(1.5, 2)], [(0, -1)], [(0, 1), (1, 2.0)], [("0", "1")], [(0, 1), 5]],
+    )
+    def test_pairs_of_non_naturals_decode_to_zero(self, code):
+        # only pairs of non-negative ints are read as a strict order
+        assert wellorder_decode(code) == ZERO
+
+    def test_pairs_as_lists(self):
+        assert wellorder_decode([[0, 1], [0, 2], [1, 2]]) == Ordinal(3)
 
     def test_parser_fault_is_not_a_non_code(self, monkeypatch):
         # only a parse error makes the bits a non-code; any other error is
